@@ -118,14 +118,31 @@ class PredictiveAutoscaler:
         """Per-function floor (scale-to-zero when keep-alive expired)."""
         return self._floors.get(function, default)
 
+    def dormant(self, function: str) -> bool:
+        """No arrival, replica or parked pod yet, and a forecaster quiet until
+        it observes traffic: the view is static, built-in policies plan nothing
+        for it, and its gap is exactly 0 (a policy acting on never-invoked
+        functions must pair with a forecaster that is not quiet)."""
+        forecaster = self.forecasters.get(function)
+        return (
+            function not in self.gateway.last_arrival
+            and not self.controllers[function].replicas
+            and not self.controllers[function].parked
+            and (forecaster is None or forecaster.quiet_until_observed)
+        )
+
     # -- the tick ---------------------------------------------------------------------
     def on_tick(self) -> None:
-        """Observe, plan, and apply pre-warm/retire actions (scheduler tick)."""
+        """Observe, plan, and apply pre-warm/retire actions (scheduler tick).
+
+        :meth:`dormant` functions are neither ingested nor viewed; their
+        pull-based forecasters replay the skipped bins once they wake."""
         now = self.engine.now
-        self._ingest(now)
+        names = [name for name in sorted(self.controllers) if not self.dormant(name)]
+        self._ingest(now, names)
         if not self.predictive or self.scheduler is None:
             return
-        views = [self._view(now, name) for name in sorted(self.controllers)]
+        views = [self._view(now, name) for name in names]
         hub = self.engine.hub
         if hub.enabled:
             # Forecast inputs first, chosen actions after: the audit trail
@@ -198,19 +215,16 @@ class PredictiveAutoscaler:
             )
 
     # -- observation & snapshot -----------------------------------------------------
-    def _ingest(self, now: float) -> None:
+    def _ingest(self, now: float, names: _t.Iterable[str]) -> None:
         current_bin = int(now // self.gateway.rps_bin_s)
-        for name, forecaster in self.forecasters.items():
-            forecaster.ingest(self.gateway.arrival_bins(name), current_bin)
+        for name in names:
+            if name in self.forecasters:
+                self.forecasters[name].ingest(self.gateway.arrival_bins(name), current_bin)
 
     def _view(self, now: float, name: str) -> FunctionView:
         controller = self.controllers[name]
         scheduler = self.scheduler
         assert scheduler is not None
-        capacity = sum(
-            scheduler._throughput_of(name, sm, q_limit, pod_id=pod_id)
-            for pod_id, sm, _q_req, q_limit in controller.serving_configs()
-        )
         p_eff = scheduler.scaler.p_eff(name)
         spec = controller.function
         cold_start = (
@@ -229,7 +243,7 @@ class PredictiveAutoscaler:
             serving=controller.serving_count,
             warm=controller.warm_count,
             warm_pod_ids=warm_ids,
-            capacity_rps=capacity,
+            capacity_rps=scheduler.capacity[name],
             pod_rps=p_eff.throughput,
             sm_partition=p_eff.sm_partition,
             quota=p_eff.quota,

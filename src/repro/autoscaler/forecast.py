@@ -32,6 +32,7 @@ Implementations:
 from __future__ import annotations
 
 import abc
+import bisect
 import math
 import typing as _t
 
@@ -44,6 +45,10 @@ FORECASTER_KINDS = ("ewma", "seasonal", "histogram", "hybrid")
 
 class Forecaster(abc.ABC):
     """Arrival-process predictor over the gateway's fixed-width bins."""
+
+    #: Predicts no activity before observing a non-empty bin, so a never-invoked
+    #: function may go unasked.  False unless declared: the oracle needs no history.
+    quiet_until_observed = False
 
     def __init__(self, bin_s: float = 1.0):
         if bin_s <= 0:
@@ -88,6 +93,8 @@ class HoltEWMA(Forecaster):
     trend is clamped at zero on the way down (under-provisioning on a fall
     is the reactive loop's job — hysteresis protects it).
     """
+
+    quiet_until_observed = True
 
     def __init__(
         self,
@@ -137,6 +144,8 @@ class SeasonalBins(Forecaster):
     seen at least once (i.e. from the second period on) — before that the
     reactive signal rules.
     """
+
+    quiet_until_observed = True
 
     def __init__(self, period_s: float, bin_s: float = 1.0):
         super().__init__(bin_s)
@@ -192,6 +201,8 @@ class HybridHistogram(Forecaster):
     the policy abstains (``None``) and the defaults rule.
     """
 
+    quiet_until_observed = True
+
     def __init__(
         self,
         bin_s: float = 1.0,
@@ -211,7 +222,7 @@ class HybridHistogram(Forecaster):
         self.min_samples = min_samples
         self.min_keepalive_s = min_keepalive_s
         self.alpha = alpha
-        self.gaps: list[float] = []
+        self.gaps: list[float] = []  # kept sorted: observe() inserts in order
         self.last_active_time: float | None = None
         self._last_active_bin: int | None = None
         self._active_ewma: float | None = None
@@ -222,7 +233,7 @@ class HybridHistogram(Forecaster):
         if self._last_active_bin is not None:
             gap = (bin_index - self._last_active_bin) * self.bin_s
             if gap > 0:
-                self.gaps.append(gap)
+                bisect.insort(self.gaps, gap)
         self._last_active_bin = bin_index
         # End of the active bin: the most recent moment we know traffic existed.
         self.last_active_time = (bin_index + 1) * self.bin_s
@@ -252,7 +263,7 @@ class HybridHistogram(Forecaster):
         *conditional* distribution (gaps > elapsed) is what turns the
         histogram from "always imminent" into a clump forecaster.
         """
-        return sorted(g for g in self.gaps if g > elapsed)
+        return self.gaps[bisect.bisect_right(self.gaps, elapsed) :]
 
     def next_active_time(self, now: float) -> float | None:
         if self.last_active_time is None or len(self.gaps) < self.min_samples:
@@ -343,6 +354,8 @@ class CompositeForecaster(Forecaster):
         if not parts:
             raise ValueError("composite needs at least one part")
         self.parts = list(parts)
+
+    quiet_until_observed = property(lambda self: all(p.quiet_until_observed for p in self.parts))
 
     def observe(self, bin_index: int, count: int) -> None:
         for part in self.parts:

@@ -45,9 +45,12 @@ class ProfileDatabase:
 
     def __init__(self) -> None:
         self._records: dict[str, list[ProfilePoint]] = collections.defaultdict(list)
+        #: Bumped by every :meth:`insert`, so caches of derived views expire.
+        self.version = 0
 
     def insert(self, point: ProfilePoint) -> None:
         """Add a record, replacing any existing record at the same (S, Q)."""
+        self.version += 1
         rows = self._records[point.function]
         rows[:] = [
             r for r in rows

@@ -79,10 +79,25 @@ class HeuristicScaler:
         self.slo_ms = dict(slo_ms) if slo_ms else {}
         self.latency_headroom = latency_headroom
         self.epsilon_rps = epsilon_rps
+        # (candidate_points, p_eff) per function, for one profile-DB version.
+        self._memo: dict[str, tuple[list[ProfilePoint], ProfilePoint]] = {}
+        self._memo_version = database.version
 
     # -- SLO-feasible candidate set ------------------------------------------
+    def _feasible(self, function: str) -> tuple[list[ProfilePoint], ProfilePoint]:
+        if self._memo_version != self.database.version:
+            self._memo, self._memo_version = {}, self.database.version
+        if function not in self._memo:
+            points = self._filter(function)
+            self._memo[function] = (points, max(points, key=lambda p: p.rpr))
+        return self._memo[function]
+
     def candidate_points(self, function: str) -> list[ProfilePoint]:
-        """Profile points meeting the function's SLO latency budget."""
+        """Profile points meeting the function's SLO latency budget
+        (memoized per database version; callers must not mutate it)."""
+        return self._feasible(function)[0]
+
+    def _filter(self, function: str) -> list[ProfilePoint]:
         points = self.database.points(function)
         if not points:
             raise KeyError(f"no profile records for function {function!r}")
@@ -103,7 +118,7 @@ class HeuristicScaler:
 
     def p_eff(self, function: str) -> ProfilePoint:
         """The most GPU-efficient SLO-feasible configuration."""
-        return max(self.candidate_points(function), key=lambda p: p.rpr)
+        return self._feasible(function)[1]
 
     # -- the algorithm -------------------------------------------------------
     def plan(

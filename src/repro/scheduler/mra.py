@@ -51,6 +51,9 @@ class GPURectangleList:
         self.free: list[Rect] = [Rect(0.0, 0.0, width, height)]
         self.placed: dict[str, Rect] = {}
         self.restructures = 0
+        #: True while ``free`` equals what :meth:`restructure` would build
+        #: (a pure function of ``placed``): restructuring it again is a no-op.
+        self.clean = True
 
     # -- queries ---------------------------------------------------------------
     def used_area(self) -> float:
@@ -89,6 +92,7 @@ class GPURectangleList:
         other.free = list(self.free)
         other.placed = dict(self.placed)
         other.restructures = self.restructures
+        other.clean = self.clean
         return other
 
     def best_fit(self, w: float, h: float) -> Rect | None:
@@ -138,6 +142,7 @@ class GPURectangleList:
                 subdivided.append(free_rect)
         self.free = prune_contained(subdivided)
         self.placed[pod_id] = pod_rect
+        self.clean = False
         return pod_rect
 
     def remove(self, pod_id: str) -> Rect:
@@ -145,6 +150,7 @@ class GPURectangleList:
         rect = self.placed.pop(pod_id, None)
         if rect is None:
             raise KeyError(f"pod {pod_id} is not placed here")
+        self.clean = not self.placed
         if not self.placed:
             # Pruning never merges adjacent fragments, so an empty GPU would
             # otherwise stay fragmented forever; re-initialise it outright.
@@ -169,6 +175,7 @@ class GPURectangleList:
                     next_free.append(rect)
             free = prune_contained(next_free)
         self.free = free
+        self.clean = True
 
 
 #: Cluster node-scoring policies:
@@ -258,13 +265,15 @@ class MaximalRectanglesScheduler:
         that could actually host it.  With ``defrag=True`` (default), a
         cluster-wide miss triggers a restructure of every fragmented GPU —
         rebuilding free lists from the placed pods, which *does* merge — and
-        one retry, before conceding a new GPU is required.
+        one retry, before conceding a new GPU is required.  Only GPUs changed
+        since their last restructure are rebuilt (a clean free list already
+        is one), so a repeated miss on an unchanged cluster costs nothing.
         """
         best = self._select(w, h, allowed)
         if best is None and defrag:
             dirty = False
             for gpu in self.gpus.values():
-                if len(gpu.free) > 1:
+                if len(gpu.free) > 1 and not gpu.clean:
                     gpu.restructure()
                     dirty = True
             if dirty:

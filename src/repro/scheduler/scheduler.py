@@ -135,6 +135,9 @@ class FaSTScheduler:
         self._last_scale_up: dict[str, float] = {}
         self._promotions_seen: dict[str, int] = {}
         self._swaps_seen: dict[str, int] = {}
+        #: This tick's serving pods and capacity per non-dormant function.
+        self.running: dict[str, list[RunningPod]] = {}
+        self.capacity: dict[str, float] = {}
         self._handle = None
         self._running = False
 
@@ -245,13 +248,26 @@ class FaSTScheduler:
     # -- the control loop -----------------------------------------------------------
     def _tick(self) -> None:
         now = self.engine.now
-        # Predictive layer first: observe arrivals, pre-warm/retire WARM_IDLE
+        # One capacity snapshot per tick, shared with the predictive views.
+        # Exact because no on-tick action changes a serving set: prewarm,
+        # retire, demote and evict touch warm or parked pods only, and the
+        # memtier PromoteAction parks its pod warm.  Dormant functions
+        # (PredictiveAutoscaler.dormant) have a gap of exactly 0: skipped.
+        self.running = {
+            name: [
+                RunningPod(pod_id, sm, q, self._throughput_of(name, sm, q, pod_id=pod_id))
+                for pod_id, sm, _q_req, q in controller.serving_configs()
+            ]
+            for name, controller in self.controllers.items()
+            if not self.predictive.dormant(name)
+        }
+        self.capacity = {n: sum(p.throughput for p in pods) for n, pods in self.running.items()}
+        # Predictive layer next: observe arrivals, pre-warm/retire WARM_IDLE
         # pods, refresh per-function floors.  Reactive runs = a no-op tick.
         self.predictive.on_tick()
         delta_rps: dict[str, float] = {}
-        running: dict[str, list[RunningPod]] = {}
         floors: dict[str, int] = {}
-        for name, controller in self.controllers.items():
+        for name, pods in self.running.items():
             # Gateway promotions are scale-ups the scheduler didn't make:
             # honour the cooldown so the next tick doesn't drain them back.
             promoted = self.gateway.promotions_by_function.get(name, 0)
@@ -267,17 +283,7 @@ class FaSTScheduler:
             base_floor = self.min_replicas_by_function.get(name, self.min_replicas)
             floor = self.predictive.min_replicas_for(name, base_floor)
             floors[name] = floor
-            pods = [
-                RunningPod(
-                    pod_id=pod_id,
-                    sm_partition=sm,
-                    quota=q_limit,
-                    throughput=self._throughput_of(name, sm, q_limit, pod_id=pod_id),
-                )
-                for pod_id, sm, _q_req, q_limit in controller.serving_configs()
-            ]
-            running[name] = pods
-            capacity = sum(p.throughput for p in pods)
+            capacity = self.capacity[name]
             delta = predicted - capacity
             if delta < 0 and now - self._last_scale_up.get(name, -1e9) < self.scale_down_cooldown:
                 delta = 0.0  # cooldown: suppress scale-down right after scale-up
@@ -291,9 +297,9 @@ class FaSTScheduler:
         # queues onto the survivors and spikes the tail latency.
         downs_allowed = {
             name: min(self.max_down_per_tick, max(0, len(pods) - floors[name]))
-            for name, pods in running.items()
+            for name, pods in self.running.items()
         }
-        for action in self.scaler.plan(delta_rps, running):
+        for action in self.scaler.plan(delta_rps, self.running):
             if isinstance(action, ScaleUpAction):
                 self._apply_up(action)
             elif isinstance(action, ScaleDownAction):
