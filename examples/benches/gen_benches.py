@@ -6,9 +6,11 @@ at the small shape CI runs.  The specs come from the experiment modules'
 scenario generators, under the sweep names those modules always used, so
 seeds, scenario names and arrivals match the benches' earlier reports:
 
-* ``cluster`` — fig14 placement policies on a heterogeneous cluster;
+* ``cluster`` — fig14 placement policies on a heterogeneous cluster
+  (:func:`repro.experiments.fig14_cluster.bench_sweep`);
 * ``prewarm`` — fig15 reactive vs predictive (``hybrid``) vs oracle
-  autoscaling; asserts predictive violates its SLO no more than reactive;
+  autoscaling; asserts predictive violates its SLO no more than reactive
+  (:func:`repro.experiments.fig15_prewarm.bench_sweep`);
 * ``swap``    — scale-to-zero vs WARM_IDLE-only vs the memory tier on a
   long-tail fleet; asserts memtier spends fewer GPU-seconds than both at an
   equal-or-better effective violation rate.  The full spec's base is the
@@ -31,9 +33,7 @@ import json
 import pathlib
 
 from repro.experiments import fig14_cluster, fig15_prewarm, migrate_bench, swap_bench
-from repro.faas.traces import synthesize_trace_set
 from repro.scenario import load_scenario
-from repro.scheduler.mra import PLACEMENT_POLICIES
 from repro.sweep import Sweep, SweepAssertion
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -47,35 +47,11 @@ BENCHES = ("cluster", "prewarm", "swap", "migrate")
 
 
 def cluster(quick: bool) -> Sweep:
-    fleet = fig14_cluster.CLUSTER_FLEET[:4] if quick else fig14_cluster.CLUSTER_FLEET
-    bins, bin_s = (10, 3.0) if quick else (24, 10.0)
-    trace_set = synthesize_trace_set(list(fleet), bins=bins, bin_s=bin_s, seed=SEED)
-    return fig14_cluster.sweep_for_policies(
-        trace_set,
-        fig14_cluster.QUICK_NODES if quick else fig14_cluster.DEFAULT_NODES,
-        PLACEMENT_POLICIES,
-        SEED,
-        interval=0.5 if quick else 1.0,
-        warmup_s=fig14_cluster.QUICK_WARMUP_S if quick else fig14_cluster.DEFAULT_WARMUP_S,
-    )
+    return fig14_cluster.bench_sweep(quick, SEED)
 
 
 def prewarm(quick: bool) -> Sweep:
-    fleet = fig15_prewarm.PREWARM_FLEET[:3] if quick else fig15_prewarm.PREWARM_FLEET
-    bins, bin_s = (10, 3.0) if quick else (36, 10.0)
-    trace_set = synthesize_trace_set(list(fleet), bins=bins, bin_s=bin_s, seed=SEED)
-    sweep = fig15_prewarm.sweep_for_policies(
-        trace_set,
-        fig14_cluster.QUICK_NODES if quick else fig15_prewarm.PREWARM_NODES,
-        fig15_prewarm.SCALING_POLICIES,
-        SEED,
-        interval=0.5 if quick else 1.0,
-        warmup_s=fig14_cluster.QUICK_WARMUP_S if quick else fig14_cluster.DEFAULT_WARMUP_S,
-    )
-    check = SweepAssertion(
-        cell="autoscaler=hybrid", vs=("autoscaler=reactive",), le=("slo_violation_ratio",)
-    )
-    return dataclasses.replace(sweep, asserts=(check,))
+    return fig15_prewarm.bench_sweep(quick, SEED)
 
 
 def swap(quick: bool) -> Sweep:

@@ -17,7 +17,6 @@ full cold start.  This subsystem adds the predictive layer on top:
 """
 
 from repro.autoscaler.controller import (
-    AUTOSCALE_POLICIES,
     AutoscaleEvent,
     PredictiveAutoscaler,
     build_autoscaler,
@@ -48,7 +47,6 @@ from repro.autoscaler.registry import (
 )
 
 __all__ = [
-    "AUTOSCALE_POLICIES",
     "CORE_POLICIES",
     "PolicyRegistration",
     "available_policies",

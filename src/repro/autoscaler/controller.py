@@ -40,16 +40,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.scheduler.scheduler import FaSTScheduler
     from repro.sim.engine import Engine
 
-#: The built-in autoscaling policies (kept for docs/back-compat; the live
-#: set is :func:`repro.autoscaler.registry.available_policies`, which also
-#: covers everything registered via ``register_forecaster``).  ``reactive``
-#: is the no-forecast degenerate (paper Algorithm 1 alone); ``oracle``
-#: requires explicit per-function forecasters built from the replayed trace.
-AUTOSCALE_POLICIES = (
-    "reactive", "ewma", "seasonal", "histogram", "hybrid", "warmidle", "memtier", "oracle",
-)
-
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class AutoscaleEvent:
     """One applied predictive decision (for experiment timelines)."""
@@ -376,7 +366,6 @@ def build_autoscaler(
 
 
 __all__ = [
-    "AUTOSCALE_POLICIES",
     "AutoscaleEvent",
     "PredictiveAutoscaler",
     "build_autoscaler",

@@ -119,7 +119,6 @@ class PreWarmPolicy:
         scale_to_zero: bool = True,
         idle_reserve: int = 1,
         max_idle_reserve: int = 4,
-        min_replicas: _t.Mapping[str, int] | None = None,
     ):
         if spares < 0:
             raise ValueError("spares must be >= 0")
@@ -145,7 +144,6 @@ class PreWarmPolicy:
         self.scale_to_zero = scale_to_zero
         self.idle_reserve = idle_reserve
         self.max_idle_reserve = max_idle_reserve
-        self.min_replicas = dict(min_replicas or {})
 
     # -- timing -----------------------------------------------------------------
     def lead_time(self, view: FunctionView) -> float:
@@ -206,7 +204,7 @@ class PreWarmPolicy:
             if view.warm >= min(reserve, 1) or view.serving + view.warm == 0:
                 # At least one warm pod parked (or nothing left at all):
                 # release the floor so the reactive loop drains serving pods.
-                floors[name] = self.min_replicas.get(name, 0)
+                floors[name] = 0
                 idle_set.add(name)
             return actions
 

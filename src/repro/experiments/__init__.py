@@ -1,9 +1,13 @@
 """Experiment runners: one module per paper figure/table.
 
-Every module exposes ``run(...) -> <Result dataclass>`` and
+Every figure module exposes ``run(quick=, seed=)`` and
 ``format_result(result) -> str`` printing the same rows/series the paper
-reports.  ``quick=True`` shrinks durations for CI/benchmarks without changing
-the experimental structure; EXPERIMENTS.md records full-scale results.
+reports.  fig01-fig13 and ``headline`` return a per-figure result
+dataclass; fig14 and fig15 return the
+:class:`~repro.sweep.report.SweepReport` of their ``bench_sweep`` — the
+same sweep the committed ``examples/benches`` specs hold.  ``quick=True``
+shrinks durations for CI without changing the experimental structure;
+``benchmarks/test_fig*.py`` assert the paper's shapes at larger scale.
 
 ==========  ==========================================================
 fig01       motivation: device plugin vs time sharing (Fig. 1a/1b)
@@ -14,6 +18,7 @@ fig11       scheduler packing across 4 nodes (Fig. 11)
 fig12       auto-scaling under a stepped trace, SLO violations (Fig. 12)
 fig13       model-sharing memory footprints (Fig. 13)
 fig14       cluster-scale trace replay on heterogeneous GPUs (extension)
+fig15       predictive pre-warming vs reactive autoscaling (extension)
 headline    the 3.15x / 1.34x / 3.13x improvement summary (§1, §5)
 ablations   MRA vs placement baselines; token scheduler variants
 ==========  ==========================================================
@@ -33,6 +38,7 @@ from repro.experiments import (  # noqa: F401  (re-export for discoverability)
     fig12_autoscaling,
     fig13_modelsharing,
     fig14_cluster,
+    fig15_prewarm,
     headline,
 )
 from repro.experiments import runner  # noqa: E402,F401  (after the figure
@@ -48,6 +54,7 @@ __all__ = [
     "fig12_autoscaling",
     "fig13_modelsharing",
     "fig14_cluster",
+    "fig15_prewarm",
     "headline",
     "runner",
 ]

@@ -15,19 +15,17 @@ speed) under several node-scoring policies:
 
 Every policy replays the *same* trace set from the same seed, so the
 reported SLO-violation rate, GPU count, and utilization differences are
-attributable to placement alone.  The committed bench specs
-``examples/benches/cluster{,_quick}.json`` hold this comparison
-(``python -m repro sweep examples/benches/cluster_quick.json``).
+attributable to placement alone.  :func:`bench_sweep` is the one definition
+of the comparison: the committed bench specs
+``examples/benches/cluster{,_quick}.json`` are written from it, and
+``python -m repro run fig14`` prints its SweepReport.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
 
-from repro.faas.traces import TraceSet, load_trace_file, synthesize_trace_set
-from repro.gpu.specs import gpu_spec
-from repro.models.scaling import gpu_type_factor
+from repro.faas.traces import synthesize_trace_set
 from repro.scenario import (
     AutoscalerSpec,
     ClusterSpec,
@@ -37,7 +35,7 @@ from repro.scenario import (
     WorkloadSpec,
 )
 from repro.scheduler.mra import PLACEMENT_POLICIES
-from repro.sweep import CellResult, Sweep, SweepAxis, run_sweep
+from repro.sweep import Sweep, SweepAxis, SweepReport, run_sweep
 
 #: (function, model, trace shape, mean rps) — the default service fleet.
 #: Shapes cover the three production regimes; loads are sized so the full
@@ -54,72 +52,34 @@ CLUSTER_FLEET: tuple[tuple[str, str, str, float], ...] = (
 #: Default heterogeneous node sets (GPU type per node).
 DEFAULT_NODES: tuple[str, ...] = ("V100", "V100", "A100", "T4")
 QUICK_NODES: tuple[str, ...] = ("V100", "A100", "T4")
-#: Default measurement warm-up (seconds excluded from every metric): the
-#: cold ramp — first admissions, container cold starts — would otherwise
-#: dominate the short replays' percentiles.  ``run(warmup_s=0.0)`` restores
-#: the historical measure-from-t=0 behaviour.
+#: Measurement warm-up (seconds excluded from every metric): the cold ramp —
+#: first admissions, container cold starts — would otherwise dominate the
+#: short replays' percentiles.
 DEFAULT_WARMUP_S = 30.0
 QUICK_WARMUP_S = 3.0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class PolicyOutcome:
-    """Replay metrics of one placement policy over the shared trace set."""
-
-    policy: str
-    submitted: int
-    completed: int
-    slo_violation_ratio: float
-    per_function_violations: dict[str, float]
-    p95_ms: float
-    peak_gpus: int
-    mean_gpus: float
-    mean_alloc_fraction: float
-    node_utilization: dict[str, float]
-    scale_ups: int
-    scale_downs: int
-    nofit_events: int
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ClusterResult:
-    """All policies' outcomes plus the replayed-trace metadata."""
-
-    nodes: tuple[str, ...]
-    node_factors: dict[str, float]
-    functions: tuple[tuple[str, str, str, float], ...]
-    trace_seed: int
-    bins: int
-    bin_s: float
-    duration: float
-    outcomes: tuple[PolicyOutcome, ...]
-
-    def outcome(self, policy: str) -> PolicyOutcome:
-        for out in self.outcomes:
-            if out.policy == policy:
-                return out
-        raise KeyError(f"no outcome for policy {policy!r}")
-
-
-def sweep_for_policies(
-    trace_set: TraceSet,
+def replay_base(
+    name: str,
+    fleet: _t.Sequence[tuple[str, str, str, float]],
     nodes: _t.Sequence[str],
-    policies: _t.Sequence[str],
+    bins: int,
+    quick: bool,
     seed: int,
-    interval: float,
-    sample_dt: float = 1.0,
-    warmup_s: float = 0.0,
-) -> Sweep:
-    """The declarative form of the whole comparison: one Sweep, one axis.
+    **autoscaler: _t.Any,
+) -> Scenario:
+    """The fig14/fig15 base Scenario: ``fleet``'s seeded traces on ``nodes``.
 
-    The base Scenario embeds the replayed per-bin counts (``counts``
-    workloads) once; the ``placement`` axis expands it into one cell per
-    policy, so every cell replays identical arrivals from the shared seed
-    and the reported differences are attributable to placement alone.
-    Model sharing stays on fleet-wide — it keeps trace-burst scale-ups
-    warm-start cheap (the paper's architecture point; without it cold-tail
-    functions pay a full model load on every flash crowd).
+    The synthesized per-bin counts are embedded as ``counts`` workloads, so
+    every cell of a sweep over this base replays identical arrivals.  Model
+    sharing stays on fleet-wide — it keeps trace-burst scale-ups warm-start
+    cheap (the paper's architecture point; without it cold-tail functions
+    pay a full model load on every flash crowd).  ``autoscaler`` adds
+    fields to the shared reactive controller settings.
     """
+    trace_set = synthesize_trace_set(
+        list(fleet), bins=bins, bin_s=3.0 if quick else 10.0, seed=seed
+    )
     functions = tuple(
         ScenarioFunction(
             name=trace.function,
@@ -131,180 +91,47 @@ def sweep_for_policies(
         )
         for trace in trace_set.traces
     )
-    base = Scenario(
-        name="fig14",
+    return Scenario(
+        name=name,
         seed=seed,
         cluster=ClusterSpec(nodes=tuple(nodes)),
         functions=functions,
         autoscaler=AutoscalerSpec(
             policy="reactive",
-            interval=interval,
+            interval=0.5 if quick else 1.0,
             headroom=1.3,
             scale_down_cooldown=8.0,
             down_hysteresis=0.3,
+            **autoscaler,
         ),
-        measurement=MeasurementSpec(warmup_s=warmup_s, drain_s=2.0, sample_dt=sample_dt),
+        measurement=MeasurementSpec(
+            warmup_s=QUICK_WARMUP_S if quick else DEFAULT_WARMUP_S, drain_s=2.0
+        ),
+    )
+
+
+def bench_sweep(quick: bool, seed: int = 42) -> Sweep:
+    """The placement comparison: one ``placement`` axis over the replay base."""
+    base = replay_base(
+        "fig14",
+        CLUSTER_FLEET[:4] if quick else CLUSTER_FLEET,
+        QUICK_NODES if quick else DEFAULT_NODES,
+        bins=10 if quick else 24,
+        quick=quick,
+        seed=seed,
     )
     return Sweep(
         name="fig14-placement",
         base=base,
-        axes=(SweepAxis(axis="placement", values=tuple(policies)),),
+        axes=(SweepAxis(axis="placement", values=PLACEMENT_POLICIES),),
         description="Fig. 14: heterogeneous-cluster trace replay per placement policy",
     )
 
 
-def scenario_for_policy(
-    trace_set: TraceSet,
-    nodes: _t.Sequence[str],
-    policy: str,
-    seed: int,
-    interval: float,
-    sample_dt: float = 1.0,
-) -> Scenario:
-    """One policy's fully materialized replay Scenario (a single sweep cell)."""
-    sweep = sweep_for_policies(trace_set, nodes, [policy], seed, interval, sample_dt)
-    return sweep.cells()[0].scenario
+def run(quick: bool = False, seed: int = 42) -> SweepReport:
+    """Replay the trace set under each placement policy."""
+    return run_sweep(bench_sweep(quick, seed))
 
 
-def _outcome_from_cell(cell: CellResult) -> PolicyOutcome:
-    """Reduce one executed sweep cell to this figure's per-policy metrics."""
-    metrics = cell.metrics
-    return PolicyOutcome(
-        policy=dict(cell.coords)["placement"],
-        submitted=metrics["submitted"],
-        completed=metrics["completed"],
-        slo_violation_ratio=metrics["slo_violation_ratio"],
-        per_function_violations=metrics["per_function_violations"],
-        p95_ms=metrics["p95_ms"],
-        peak_gpus=metrics["peak_gpus"],
-        mean_gpus=metrics["mean_gpus"],
-        mean_alloc_fraction=metrics["mean_alloc_fraction"],
-        node_utilization=metrics["node_utilization"],
-        scale_ups=metrics["scale_ups"],
-        scale_downs=metrics["scale_downs"],
-        nofit_events=metrics["nofit_events"],
-    )
-
-
-def run(
-    quick: bool = False,
-    seed: int = 42,
-    nodes: _t.Sequence[str] | None = None,
-    policies: _t.Sequence[str] | None = None,
-    bins: int | None = None,
-    bin_s: float | None = None,
-    fleet: _t.Sequence[tuple[str, str, str, float]] | None = None,
-    trace_file: str | None = None,
-    jobs: int = 1,
-    warmup_s: float | None = None,
-) -> ClusterResult:
-    """Replay a production-shaped trace set under each placement policy.
-
-    ``trace_file`` replays a committed/public trace file (see
-    :func:`repro.faas.traces.load_trace_file`) instead of synthesizing one;
-    the fleet, horizon, and bin width then come from the file.  ``jobs``
-    fans the per-policy cells across the experiment process pool
-    (bit-identical to serial); ``warmup_s`` opens the measured window after
-    the initial ramp — ``None`` (the default) honours the measurement
-    warm-up (:data:`QUICK_WARMUP_S`/:data:`DEFAULT_WARMUP_S`) so steady-state
-    metrics exclude the cold ramp; pass ``0.0`` to measure from ``t=0``.
-    """
-    if warmup_s is None:
-        warmup_s = QUICK_WARMUP_S if quick else DEFAULT_WARMUP_S
-    if nodes is None:
-        nodes = QUICK_NODES if quick else DEFAULT_NODES
-    if policies is None:
-        policies = PLACEMENT_POLICIES
-    for policy in policies:
-        if policy not in PLACEMENT_POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; known: {PLACEMENT_POLICIES}")
-    if trace_file is not None:
-        trace_set = load_trace_file(trace_file)
-        fleet = tuple(
-            (t.function, t.model, t.shape, round(t.mean_rps, 3)) for t in trace_set.traces
-        )
-        bins = max(len(t.counts) for t in trace_set.traces)
-        bin_s = trace_set.traces[0].bin_s
-        if trace_set.seed is not None:
-            seed = trace_set.seed
-    else:
-        if fleet is None:
-            fleet = CLUSTER_FLEET[:4] if quick else CLUSTER_FLEET
-        if bins is None:
-            bins = 10 if quick else 24
-        if bin_s is None:
-            bin_s = 3.0 if quick else 10.0
-        trace_set = synthesize_trace_set(list(fleet), bins=bins, bin_s=bin_s, seed=seed)
-    interval = 0.5 if quick else 1.0
-
-    sweep = sweep_for_policies(trace_set, nodes, policies, seed, interval, warmup_s=warmup_s)
-    sweep_report = run_sweep(sweep, jobs=jobs)
-    outcomes = tuple(_outcome_from_cell(cell) for cell in sweep_report.cells)
-    node_factors = {f"node{i}": gpu_type_factor(gpu_spec(name)) for i, name in enumerate(nodes)}
-    return ClusterResult(
-        nodes=tuple(nodes),
-        node_factors=node_factors,
-        functions=tuple(fleet),
-        trace_seed=seed,
-        bins=bins,
-        bin_s=bin_s,
-        duration=trace_set.duration,
-        outcomes=outcomes,
-    )
-
-
-def format_result(result: ClusterResult) -> str:
-    lines = [
-        "Fig. 14 — cluster-scale trace replay across heterogeneous GPUs",
-        f"  nodes: {', '.join(result.nodes)}   "
-        f"(speed factors {', '.join(f'{f:.2f}' for f in result.node_factors.values())})",
-        f"  fleet: {len(result.functions)} functions, trace {result.bins}x{result.bin_s:.0f}s "
-        f"bins, seed {result.trace_seed}",
-        "  policy    SLO-viol%   p95(ms)   peak GPUs  mean GPUs  alloc%  ups/downs/nofit",
-    ]
-    for out in result.outcomes:
-        lines.append(
-            f"  {out.policy:<9} {100 * out.slo_violation_ratio:8.2f}  {out.p95_ms:8.1f} "
-            f"{out.peak_gpus:10d} {out.mean_gpus:10.2f} "
-            f"{100 * out.mean_alloc_fraction:6.1f}  "
-            f"{out.scale_ups}/{out.scale_downs}/{out.nofit_events}"
-        )
-    for out in result.outcomes:
-        worst = max(out.per_function_violations.items(), key=lambda kv: kv[1])
-        lines.append(
-            f"  [{out.policy}] completed {out.completed}/{out.submitted}, "
-            f"worst function {worst[0]} at {100 * worst[1]:.2f}% violations"
-        )
-    return "\n".join(lines)
-
-
-def report_payload(result: ClusterResult) -> dict:
-    """The ``BENCH_cluster.json`` payload for one run."""
-    return {
-        "benchmark": "cluster",
-        "nodes": list(result.nodes),
-        "node_factors": result.node_factors,
-        "functions": [
-            {"function": f, "model": m, "shape": s, "mean_rps": r}
-            for f, m, s, r in result.functions
-        ],
-        "trace": {"seed": result.trace_seed, "bins": result.bins, "bin_s": result.bin_s},
-        "duration_s": result.duration,
-        "policies": {
-            out.policy: {
-                "slo_violation_ratio": out.slo_violation_ratio,
-                "per_function_violations": out.per_function_violations,
-                "p95_ms": out.p95_ms,
-                "peak_gpus": out.peak_gpus,
-                "mean_gpus": out.mean_gpus,
-                "mean_alloc_fraction": out.mean_alloc_fraction,
-                "node_utilization": out.node_utilization,
-                "submitted": out.submitted,
-                "completed": out.completed,
-                "scale_ups": out.scale_ups,
-                "scale_downs": out.scale_downs,
-                "nofit_events": out.nofit_events,
-            }
-            for out in result.outcomes
-        },
-    }
+def format_result(report: SweepReport) -> str:
+    return "Fig. 14 — cluster-scale trace replay across heterogeneous GPUs\n" + report.summary()

@@ -1,25 +1,27 @@
 """Fig. 15 (extension) — predictive pre-warming vs reactive autoscaling.
 
-The PR 2 cluster replay showed the reactive Algorithm-1 scaler leaves
+The fig14 cluster replay shows the reactive Algorithm-1 scaler leaves
 flash-crowd and cold-tail functions with heavy SLO violations: by the time
 ``ΔRPS`` goes positive, every queued request eats the full cold start plus
 the capacity ramp.  This experiment replays the fig14 **cold/bursty** trace
-subset over the same heterogeneous cluster under three autoscaling modes:
+subset over the same heterogeneous cluster under three autoscaler policies:
 
-* ``reactive``    — the paper's Algorithm 1 alone (degenerate controller);
-* ``predictive``  — the hybrid forecaster (Holt-EWMA + Azure-style
+* ``reactive`` — the paper's Algorithm 1 alone (degenerate controller);
+* ``hybrid``   — the predictive forecaster (Holt-EWMA + Azure-style
   histogram keep-alive): WARM_IDLE spares promote instantly on pending
   requests, clumps are pre-warmed ahead of their predicted arrival, and
   idle functions scale to zero past the keep-alive tail;
-* ``oracle``      — forecasters that read the replayed trace itself (the
+* ``oracle``   — forecasters that read the replayed trace itself (the
   upper bound on what prediction can buy).
 
-Every mode replays the *same* seeded trace set, so differences in
+Every policy replays the *same* seeded trace set, so differences in
 SLO-violation rate, cold-start exposure, and GPU-seconds are attributable
-to the autoscaling policy alone.  The committed bench specs
-``examples/benches/prewarm{,_quick}.json`` hold this comparison and assert
-that the predictive policy's SLO-violation rate is at most the reactive
-baseline's; the full-shape target is a ≥2× cut at ≤15% extra GPU-seconds.
+to the autoscaling policy alone.  :func:`bench_sweep` is the one definition
+of the comparison: the committed bench specs
+``examples/benches/prewarm{,_quick}.json`` are written from it, and its
+``assert`` block requires the predictive policy's SLO-violation rate to be
+at most the reactive baseline's; the full-shape target is a ≥2× cut at
+≤15% extra GPU-seconds.
 
 Two deliberate defaults: the replay horizon is **36 bins** (vs fig14's 24)
 because prediction needs repetition — a horizon with a single clump per
@@ -32,342 +34,60 @@ degenerates to "whoever grabbed space first wins").
 
 from __future__ import annotations
 
-import dataclasses
-import typing as _t
-
-from repro.faas.traces import TraceSet, load_trace_file, synthesize_trace_set
-from repro.experiments.fig14_cluster import (
-    CLUSTER_FLEET,
-    DEFAULT_WARMUP_S,
-    QUICK_NODES,
-    QUICK_WARMUP_S,
-)
-from repro.scenario import (
-    AutoscalerSpec,
-    ClusterSpec,
-    MeasurementSpec,
-    Scenario,
-    ScenarioFunction,
-    WorkloadSpec,
-)
-from repro.sweep import CellResult, Sweep, SweepAxis, run_sweep
+from repro.experiments.fig14_cluster import CLUSTER_FLEET, QUICK_NODES, replay_base
+from repro.sweep import Sweep, SweepAssertion, SweepAxis, SweepReport, run_sweep
 
 #: The fig14 cold/bursty subset — the traffic shapes where cold starts bite.
 PREWARM_FLEET: tuple[tuple[str, str, str, float], ...] = tuple(
     row for row in CLUSTER_FLEET if row[2] in ("cold", "bursty")
 )
 
-#: Autoscaling modes compared by this experiment.
-SCALING_POLICIES = ("reactive", "predictive", "oracle")
+#: Autoscaler policies compared by this experiment (registry names).
+SCALING_POLICIES = ("reactive", "hybrid", "oracle")
 
 #: Default node set: fig14's heterogeneous cluster plus one V100 of headroom.
 PREWARM_NODES: tuple[str, ...] = ("V100", "V100", "V100", "A100", "T4")
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class PrewarmOutcome:
-    """Replay metrics of one autoscaling mode over the shared trace set."""
+def bench_sweep(quick: bool, seed: int = 42) -> Sweep:
+    """The autoscaler comparison: one ``autoscaler`` axis plus its assertion.
 
-    policy: str
-    submitted: int
-    completed: int
-    slo_violation_ratio: float
-    per_function_violations: dict[str, float]
-    p95_ms: float
-    cold_hit_requests: int
-    cold_wait_ms_mean: float
-    queue_wait_ms_mean: float
-    pod_cold_starts: int
-    prewarms: int
-    promotions: int
-    retirements: int
-    gpu_seconds: float
-    mean_gpus: float
-    peak_gpus: int
-    scale_ups: int
-    scale_downs: int
-    nofit_events: int
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class PrewarmResult:
-    """All modes' outcomes plus the replayed-trace metadata."""
-
-    nodes: tuple[str, ...]
-    functions: tuple[tuple[str, str, str, float], ...]
-    trace_seed: int
-    bins: int
-    bin_s: float
-    duration: float
-    outcomes: tuple[PrewarmOutcome, ...]
-
-    def outcome(self, policy: str) -> PrewarmOutcome:
-        for out in self.outcomes:
-            if out.policy == policy:
-                return out
-        raise KeyError(f"no outcome for policy {policy!r}")
-
-    @property
-    def violation_improvement(self) -> float:
-        """Reactive ÷ predictive SLO-violation rate (≥2 is the target)."""
-        predictive = self.outcome("predictive").slo_violation_ratio
-        reactive = self.outcome("reactive").slo_violation_ratio
-        if predictive <= 0:
-            return float("inf") if reactive > 0 else 1.0
-        return reactive / predictive
-
-    @property
-    def gpu_seconds_overhead(self) -> float:
-        """Predictive ÷ reactive GPU-seconds − 1 (≤0.15 is the target)."""
-        reactive = self.outcome("reactive").gpu_seconds
-        if reactive <= 0:
-            return 0.0
-        return self.outcome("predictive").gpu_seconds / reactive - 1.0
-
-
-#: fig15 mode → the autoscaler policy its Scenario declares.
-_AUTOSCALE_POLICY = {"reactive": "reactive", "predictive": "hybrid", "oracle": "oracle"}
-#: ...and back: sweep-cell autoscaler coordinate → fig15 mode name.
-_MODE_FOR_POLICY = {v: k for k, v in _AUTOSCALE_POLICY.items()}
-
-
-def sweep_for_policies(
-    trace_set: TraceSet,
-    nodes: _t.Sequence[str],
-    policies: _t.Sequence[str],
-    seed: int,
-    interval: float,
-    sample_dt: float = 1.0,
-    warmup_s: float = 0.0,
-) -> Sweep:
-    """The declarative form of the whole comparison: one autoscaler axis.
-
-    Every cell embeds the *same* per-bin counts; only the autoscaler policy
-    differs (``policies`` are fig15 mode names — reactive / predictive /
-    oracle — mapped onto their controller policies).  The oracle cell's
-    per-function trace forecasters are built by the scenario runner from
-    those counts (``oracle_lead_s`` seconds of lead).  All cells start from
-    the same deployed state — one warm pod per function — which the
-    predictive modes may scale to zero.
+    The oracle cell's per-function trace forecasters are built by the
+    scenario runner from the embedded counts (``oracle_lead_s`` seconds of
+    lead).  All cells start from the same deployed state — one warm pod per
+    function — which the predictive policies may scale to zero.
     """
-    functions = tuple(
-        ScenarioFunction(
-            name=trace.function,
-            model=trace.model,
-            model_sharing=True,
-            workload=WorkloadSpec(
-                kind="counts", counts=trace.counts, bin_s=trace.bin_s, shape=trace.shape
-            ),
-        )
-        for trace in trace_set.traces
-    )
-    base = Scenario(
-        name="fig15",
+    base = replay_base(
+        "fig15",
+        PREWARM_FLEET[:3] if quick else PREWARM_FLEET,
+        QUICK_NODES if quick else PREWARM_NODES,
+        bins=10 if quick else 36,
+        quick=quick,
         seed=seed,
-        cluster=ClusterSpec(nodes=tuple(nodes)),
-        functions=functions,
-        autoscaler=AutoscalerSpec(
-            policy="reactive",
-            interval=interval,
-            headroom=1.3,
-            scale_down_cooldown=8.0,
-            down_hysteresis=0.3,
-            placement="binpack",
-            oracle_lead_s=4.0,
-        ),
-        measurement=MeasurementSpec(warmup_s=warmup_s, drain_s=2.0, sample_dt=sample_dt),
+        oracle_lead_s=4.0,
     )
     return Sweep(
         name="fig15-autoscaler",
         base=base,
-        axes=(
-            SweepAxis(
-                axis="autoscaler",
-                values=tuple(_AUTOSCALE_POLICY[p] for p in policies),
+        axes=(SweepAxis(axis="autoscaler", values=SCALING_POLICIES),),
+        description="Fig. 15: predictive pre-warming vs reactive autoscaling",
+        asserts=(
+            SweepAssertion(
+                cell="autoscaler=hybrid",
+                vs=("autoscaler=reactive",),
+                le=("slo_violation_ratio",),
             ),
         ),
-        description="Fig. 15: predictive pre-warming vs reactive autoscaling",
     )
 
 
-def scenario_for_policy(
-    trace_set: TraceSet,
-    nodes: _t.Sequence[str],
-    policy: str,
-    seed: int,
-    interval: float,
-    sample_dt: float = 1.0,
-) -> Scenario:
-    """One mode's fully materialized replay Scenario (a single sweep cell)."""
-    sweep = sweep_for_policies(trace_set, nodes, [policy], seed, interval, sample_dt)
-    return sweep.cells()[0].scenario
+def run(quick: bool = False, seed: int = 42) -> SweepReport:
+    """Replay the cold/bursty trace set under each autoscaler policy."""
+    return run_sweep(bench_sweep(quick, seed))
 
 
-def _outcome_from_cell(cell: CellResult) -> PrewarmOutcome:
-    """Reduce one executed sweep cell to this figure's per-mode metrics."""
-    metrics = cell.metrics
-    return PrewarmOutcome(
-        policy=_MODE_FOR_POLICY[dict(cell.coords)["autoscaler"]],
-        submitted=metrics["submitted"],
-        completed=metrics["completed"],
-        slo_violation_ratio=metrics["slo_violation_ratio"],
-        per_function_violations=metrics["per_function_violations"],
-        p95_ms=metrics["p95_ms"],
-        cold_hit_requests=metrics["cold_hit_requests"],
-        cold_wait_ms_mean=metrics["cold_wait_ms_mean"],
-        queue_wait_ms_mean=metrics["queue_wait_ms_mean"],
-        pod_cold_starts=metrics["scale_ups"]
-        + metrics["initial_pods"]  # pre-placed pods
-        + metrics["prewarms"],
-        prewarms=metrics["prewarms"],
-        promotions=metrics["promotions"],
-        retirements=metrics["retirements"],
-        gpu_seconds=metrics["gpu_seconds"],
-        mean_gpus=metrics["mean_gpus"],
-        peak_gpus=metrics["peak_gpus"],
-        scale_ups=metrics["scale_ups"],
-        scale_downs=metrics["scale_downs"],
-        nofit_events=metrics["nofit_events"],
+def format_result(report: SweepReport) -> str:
+    return (
+        "Fig. 15 — predictive pre-warming vs reactive autoscaling (cold/bursty traces)\n"
+        + report.summary()
     )
-
-
-def run(
-    quick: bool = False,
-    seed: int = 42,
-    nodes: _t.Sequence[str] | None = None,
-    policies: _t.Sequence[str] | None = None,
-    bins: int | None = None,
-    bin_s: float | None = None,
-    fleet: _t.Sequence[tuple[str, str, str, float]] | None = None,
-    trace_file: str | None = None,
-    jobs: int = 1,
-    warmup_s: float | None = None,
-) -> PrewarmResult:
-    """Replay the cold/bursty trace set under each autoscaling mode.
-
-    ``trace_file`` replays a committed trace file (see
-    :func:`repro.faas.traces.load_trace_file`) instead of synthesizing one.
-    ``jobs`` fans the per-mode cells across the experiment process pool
-    (bit-identical to serial); ``warmup_s`` opens the measured window after
-    the initial ramp — ``None`` (the default) honours the measurement
-    warm-up (quick/full defaults from :mod:`repro.experiments.fig14_cluster`)
-    so steady-state metrics exclude the cold ramp; pass ``0.0`` to measure
-    from ``t=0``.
-    """
-    if warmup_s is None:
-        warmup_s = QUICK_WARMUP_S if quick else DEFAULT_WARMUP_S
-    if nodes is None:
-        nodes = QUICK_NODES if quick else PREWARM_NODES
-    if policies is None:
-        policies = SCALING_POLICIES
-    for policy in policies:
-        if policy not in SCALING_POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; known: {SCALING_POLICIES}")
-    if trace_file is not None:
-        trace_set = load_trace_file(trace_file)
-        fleet = tuple(
-            (t.function, t.model, t.shape, round(t.mean_rps, 3)) for t in trace_set.traces
-        )
-        bins = max(len(t.counts) for t in trace_set.traces)
-        bin_s = trace_set.traces[0].bin_s
-        if trace_set.seed is not None:
-            seed = trace_set.seed
-    else:
-        if fleet is None:
-            fleet = PREWARM_FLEET[:3] if quick else PREWARM_FLEET
-        if bins is None:
-            bins = 10 if quick else 36
-        if bin_s is None:
-            bin_s = 3.0 if quick else 10.0
-        trace_set = synthesize_trace_set(list(fleet), bins=bins, bin_s=bin_s, seed=seed)
-    interval = 0.5 if quick else 1.0
-
-    sweep = sweep_for_policies(trace_set, nodes, policies, seed, interval, warmup_s=warmup_s)
-    sweep_report = run_sweep(sweep, jobs=jobs)
-    outcomes = tuple(_outcome_from_cell(cell) for cell in sweep_report.cells)
-    return PrewarmResult(
-        nodes=tuple(nodes),
-        functions=tuple(fleet),
-        trace_seed=seed,
-        bins=bins,
-        bin_s=bin_s,
-        duration=trace_set.duration,
-        outcomes=outcomes,
-    )
-
-
-def format_result(result: PrewarmResult) -> str:
-    lines = [
-        "Fig. 15 — predictive pre-warming vs reactive autoscaling (cold/bursty traces)",
-        f"  nodes: {', '.join(result.nodes)}   fleet: {len(result.functions)} functions, "
-        f"trace {result.bins}x{result.bin_s:.0f}s bins, seed {result.trace_seed}",
-        "  policy      SLO-viol%  p95(ms)  cold-hits  cold-wait(ms)  GPU-s   "
-        "prewarm/promote/retire",
-    ]
-    for out in result.outcomes:
-        lines.append(
-            f"  {out.policy:<11} {100 * out.slo_violation_ratio:8.2f} {out.p95_ms:8.1f} "
-            f"{out.cold_hit_requests:10d} {out.cold_wait_ms_mean:13.1f} {out.gpu_seconds:7.0f}  "
-            f"{out.prewarms}/{out.promotions}/{out.retirements}"
-        )
-    try:
-        improvement = result.violation_improvement
-        overhead = result.gpu_seconds_overhead
-        lines.append(
-            f"  predictive vs reactive: {improvement:.1f}x fewer SLO violations at "
-            f"{100 * overhead:+.1f}% GPU-seconds (targets: >=2x, <=+15%)"
-        )
-    except KeyError:
-        pass  # a policy subset without both reactive and predictive
-    for out in result.outcomes:
-        worst = max(out.per_function_violations.items(), key=lambda kv: kv[1])
-        lines.append(
-            f"  [{out.policy}] completed {out.completed}/{out.submitted}, "
-            f"worst function {worst[0]} at {100 * worst[1]:.2f}% violations"
-        )
-    return "\n".join(lines)
-
-
-def report_payload(result: PrewarmResult) -> dict:
-    """The ``BENCH_prewarm.json`` payload for one run."""
-    payload: dict[str, _t.Any] = {
-        "benchmark": "prewarm",
-        "nodes": list(result.nodes),
-        "functions": [
-            {"function": f, "model": m, "shape": s, "mean_rps": r}
-            for f, m, s, r in result.functions
-        ],
-        "trace": {"seed": result.trace_seed, "bins": result.bins, "bin_s": result.bin_s},
-        "duration_s": result.duration,
-        "policies": {
-            out.policy: {
-                "slo_violation_ratio": out.slo_violation_ratio,
-                "per_function_violations": out.per_function_violations,
-                "p95_ms": out.p95_ms,
-                "cold_hit_requests": out.cold_hit_requests,
-                "cold_wait_ms_mean": out.cold_wait_ms_mean,
-                "queue_wait_ms_mean": out.queue_wait_ms_mean,
-                "pod_cold_starts": out.pod_cold_starts,
-                "prewarms": out.prewarms,
-                "promotions": out.promotions,
-                "retirements": out.retirements,
-                "gpu_seconds": out.gpu_seconds,
-                "mean_gpus": out.mean_gpus,
-                "peak_gpus": out.peak_gpus,
-                "submitted": out.submitted,
-                "completed": out.completed,
-                "scale_ups": out.scale_ups,
-                "scale_downs": out.scale_downs,
-                "nofit_events": out.nofit_events,
-            }
-            for out in result.outcomes
-        },
-    }
-    try:
-        payload["headline"] = {
-            "violation_improvement_vs_reactive": result.violation_improvement,
-            "gpu_seconds_overhead_vs_reactive": result.gpu_seconds_overhead,
-        }
-    except KeyError:
-        pass
-    return payload

@@ -272,7 +272,7 @@ class MemTierPolicy(PreWarmPolicy):
             # Host copies satisfy the readiness-reserve requirement, so the
             # reactive floor can drop and serving pods drain — the base rule
             # only releases it for *warm* reserves.
-            floors[name] = self.min_replicas.get(name, 0)
+            floors[name] = 0
             idle_set.add(name)
 
         if view.parked > 0 and self._host_expired(now, view) and not activity_soon:

@@ -5,7 +5,8 @@ gateway admissions and promotions, scheduler placements (including per-node
 reject reasons on a no-fit), autoscaler decisions with their forecast
 inputs, memory-tier demote/promote/evict with the fabric contention at
 decision time, pod phase transitions, and the engine's own timer channel
-(the former standalone ``TraceLog``, now an adapter over this hub).
+(``Engine(trace=True)`` emits an ``engine``/``schedule`` event per
+scheduled callback).
 
 Design constraints (enforced by tests):
 

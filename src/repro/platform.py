@@ -308,8 +308,8 @@ class FaSTGShare:
     ) -> FaSTScheduler:
         """Attach and start the FaST-Scheduler over the given profile DB.
 
-        ``policy`` selects the autoscaling mode
-        (:data:`~repro.autoscaler.controller.AUTOSCALE_POLICIES`):
+        ``policy`` selects the autoscaling mode, one of
+        :func:`~repro.autoscaler.registry.available_policies`:
         ``reactive`` is the paper's Algorithm 1 alone (the degenerate
         no-forecast configuration of the predictive controller); the
         predictive kinds (``ewma``/``seasonal``/``histogram``/``hybrid``)

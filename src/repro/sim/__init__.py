@@ -25,7 +25,6 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Gate, Store
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -42,7 +41,5 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "TraceLog",
-    "TraceRecord",
     "WallClock",
 ]

@@ -35,7 +35,6 @@ from repro.sim.errors import ScheduleInPastError, SimulationError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import TraceLog
 
 #: Compact the heap when dead entries outnumber live ones *and* the heap is at
 #: least this large (tiny heaps are cheaper to drain than to rebuild).
@@ -101,8 +100,9 @@ class Engine:
         pod lifecycle) emit structured telemetry to.  Disabled by default;
         scenario runs flip ``hub.enabled`` when measurement telemetry is on.
     trace:
-        The hub's engine-timer channel (:class:`~repro.sim.tracing.TraceLog`),
-        gated separately so scenario telemetry does not drown in timer events.
+        Whether every ``schedule_at`` emits an ``engine``/``schedule`` event
+        to the hub — the engine-timer channel, gated separately so scenario
+        telemetry does not drown in timer events.
     """
 
     def __init__(self, seed: int = 0, trace: bool = False, clock: Clock | None = None):
@@ -114,7 +114,7 @@ class Engine:
         self._dead = 0
         self.rng = RngStreams(seed)
         self.hub = TelemetryHub(enabled=trace)
-        self.trace = TraceLog(enabled=trace, hub=self.hub)
+        self.trace = trace
         self._processes_started = 0
         #: Optional hook called as ``on_schedule(time)`` after every push —
         #: a wall-clock driver uses it to wake early when a callback
@@ -160,8 +160,8 @@ class Engine:
         heapq.heappush(heap, handle)
         if self.on_schedule is not None:
             self.on_schedule(time)
-        if self.trace.enabled:
-            self.trace.emit(
+        if self.trace:
+            self.hub.emit(
                 self._now,
                 "engine",
                 "schedule",

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro import FaSTGShare
-from repro.autoscaler.controller import AUTOSCALE_POLICIES, build_autoscaler
+from repro.autoscaler.controller import build_autoscaler
 from repro.autoscaler.forecast import OracleForecaster
+from repro.autoscaler.registry import available_policies
 from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.traces import FunctionTrace
 from repro.faas.workload import ConstantRate
@@ -155,4 +156,4 @@ def test_oracle_forecasters_accepted():
         db, policy="oracle", forecasters={"fn": OracleForecaster(trace)}
     )
     assert scheduler.predictive.predictive
-    assert set(AUTOSCALE_POLICIES) >= {"reactive", "hybrid", "oracle"}
+    assert set(available_policies()) >= {"reactive", "hybrid", "oracle"}

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import TelemetryEvent, TelemetryHub
 from repro.sim import Engine
-from repro.sim.tracing import TraceLog
 
 
 def test_disabled_emit_is_a_noop():
@@ -79,39 +78,44 @@ def test_engine_hub_disabled_by_default_records_nothing():
     engine.run()
     assert len(engine.hub) == 0
     assert engine.hub.dropped == 0
-    assert not engine.trace.enabled
+    assert not engine.trace
 
 
 def test_engine_trace_records_timer_channel():
     engine = Engine(seed=1, trace=True)
     engine.schedule(1.0, lambda: None)
     engine.run()
-    assert engine.trace.enabled
-    assert len(engine.trace.filter(component="engine", kind="schedule")) >= 1
+    assert engine.trace
+    assert len(engine.hub.filter(source="engine", kind="schedule")) >= 1
 
 
-# -- TraceLog as hub adapter --------------------------------------------------
+# -- the engine-timer channel on the hub --------------------------------------
 
 
 def test_tracelog_counts_drops_at_cap():
-    log = TraceLog(enabled=True, max_records=3)
+    """The timer channel is bounded by the hub's own cap, drops counted."""
+    hub = TelemetryHub(enabled=True, max_events=3)
     for i in range(10):
-        log.emit(float(i), "engine", "schedule", at=float(i))
-    assert len(log) == 3
-    assert log.dropped == 7
-    assert log.max_records == 3
-    assert len(log.records) == 3
+        hub.emit(float(i), "engine", "schedule", at=float(i))
+    assert len(hub) == 3
+    assert hub.dropped == 7
+    assert len(hub.events) == 3
 
 
 def test_tracelog_disabled_gates_engine_channel_only():
-    hub = TelemetryHub(enabled=True)
-    log = TraceLog(enabled=False, hub=hub)
-    log.emit(0.0, "engine", "schedule", at=1.0)
-    assert len(hub) == 0  # timer channel stays quiet ...
-    hub.emit(0.0, "gateway", "arrival", "fn", rid=1)
-    assert len(hub) == 1  # ... while scenario telemetry still flows
+    engine = Engine(seed=1)
+    engine.hub.enabled = True  # scenario telemetry on, timer channel off
+    engine.schedule(1.0, lambda: None)
+    engine.run()
+    assert len(engine.hub) == 0  # timer channel stays quiet ...
+    engine.hub.emit(0.0, "gateway", "arrival", "fn", rid=1)
+    assert len(engine.hub) == 1  # ... while scenario telemetry still flows
 
 
 def test_tracelog_shares_hub_with_engine():
+    """Timer events land in the one hub every other subsystem emits to."""
     engine = Engine(seed=1, trace=True)
-    assert engine.trace.hub is engine.hub
+    assert engine.hub.enabled
+    engine.schedule(0.5, lambda: None)
+    (event,) = engine.hub.events
+    assert (event.source, event.kind, event.payload["at"]) == ("engine", "schedule", 0.5)

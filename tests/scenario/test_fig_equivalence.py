@@ -1,16 +1,15 @@
 """Experiment reroutes preserve results bit-for-bit.
 
 ``tests/data/fig14_quick_baseline.json`` /
-``tests/data/fig15_quick_baseline.json`` pin the
-``fig14_cluster.run(quick=True)`` / ``fig15_prewarm.run(quick=True)``
-reports.  Originally captured before fig12/fig14/fig15 were rerouted
-through ``FaSTGShare.run_scenario`` and the declarative ``Sweep`` API, they
-were re-captured when the figures' defaults flipped to honour the
-measurement warm-up (``warmup_s=None`` now excludes the cold ramp; the
-``warmup_s=0.0`` path was verified bit-identical against the pre-flip pins
-before re-capturing).  The experiments must replay the same seeds through
-the same operations and reproduce every per-policy metric — any drift means
-a refactor changed behaviour, not just structure.
+``tests/data/fig15_quick_baseline.json`` pin the quick fig14 / fig15
+per-policy metrics.  Originally captured before fig12/fig14/fig15 were
+rerouted through ``FaSTGShare.run_scenario`` and the declarative ``Sweep``
+API, they were re-captured when the figures' defaults flipped to honour the
+measurement warm-up (the measure-from-``t=0`` path was verified
+bit-identical against the pre-flip pins before re-capturing).  The figures
+now return their bench SweepReport directly; every pinned metric must equal
+the matching cell metric — any drift means a refactor changed behaviour,
+not just structure.
 """
 
 from __future__ import annotations
@@ -26,13 +25,29 @@ DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 BASELINE = DATA / "fig14_quick_baseline.json"
 FIG15_BASELINE = DATA / "fig15_quick_baseline.json"
 
+#: The pins name fig15 cells by their historical mode names.
+FIG15_CELLS = {"reactive": "reactive", "predictive": "hybrid", "oracle": "oracle"}
 
-def assert_policies_match(payload: dict, baseline: dict) -> None:
-    assert set(payload["policies"]) == set(baseline["policies"])
-    assert payload["nodes"] == baseline["nodes"]
-    assert payload["trace"] == baseline["trace"]
+
+def pinned_metrics(metrics: dict) -> dict:
+    """The cell metrics plus the derived pod cold-start count the pins carry."""
+    cold_starts = metrics["scale_ups"] + metrics["initial_pods"] + metrics["prewarms"]
+    return {**metrics, "pod_cold_starts": cold_starts}
+
+
+def assert_cells_match(report, axis: str, baseline: dict, cells: dict) -> int:
+    """Compare every pinned per-policy value; returns how many were compared."""
+    base = report.sweep.base
+    assert list(base.cluster.nodes) == baseline["nodes"]
+    assert baseline["trace"] == {
+        "seed": base.seed,
+        "bins": len(base.functions[0].workload.counts),
+        "bin_s": base.functions[0].workload.bin_s,
+    }
+    assert {dict(c.coords)[axis] for c in report.cells} == set(cells.values())
+    compared = 0
     for policy, base_metrics in baseline["policies"].items():
-        fresh_metrics = payload["policies"][policy]
+        fresh_metrics = pinned_metrics(report.cell(**{axis: cells[policy]}).metrics)
         for key, base_value in base_metrics.items():
             fresh_value = fresh_metrics[key]
             if isinstance(base_value, dict):
@@ -47,55 +62,49 @@ def assert_policies_match(payload: dict, baseline: dict) -> None:
                 assert fresh_value == pytest.approx(base_value, rel=1e-12), (policy, key)
             else:
                 assert fresh_value == base_value, (policy, key)
+            compared += 1
+    return compared
 
 
 def test_fig14_quick_matches_pre_refactor_baseline():
     baseline = json.loads(BASELINE.read_text())
-    result = fig14_cluster.run(quick=True)
-    payload = fig14_cluster.report_payload(result)
-    assert_policies_match(payload, baseline)
+    report = fig14_cluster.run(quick=True)
+    cells = {policy: policy for policy in baseline["policies"]}
+    assert assert_cells_match(report, "placement", baseline, cells) == 36
 
 
 def test_fig15_quick_matches_pre_sweep_baseline():
     baseline = json.loads(FIG15_BASELINE.read_text())
-    result = fig15_prewarm.run(quick=True)
-    payload = fig15_prewarm.report_payload(result)
-    assert_policies_match(payload, baseline)
-    assert payload["headline"]["violation_improvement_vs_reactive"] == pytest.approx(
-        baseline["headline"]["violation_improvement_vs_reactive"], rel=1e-12
-    )
-    assert payload["headline"]["gpu_seconds_overhead_vs_reactive"] == pytest.approx(
-        baseline["headline"]["gpu_seconds_overhead_vs_reactive"], rel=1e-12
-    )
+    report = fig15_prewarm.run(quick=True)
+    assert assert_cells_match(report, "autoscaler", baseline, FIG15_CELLS) == 54
+    reactive = report.cell(autoscaler="reactive").metrics
+    predictive = report.cell(autoscaler="hybrid").metrics
+    improvement = reactive["slo_violation_ratio"] / predictive["slo_violation_ratio"]
+    overhead = predictive["gpu_seconds"] / reactive["gpu_seconds"] - 1.0
+    headline = baseline["headline"]
+    assert improvement == pytest.approx(headline["violation_improvement_vs_reactive"], rel=1e-12)
+    assert overhead == pytest.approx(headline["gpu_seconds_overhead_vs_reactive"], abs=1e-12)
 
 
-def test_fig14_jobs_matches_serial():
-    """The pooled per-policy cells reproduce the serial replay exactly."""
-    serial = fig14_cluster.report_payload(fig14_cluster.run(quick=True))
-    parallel = fig14_cluster.report_payload(fig14_cluster.run(quick=True, jobs=2))
-    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+@pytest.mark.parametrize("module, bench", [(fig14_cluster, "cluster"), (fig15_prewarm, "prewarm")])
+def test_quick_run_reproduces_committed_bench_pin(module, bench):
+    """``run fig14/fig15 --quick`` is the committed quick bench report, byte for byte."""
+    pin = DATA.parents[1] / "benchmarks" / f"BENCH_{bench}_quick.json"
+    assert module.run(quick=True).to_json() == pin.read_text()
 
 
 def test_fig14_scenarios_differ_only_in_placement_policy():
     """The per-policy Scenarios are identical specs up to the policy field."""
-    from repro.faas.traces import synthesize_trace_set
-
-    trace_set = synthesize_trace_set(
-        [(f, m, s, r) for f, m, s, r in fig14_cluster.CLUSTER_FLEET[:2]],
-        bins=4,
-        bin_s=3.0,
-        seed=1,
-    )
     scenarios = {
-        policy: fig14_cluster.scenario_for_policy(
-            trace_set, ["V100", "T4"], policy, seed=1, interval=0.5
-        )
-        for policy in ("binpack", "spread")
+        dict(cell.coords)["placement"]: cell.scenario.to_dict()
+        for cell in fig14_cluster.bench_sweep(quick=True).cells()
     }
-    a = scenarios["binpack"].to_dict()
-    b = scenarios["spread"].to_dict()
-    assert a["functions"] == b["functions"]
-    assert a["cluster"] == b["cluster"]
+    assert set(scenarios) == {"binpack", "spread", "affinity"}
+    a = scenarios["binpack"]
+    for policy in ("spread", "affinity"):
+        b = scenarios[policy]
+        assert a["functions"] == b["functions"]
+        assert a["cluster"] == b["cluster"]
+        assert b["autoscaler"]["placement"] == policy
     # to_dict omits defaulted fields, so binpack (the default) is implicit.
     assert a["autoscaler"].get("placement", "binpack") == "binpack"
-    assert b["autoscaler"]["placement"] == "spread"

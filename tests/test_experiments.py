@@ -58,58 +58,54 @@ def test_fig13_quick():
 
 
 def test_fig14_quick():
-    result = fig14_cluster.run(quick=True)
-    assert len(result.nodes) >= 3
-    assert len({result.node_factors[f"node{i}"] for i in range(len(result.nodes))}) >= 3
-    assert len(result.outcomes) == 3  # binpack, spread, affinity by default
-    policies = [out.policy for out in result.outcomes]
-    assert policies == list(dict.fromkeys(policies))  # unique, ordered
-    for out in result.outcomes:
-        assert out.completed > 0
-        assert 0.0 <= out.slo_violation_ratio <= 1.0
-        assert 1 <= out.peak_gpus <= len(result.nodes)
-        assert set(out.per_function_violations) == {f for f, _, _, _ in result.functions}
-    assert "cluster-scale trace replay" in fig14_cluster.format_result(result)
-    payload = fig14_cluster.report_payload(result)
-    assert set(payload["policies"]) == set(policies)
+    report = fig14_cluster.run(quick=True)
+    nodes = report.sweep.base.cluster.nodes
+    assert len(set(nodes)) >= 3  # heterogeneous GPU types
+    functions = {fn.name for fn in report.sweep.base.functions}
+    assert [cell.key for cell in report.cells] == [
+        "placement=binpack",
+        "placement=spread",
+        "placement=affinity",
+    ]
+    for cell in report.cells:
+        assert cell.metrics["completed"] > 0
+        assert 0.0 <= cell.metrics["slo_violation_ratio"] <= 1.0
+        assert 1 <= cell.metrics["peak_gpus"] <= len(nodes)
+        assert set(cell.metrics["per_function_violations"]) == functions
+    text = fig14_cluster.format_result(report)
+    assert "cluster-scale trace replay" in text
+    assert report.summary() in text
+
+
+def test_fig14_seed_reaches_trace_synthesis():
+    def counts(seed):
+        base = fig14_cluster.bench_sweep(quick=True, seed=seed).base
+        return base.seed, [fn.workload.counts for fn in base.functions]
+
+    assert counts(7)[0] == 7
+    assert counts(7)[1] != counts(42)[1]
 
 
 def test_fig15_quick():
-    result = fig15_prewarm.run(quick=True)
-    assert [out.policy for out in result.outcomes] == list(fig15_prewarm.SCALING_POLICIES)
-    for out in result.outcomes:
-        assert out.completed > 0
-        assert 0.0 <= out.slo_violation_ratio <= 1.0
-        assert out.gpu_seconds > 0
-        assert set(out.per_function_violations) == {f for f, _, _, _ in result.functions}
-    reactive = result.outcome("reactive")
-    assert reactive.prewarms == 0 and reactive.promotions == 0
-    predictive = result.outcome("predictive")
-    assert predictive.prewarms > 0
-    assert "pre-warming" in fig15_prewarm.format_result(result)
-    payload = fig15_prewarm.report_payload(result)
-    assert payload["benchmark"] == "prewarm"
-    assert "headline" in payload
-    assert payload["headline"]["violation_improvement_vs_reactive"] > 0
-
-
-def test_fig15_trace_file_roundtrip(tmp_path):
-    from repro.faas.traces import synthesize_trace_set
-
-    trace_set = synthesize_trace_set(
-        [("bq", "bert", "bursty", 6.0), ("gt", "gnmt", "cold", 3.0)],
-        bins=8,
-        bin_s=3.0,
-        seed=5,
+    report = fig15_prewarm.run(quick=True)
+    assert [dict(cell.coords)["autoscaler"] for cell in report.cells] == list(
+        fig15_prewarm.SCALING_POLICIES
     )
-    path = tmp_path / "traces.json"
-    trace_set.save(str(path))
-    result = fig15_prewarm.run(
-        quick=True, policies=["reactive", "predictive"], trace_file=str(path)
-    )
-    assert {f for f, _, _, _ in result.functions} == {"bq", "gt"}
-    assert result.trace_seed == 5  # the file's seed wins
-    assert result.bins == 8 and result.bin_s == 3.0
+    functions = {fn.name for fn in report.sweep.base.functions}
+    for cell in report.cells:
+        assert cell.metrics["completed"] > 0
+        assert 0.0 <= cell.metrics["slo_violation_ratio"] <= 1.0
+        assert cell.metrics["gpu_seconds"] > 0
+        assert set(cell.metrics["per_function_violations"]) == functions
+    reactive = report.cell(autoscaler="reactive").metrics
+    assert reactive["prewarms"] == 0 and reactive["promotions"] == 0
+    assert report.cell(autoscaler="hybrid").metrics["prewarms"] > 0
+    (verdict,) = report.assertion_results()
+    assert verdict["holds"], verdict["failed"]
+    text = fig15_prewarm.format_result(report)
+    assert "pre-warming" in text
+    assert "Δ autoscaler: reactive -> hybrid" in text
+    assert "assert autoscaler=hybrid vs autoscaler=reactive" in text
 
 
 def _bench_quick(name: str, jobs: int = 1):
