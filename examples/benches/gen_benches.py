@@ -29,6 +29,7 @@ changes::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import pathlib
 
@@ -44,14 +45,6 @@ SEED = 42
 SWAP_BASE = "../scenarios/longtail_swap.json"
 
 BENCHES = ("cluster", "prewarm", "swap", "migrate")
-
-
-def cluster(quick: bool) -> Sweep:
-    return fig14_cluster.bench_sweep(quick, SEED)
-
-
-def prewarm(quick: bool) -> Sweep:
-    return fig15_prewarm.bench_sweep(quick, SEED)
 
 
 def swap(quick: bool) -> Sweep:
@@ -93,7 +86,12 @@ def migrate(quick: bool) -> Sweep:
 
 def bench_sweeps() -> dict[str, Sweep]:
     """Every committed spec's Sweep, keyed by file stem (``swap_quick``, ...)."""
-    makers = {"cluster": cluster, "prewarm": prewarm, "swap": swap, "migrate": migrate}
+    makers = {
+        "cluster": functools.partial(fig14_cluster.bench_sweep, seed=SEED),
+        "prewarm": functools.partial(fig15_prewarm.bench_sweep, seed=SEED),
+        "swap": swap,
+        "migrate": migrate,
+    }
     sweeps = {}
     for name in BENCHES:
         sweeps[name] = makers[name](quick=False)

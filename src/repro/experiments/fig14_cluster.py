@@ -66,7 +66,6 @@ def replay_base(
     bins: int,
     quick: bool,
     seed: int,
-    **autoscaler: _t.Any,
 ) -> Scenario:
     """The fig14/fig15 base Scenario: ``fleet``'s seeded traces on ``nodes``.
 
@@ -74,8 +73,7 @@ def replay_base(
     every cell of a sweep over this base replays identical arrivals.  Model
     sharing stays on fleet-wide — it keeps trace-burst scale-ups warm-start
     cheap (the paper's architecture point; without it cold-tail functions
-    pay a full model load on every flash crowd).  ``autoscaler`` adds
-    fields to the shared reactive controller settings.
+    pay a full model load on every flash crowd).
     """
     trace_set = synthesize_trace_set(
         list(fleet), bins=bins, bin_s=3.0 if quick else 10.0, seed=seed
@@ -102,7 +100,6 @@ def replay_base(
             headroom=1.3,
             scale_down_cooldown=8.0,
             down_hysteresis=0.3,
-            **autoscaler,
         ),
         measurement=MeasurementSpec(
             warmup_s=QUICK_WARMUP_S if quick else DEFAULT_WARMUP_S, drain_s=2.0

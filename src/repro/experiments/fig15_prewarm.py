@@ -53,8 +53,8 @@ def bench_sweep(quick: bool, seed: int = 42) -> Sweep:
     """The autoscaler comparison: one ``autoscaler`` axis plus its assertion.
 
     The oracle cell's per-function trace forecasters are built by the
-    scenario runner from the embedded counts (``oracle_lead_s`` seconds of
-    lead).  All cells start from the same deployed state — one warm pod per
+    scenario runner from the embedded counts, with the default
+    ``oracle_lead_s`` of lead.  All cells start from the same deployed state — one warm pod per
     function — which the predictive policies may scale to zero.
     """
     base = replay_base(
@@ -64,7 +64,6 @@ def bench_sweep(quick: bool, seed: int = 42) -> Sweep:
         bins=10 if quick else 36,
         quick=quick,
         seed=seed,
-        oracle_lead_s=4.0,
     )
     return Sweep(
         name="fig15-autoscaler",

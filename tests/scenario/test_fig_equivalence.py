@@ -24,6 +24,8 @@ from repro.experiments import fig14_cluster, fig15_prewarm
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 BASELINE = DATA / "fig14_quick_baseline.json"
 FIG15_BASELINE = DATA / "fig15_quick_baseline.json"
+#: ``run fig14/fig15 --quick`` is the committed quick bench report, byte for byte.
+PINS = DATA.parents[1] / "benchmarks"
 
 #: The pins name fig15 cells by their historical mode names.
 FIG15_CELLS = {"reactive": "reactive", "predictive": "hybrid", "oracle": "oracle"}
@@ -71,12 +73,14 @@ def test_fig14_quick_matches_pre_refactor_baseline():
     report = fig14_cluster.run(quick=True)
     cells = {policy: policy for policy in baseline["policies"]}
     assert assert_cells_match(report, "placement", baseline, cells) == 36
+    assert report.to_json() == (PINS / "BENCH_cluster_quick.json").read_text()
 
 
 def test_fig15_quick_matches_pre_sweep_baseline():
     baseline = json.loads(FIG15_BASELINE.read_text())
     report = fig15_prewarm.run(quick=True)
     assert assert_cells_match(report, "autoscaler", baseline, FIG15_CELLS) == 54
+    assert report.to_json() == (PINS / "BENCH_prewarm_quick.json").read_text()
     reactive = report.cell(autoscaler="reactive").metrics
     predictive = report.cell(autoscaler="hybrid").metrics
     improvement = reactive["slo_violation_ratio"] / predictive["slo_violation_ratio"]
@@ -84,13 +88,6 @@ def test_fig15_quick_matches_pre_sweep_baseline():
     headline = baseline["headline"]
     assert improvement == pytest.approx(headline["violation_improvement_vs_reactive"], rel=1e-12)
     assert overhead == pytest.approx(headline["gpu_seconds_overhead_vs_reactive"], abs=1e-12)
-
-
-@pytest.mark.parametrize("module, bench", [(fig14_cluster, "cluster"), (fig15_prewarm, "prewarm")])
-def test_quick_run_reproduces_committed_bench_pin(module, bench):
-    """``run fig14/fig15 --quick`` is the committed quick bench report, byte for byte."""
-    pin = DATA.parents[1] / "benchmarks" / f"BENCH_{bench}_quick.json"
-    assert module.run(quick=True).to_json() == pin.read_text()
 
 
 def test_fig14_scenarios_differ_only_in_placement_policy():
