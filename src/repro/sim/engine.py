@@ -1,29 +1,46 @@
-"""The discrete-event engine: virtual clock + compacting binary-heap scheduler.
+"""The discrete-event engine: virtual clock + zero-delay lane + compacting heap.
 
 The engine is deliberately small and allocation-light: the hot path (pop a
 handle, run a callback) is a few attribute accesses, which keeps multi-minute
 cluster simulations in the hundreds-of-milliseconds range (see
 ``benchmarks/test_engine_speed.py``).
 
+Callbacks fire in ``(time, schedule order)``, and live in one of two
+structures:
+
+* the **lane** — a FIFO ``deque`` of callbacks scheduled *at* the current
+  time (process starts and resumes, event settles, interrupts);
+* the **heap** — ``(time, seq, handle)`` tuples for future callbacks, so
+  heap comparisons run in C (``seq`` breaks same-time ties FIFO).
+
+Every lane entry is due at ``now``.  A heap entry due at ``now`` was
+scheduled before the clock reached ``now``, so before every lane entry: the
+dispatch rule "heap entries due at ``now`` first, then the lane, then the
+future heap" fires exactly the order a single heap would.
+
 Complexity guarantees
 ---------------------
-* ``schedule`` / ``schedule_at``: O(log n) heap push.
-* ``Handle.cancel``: O(1) — lazy deletion, the entry stays in the heap but is
-  counted dead.  When more than half of the heap is dead (and the heap is
-  non-trivially sized) the next scheduling operation **compacts** the heap:
-  dead entries are dropped and the survivors re-heapified in O(n).  Amortised,
-  every cancelled handle is touched O(1) extra times, and the heap never holds
-  more than 2× the live entries — cancel-heavy workloads (fluid-device timer
-  churn, speculative timeouts) no longer bloat ``step``'s pop loop.
-* ``pending_events``: exact and O(1) (live-entry counter, not a heap scan).
-* ``peek``: O(1) amortised — drains dead entries off the top only.
-* ``run(until=...)``: batched fast path with locally-bound heap ops; clock
+* ``schedule_at(now, ...)``: O(1) lane append; ``schedule_at(t > now, ...)``:
+  O(log n) heap push.
+* ``Handle.cancel``: O(1) — lazy deletion, the entry stays queued but is
+  counted dead.  When more than half of the queued entries are dead (and
+  the queue is non-trivially sized) the next scheduling operation
+  **compacts**: dead entries are dropped from the lane and the heap and the
+  heap survivors re-heapified in O(n).  Amortised, every cancelled handle
+  is touched O(1) extra times, and the queue never holds more than 2× the
+  live entries — cancel-heavy workloads (fluid-device timer churn,
+  speculative timeouts) no longer bloat the dispatch loop.
+* ``pending_events``: exact and O(1) (live-entry counter, not a scan).
+* ``peek``: O(1) amortised — drains dead entries off the lane head and the
+  heap top only.
+* ``run(until=...)``: one dispatch loop shared with ``step``'s rule; clock
   semantics are unchanged (advances to exactly ``until`` even if no event
   fires there, mirroring SimPy so metric integrals cover the full horizon).
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -36,39 +53,34 @@ from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
 
-#: Compact the heap when dead entries outnumber live ones *and* the heap is at
-#: least this large (tiny heaps are cheaper to drain than to rebuild).
+#: Compact when dead entries outnumber live ones *and* the lane plus the heap
+#: hold at least this many (tiny queues are cheaper to drain than to rebuild).
 _COMPACT_MIN_SIZE = 64
 
 
 class Handle:
     """A cancelable reference to a scheduled callback."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_engine")
+    __slots__ = ("time", "callback", "args", "cancelled", "_engine")
 
-    def __init__(self, time: float, seq: int, callback: _t.Callable, args: tuple):
+    def __init__(self, engine: "Engine", time: float, callback: _t.Callable, args: tuple):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._engine: "Engine | None" = None
+        #: The engine while the handle is queued; None once taken off.
+        self._engine: "Engine | None" = engine
 
     def cancel(self) -> None:
-        """Prevent the callback from running (lazy deletion from the heap)."""
+        """Prevent the callback from running (lazy deletion from the queue)."""
         if self.cancelled:
             return
         self.cancelled = True
         engine = self._engine
         if engine is not None:
-            # Still in the heap: account the dead entry so pending_events
-            # stays exact and compaction can trigger.
+            # Still queued (lane or heap): account the dead entry so
+            # pending_events stays exact and compaction can trigger.
             engine._dead += 1
-
-    def __lt__(self, other: "Handle") -> bool:
-        # FIFO tie-break via the monotonically increasing sequence number so
-        # same-time events run in schedule order (determinism).
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Engine:
@@ -82,8 +94,9 @@ class Engine:
         reproducible.
     trace:
         When true, enable the engine-timer trace channel: every
-        ``schedule``/``schedule_at`` is recorded in :attr:`trace` (costly;
-        off by default).
+        ``schedule``/``schedule_at`` emits an ``engine``/``schedule`` event
+        to :attr:`hub`, which this flag also enables (costly; off by
+        default).
     clock:
         The engine's time source (see :mod:`repro.sim.clock`).  Defaults to
         :class:`~repro.sim.clock.SimClock` — pure virtual event-time, the
@@ -107,10 +120,13 @@ class Engine:
 
     def __init__(self, seed: int = 0, trace: bool = False, clock: Clock | None = None):
         self._now: float = 0.0
-        self._heap: list[Handle] = []
+        #: Callbacks due at ``now``, in schedule order.
+        self._lane: collections.deque[Handle] = collections.deque()
+        #: Future callbacks as ``(time, seq, handle)``.
+        self._heap: list[tuple[float, int, Handle]] = []
         self._seq = itertools.count()
         self._stopped = False
-        #: Cancelled-but-not-yet-popped entries currently in the heap.
+        #: Cancelled-but-not-yet-popped entries currently in the lane or heap.
         self._dead = 0
         self.rng = RngStreams(seed)
         self.hub = TelemetryHub(enabled=trace)
@@ -146,23 +162,26 @@ class Engine:
 
     def schedule_at(self, time: float, callback: _t.Callable, *args) -> Handle:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise ScheduleInPastError(
-                f"cannot schedule at t={time:.9f} < now={self._now:.9f}"
-            )
-        if math.isnan(time):
-            raise SimulationError("cannot schedule at NaN time")
+        now = self._now
+        if not time >= now:  # in the past, or NaN: one comparison on the hot path
+            if math.isnan(time):
+                raise SimulationError("cannot schedule at NaN time")
+            raise ScheduleInPastError(f"cannot schedule at t={time:.9f} < now={now:.9f}")
+        lane = self._lane
         heap = self._heap
-        if self._dead * 2 > len(heap) and len(heap) >= _COMPACT_MIN_SIZE:
+        queued = len(lane) + len(heap)
+        if self._dead * 2 > queued and queued >= _COMPACT_MIN_SIZE:
             self._compact()
-        handle = Handle(time, next(self._seq), callback, args)
-        handle._engine = self
-        heapq.heappush(heap, handle)
+        handle = Handle(self, time, callback, args)
+        if time == now:
+            lane.append(handle)
+        else:
+            heapq.heappush(heap, (time, next(self._seq), handle))
         if self.on_schedule is not None:
             self.on_schedule(time)
         if self.trace:
             self.hub.emit(
-                self._now,
+                now,
                 "engine",
                 "schedule",
                 at=time,
@@ -171,24 +190,52 @@ class Engine:
         return handle
 
     def _compact(self) -> None:
-        """Drop dead entries and re-heapify — O(n), amortised O(1) per cancel.
+        """Drop dead lane and heap entries, re-heapify — O(n), amortised O(1)
+        per cancel.
 
-        Determinism is unaffected: pop order is fully determined by the
-        ``(time, seq)`` ordering of the surviving handles, not by their heap
-        layout.
+        Determinism is unaffected: dispatch order is fully determined by the
+        surviving handles' times and schedule order, not by the heap layout.
         """
-        live = [h for h in self._heap if not h.cancelled]
-        for handle in self._heap:
+        lane = self._lane
+        heap = self._heap
+        for handle in lane:
             if handle.cancelled:
                 handle._engine = None
+        for entry in heap:
+            if entry[2].cancelled:
+                entry[2]._engine = None
+        live_lane = [h for h in lane if not h.cancelled]
+        live = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(live)
-        # In-place so local bindings of the heap (run()'s hot loop, a
-        # mid-compaction schedule_at) keep seeing the live structure.
-        self._heap[:] = live
+        # In-place: the schedule_at that triggered compaction keeps using
+        # its local bindings of both structures afterwards.
+        lane.clear()
+        lane.extend(live_lane)
+        heap[:] = live
         self._dead = 0
 
+    def _pop(self, until: float) -> Handle | None:
+        """Remove and return the next queued handle due by ``until``, dead or
+        alive, or None when nothing is.
+
+        Heap entries due at ``now`` go before the lane (they were scheduled
+        before the clock reached ``now``, so before every lane entry); the
+        heap's future entries go after it.  A dead heap top is returned even
+        past ``until`` so it is drained.
+        """
+        lane = self._lane
+        heap = self._heap
+        if lane and not (heap and heap[0][0] <= self._now):
+            return lane.popleft()
+        if heap:
+            time, _, handle = heap[0]
+            if time <= until or handle.cancelled:
+                heapq.heappop(heap)
+                return handle
+        return None
+
     def _detach(self, handle: Handle) -> None:
-        """Bookkeeping for a handle just popped off the heap."""
+        """Bookkeeping for a handle just taken off the lane or the heap."""
         handle._engine = None
         if handle.cancelled:
             self._dead -= 1
@@ -213,23 +260,24 @@ class Engine:
     def peek(self) -> float:
         """Time of the next live event, or ``math.inf`` if the queue is empty.
 
-        Dead (cancelled) entries encountered at the top of the heap are
-        drained as a side effect, so repeated peeks are O(1) amortised.
+        The minimum over the lane and the heap.  Dead (cancelled) entries
+        at the lane head and the heap top are drained as a side effect, so
+        repeated peeks are O(1) amortised.
         """
+        lane = self._lane
         heap = self._heap
-        while heap:
-            handle = heap[0]
-            if not handle.cancelled:
-                return handle.time
-            heapq.heappop(heap)
-            self._detach(handle)
-        return math.inf
+        while lane and lane[0].cancelled:
+            self._detach(lane.popleft())
+        while heap and heap[0][2].cancelled:
+            self._detach(heapq.heappop(heap)[2])
+        time = lane[0].time if lane else math.inf
+        if heap and heap[0][0] < time:
+            time = heap[0][0]
+        return time
 
     def step(self) -> bool:
         """Execute the next scheduled callback. Returns False if none left."""
-        heap = self._heap
-        while heap:
-            handle = heapq.heappop(heap)
+        while (handle := self._pop(math.inf)) is not None:
             self._detach(handle)
             if handle.cancelled:
                 continue
@@ -246,28 +294,18 @@ class Engine:
         integrals cover the full horizon.
         """
         self._stopped = False
-        heap = self._heap
-        heappop = heapq.heappop  # local binding: the loop below is the hot path
-        if until is None:
-            step = self.step
-            while not self._stopped and step():
-                pass
-            return self._now
-        if until < self._now:
+        if until is not None and until < self._now:
             raise ScheduleInPastError(f"run(until={until}) is in the past (now={self._now})")
-        while not self._stopped and heap:
-            handle = heap[0]
+        pop = self._pop  # local binding: the loop below is the hot path
+        limit = math.inf if until is None else until
+        while not self._stopped and (handle := pop(limit)) is not None:
+            handle._engine = None
             if handle.cancelled:
-                heappop(heap)
-                self._detach(handle)
+                self._dead -= 1
                 continue
-            if handle.time > until:
-                break
-            heappop(heap)
-            self._detach(handle)
             self._now = handle.time
             handle.callback(*handle.args)
-        if not self._stopped:
+        if until is not None and not self._stopped:
             self._now = max(self._now, until)
         return self._now
 
@@ -278,9 +316,10 @@ class Engine:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled callbacks in the queue (exact, O(1))."""
-        return len(self._heap) - self._dead
+        return len(self._lane) + len(self._heap) - self._dead
 
     @property
     def heap_size(self) -> int:
-        """Raw heap length including dead entries (introspection for tests)."""
-        return len(self._heap)
+        """Raw queue length, lane plus heap, including dead entries
+        (introspection for tests)."""
+        return len(self._lane) + len(self._heap)

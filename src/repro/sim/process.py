@@ -61,26 +61,27 @@ class Process(Event):
     def _deliver_interrupt(self, stale_target: Event | None) -> None:
         if self.triggered or not self._interrupts:
             return
-        interrupt = self._interrupts.pop(0)
-        self._step(lambda: self._generator.throw(interrupt))
+        self._step(self._generator.throw, self._interrupts.pop(0))
 
     def _resume(self, event: Event | None) -> None:
         if self.triggered:
             return
-        if event is not None:
-            if event is not self._waiting_on:
-                return  # stale wakeup raced with an interrupt
-            self._waiting_on = None
-        if event is not None and event.failed:
-            exc = _t.cast(BaseException, event.value)
-            self._step(lambda: self._generator.throw(exc))
+        if event is None:
+            self._step(self._generator.send, None)
+            return
+        if event is not self._waiting_on:
+            return  # stale wakeup raced with an interrupt
+        self._waiting_on = None
+        if event.failed:
+            self._step(self._generator.throw, event.value)
         else:
-            value = event.value if event is not None else None
-            self._step(lambda: self._generator.send(value))
+            self._step(self._generator.send, event.value)
 
-    def _step(self, advance: _t.Callable[[], object]) -> None:
+    def _step(self, advance: _t.Callable[[object], object], arg: object) -> None:
+        """Advance the generator by ``advance(arg)`` (its ``send`` or
+        ``throw``) and wait on the event it yields next."""
         try:
-            target = advance()
+            target = advance(arg)
         except StopIteration as stop:
             self.succeed(stop.value)
             return

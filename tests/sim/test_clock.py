@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
 import random
 
 import pytest
@@ -14,35 +16,118 @@ from repro.sim import Engine, SimClock, WallClock
 # -- SimClock: the default mode must be indistinguishable from the old engine --
 
 
-def _randomized_firing_log(engine: Engine, seed: int) -> list[tuple[float, str]]:
-    """Drive a randomized schedule/cancel workload; return the firing order."""
+class _ReferenceEngine:
+    """The firing-order spec: one plain ``heapq`` of ``(time, seq)`` entries.
+
+    No lane, no compaction, no dead-entry accounting — every callback,
+    zero-delay or not, is one heap entry, and cancellation blanks it.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._heap: list[list] = []
+        self._seq = itertools.count()
+        self._stopped = False
+
+    def schedule(self, delay: float, callback, *args) -> "_ReferenceHandle":
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def schedule_at(self, time: float, callback, *args) -> "_ReferenceHandle":
+        assert time >= self.now
+        entry = [time, next(self._seq), callback, args]
+        heapq.heappush(self._heap, entry)
+        return _ReferenceHandle(entry)
+
+    def step(self) -> bool:
+        while self._heap:
+            time, _, callback, args = heapq.heappop(self._heap)
+            if callback is None:
+                continue
+            self.now = time
+            callback(*args)
+            return True
+        return False
+
+    def run(self, until: float | None = None) -> float:
+        self._stopped = False
+        heap = self._heap
+        while not self._stopped and heap:
+            if heap[0][2] is None:
+                heapq.heappop(heap)
+            elif until is not None and heap[0][0] > until:
+                break
+            else:
+                self.step()
+        if until is not None and not self._stopped:
+            self.now = max(self.now, until)
+        return self.now
+
+    def stop(self) -> None:
+        self._stopped = True
+
+
+class _ReferenceHandle:
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
+
+    def cancel(self) -> None:
+        self._entry[2] = None
+
+
+def _randomized_firing_log(engine, seed: int) -> list[tuple[float, str]]:
+    """Drive a randomized schedule/cancel/stop workload; return the firing
+    order, with the clock after every ``run``/``step`` boundary."""
     rng = random.Random(seed)
     log: list[tuple[float, str]] = []
     handles = []
 
     def fire(tag: str) -> None:
         log.append((engine.now, tag))
-        # Callbacks re-schedule and cancel mid-run, like real subsystems do.
-        if rng.random() < 0.4:
+        # Callbacks re-schedule and cancel mid-run, like real subsystems do:
+        # zero-delay follow-ups (process resumes, event settles) as well as
+        # future timers.  Expected children per firing stay below one.
+        if rng.random() < 0.3:
+            handles.append(engine.schedule(0.0, fire, f"{tag}0"))
+        if rng.random() < 0.1:
+            handles.append(engine.schedule_at(engine.now, fire, f"{tag}@"))
+        if rng.random() < 0.3:
             handles.append(engine.schedule(rng.uniform(0.0, 5.0), fire, f"{tag}+"))
+        if handles and rng.random() < 0.15:
+            handles.pop().cancel()  # usually the zero-delay entry just queued
         if handles and rng.random() < 0.3:
             handles.pop(rng.randrange(len(handles))).cancel()
+        if rng.random() < 0.02:
+            log.append((engine.now, "stop"))
+            engine.stop()
 
     for index in range(200):
-        handles.append(engine.schedule_at(rng.uniform(0.0, 50.0), fire, f"t{index}"))
+        # One decimal place: plenty of same-time ties between timers.
+        handles.append(engine.schedule_at(round(rng.uniform(0.0, 50.0), 1), fire, f"t{index}"))
     for _ in range(40):
         handles.pop(rng.randrange(len(handles))).cancel()
-    engine.run(until=30.0)
-    engine.run()
+    for until in (10.0, 20.5, 20.5, 30.0, 41.3):
+        engine.run(until=max(until, engine.now))
+        log.append((engine.now, "run-until"))
+        for _ in range(3):
+            engine.step()
+            log.append((engine.now, "step"))
+    while True:
+        engine.run()
+        log.append((engine.now, "run"))
+        if not engine.step():
+            break
     return log
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1234])
 def test_simclock_reproduces_default_engine_semantics(seed: int):
-    baseline = _randomized_firing_log(Engine(seed=seed), seed)
-    explicit = _randomized_firing_log(Engine(seed=seed, clock=SimClock()), seed)
-    assert explicit == baseline
-    assert len(baseline) > 100  # the workload actually exercised the heap
+    reference = _randomized_firing_log(_ReferenceEngine(), seed)
+    assert _randomized_firing_log(Engine(seed=seed), seed) == reference
+    assert _randomized_firing_log(Engine(seed=seed, clock=SimClock()), seed) == reference
+    fired = [tag for _, tag in reference if tag.startswith("t")]
+    assert len(fired) > 100  # the workload actually exercised the heap
+    assert any(tag.endswith("0") for tag in fired)  # ... and the zero-delay lane
+    assert any(tag == "stop" for _, tag in reference)  # stop() split a run
 
 
 def test_default_engine_clock_is_sim_and_tracks_now():
@@ -186,3 +271,37 @@ def test_driver_stop_is_prompt_and_cancel_safe_while_idle():
         assert engine.on_schedule is None  # hook detached on stop
 
     asyncio.run(scenario())
+
+
+def test_driver_call_spawning_a_process_runs_it_on_the_next_advance():
+    """A process spawned inside ``call`` starts at ``engine.now`` from the
+    zero-delay lane: ``peek`` reports it (so the pacing loop does not sleep
+    until the next future timer) and the next advance runs it."""
+    wall = [100.0]
+    engine = Engine()
+    clock = WallClock(time_fn=lambda: wall[0])
+    engine.use_clock(clock)
+    clock.start(origin=engine.now)
+    driver = EngineDriver(engine, clock, tick_s=10.0)
+    fired = []
+    engine.schedule(5.0, fired.append, "timer")
+    started = []
+
+    def body():
+        started.append(engine.now)
+        yield engine.timeout(0.0)
+
+    def spawn() -> float:
+        engine.process(body())
+        return engine.now
+
+    wall[0] += 1.0
+    stamped = driver.call(spawn)
+    assert stamped == pytest.approx(1.0)
+    assert started == []  # processes start on the next engine step
+    assert engine.peek() == engine.now == stamped
+    wall[0] += 0.25
+    driver.advance()
+    assert started == [stamped]
+    assert fired == []
+    assert engine.now == pytest.approx(1.25)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.sim import Engine, ScheduleInPastError
+from repro.sim import Engine, ScheduleInPastError, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -148,8 +150,6 @@ def test_cancel_after_execution_is_a_noop():
 
 
 def test_peek_returns_next_live_time():
-    import math
-
     engine = Engine()
     assert engine.peek() == math.inf
     h1 = engine.schedule(1.0, lambda: None)
@@ -206,3 +206,72 @@ def test_schedule_from_callback_survives_compaction():
     engine.run(until=10.0)
     assert fired == [0, 1, 2, 3]
     assert engine.pending_events == 0
+
+
+def test_schedule_at_nan_raises():
+    engine = Engine()
+    with pytest.raises(SimulationError, match="NaN"):
+        engine.schedule_at(math.nan, lambda: None)
+    assert engine.pending_events == 0
+
+
+def test_step_fires_one_callback_at_a_time():
+    engine = Engine()
+    fired = []
+    engine.schedule(2.0, fired.append, "later")
+    engine.schedule(0.0, fired.append, "now")
+    assert engine.step()
+    assert (fired, engine.now) == (["now"], 0.0)
+    assert engine.step()
+    assert (fired, engine.now) == (["now", "later"], 2.0)
+    assert not engine.step()
+
+
+# -- zero-delay lane: callbacks due at `now` bypass the heap -------------------
+
+
+def test_peek_sees_zero_delay_entry_scheduled_after_a_future_one():
+    engine = Engine()
+    engine.schedule(5.0, lambda: None)
+    engine.schedule(0.0, lambda: None)
+    assert engine.peek() == 0.0
+
+
+def test_heap_entries_due_now_fire_before_the_lane():
+    """A heap entry due at `now` was scheduled before the clock got there,
+    so it precedes every zero-delay entry scheduled at `now`."""
+    engine = Engine()
+    order = []
+
+    def first() -> None:
+        order.append("first")
+        engine.schedule(0.0, order.append, "lane")
+
+    engine.schedule(1.0, first)
+    engine.schedule(1.0, order.append, "heap")
+    engine.schedule(1.5, order.append, "future")
+    engine.run()
+    assert order == ["first", "heap", "lane", "future"]
+
+
+def test_lane_bookkeeping_pending_events_heap_size_and_compaction():
+    engine = Engine()
+    future = [engine.schedule(1.0 + i, lambda: None) for i in range(40)]
+    lane = [engine.schedule(0.0, lambda: None) for _ in range(30)]
+    assert engine.heap_size == 70
+    assert engine.pending_events == 70
+    lane[0].cancel()  # a cancelled zero-delay handle is counted dead ...
+    assert engine.pending_events == 69
+    assert engine.heap_size == 70  # ... but stays queued until drained
+    assert engine.peek() == 0.0
+    for handle in lane[1:] + future[:11]:
+        handle.cancel()
+    assert engine.pending_events == 29
+    # 41 of 70 entries are dead: the next schedule compacts both structures.
+    engine.schedule(0.0, lambda: None)
+    assert engine.heap_size == 30
+    assert engine.pending_events == 30
+    assert engine.peek() == 0.0
+    engine.run()
+    assert engine.pending_events == engine.heap_size == 0
+
