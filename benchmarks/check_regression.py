@@ -5,14 +5,6 @@ Compares a freshly measured benchmark report against the committed baseline
 and fails (exit 1) on a regression beyond the tolerance.  The report kind is
 dispatched on the baseline's ``benchmark`` field:
 
-* ``engine`` — per-burst device throughput.  Raw bursts/s numbers are
-  machine-dependent (a CI runner is not the machine the baseline was
-  recorded on), so the primary gate is ``speedup_vs_reference`` — the
-  production device model's per-burst throughput *relative to the
-  seed-semantics reference model measured in the same process on the same
-  machine*.  That ratio is stable across hosts; a collapse means a hot-path
-  regression, not a slow runner.  Raw throughputs are printed for context
-  and only warn.
 * ``scenario`` — a ScenarioReport (``python -m repro scenario ... --output``).
   Simulated metrics are deterministic for a given seed, so the gate fails
   when the overall or any per-function SLO-violation rate grows past the
@@ -41,9 +33,8 @@ dispatched on the baseline's ``benchmark`` field:
 Usage::
 
     python benchmarks/check_regression.py \
-        --baseline BENCH_engine.json --fresh BENCH_fresh.json [--tolerance 0.30]
-    python benchmarks/check_regression.py \
-        --baseline benchmarks/BENCH_swap_quick.json --fresh BENCH_swap_fresh.json
+        --baseline benchmarks/BENCH_swap_quick.json --fresh BENCH_swap_fresh.json \
+        [--tolerance 0.30]
     python benchmarks/check_regression.py \
         --baseline benchmarks/BENCH_scenario_quick.json --fresh SCENARIO_fresh.json
 """
@@ -61,7 +52,7 @@ ABS_EPSILON = 0.005
 
 def load_report(
     path: str,
-    kinds: tuple[str, ...] = ("engine", "scenario", "sweep", "serve"),
+    kinds: tuple[str, ...] = ("scenario", "sweep", "serve"),
 ) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
@@ -282,69 +273,17 @@ def check_serve(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
     return failures
 
 
-def check(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
-    """Return the list of hard failures (empty = gate passes)."""
-    failures: list[str] = []
-
-    base_load = (baseline.get("workload") or {}).get("resident_bursts")
-    fresh_load = (fresh.get("workload") or {}).get("resident_bursts")
-    if base_load != fresh_load:
-        # The reference model's per-burst cost is O(resident bursts), so the
-        # speedup ratio is only comparable between equal workloads.
-        raise ValueError(
-            f"workload mismatch: baseline keeps {base_load} resident bursts, fresh "
-            f"keeps {fresh_load} — regenerate the fresh report with the same "
-            "quick/full mode as the committed baseline"
-        )
-
-    base_speedup = float(baseline["speedup_vs_reference"])
-    fresh_speedup = float(fresh["speedup_vs_reference"])
-    drop = relative_drop(base_speedup, fresh_speedup)
-    print(
-        f"speedup_vs_reference : baseline {base_speedup:8.1f}x   "
-        f"fresh {fresh_speedup:8.1f}x   drop {100 * drop:+6.1f}%"
-    )
-    if drop > tolerance:
-        failures.append(
-            f"per-burst throughput vs reference regressed {100 * drop:.1f}% "
-            f"(> {100 * tolerance:.0f}% tolerance): "
-            f"{base_speedup:.1f}x -> {fresh_speedup:.1f}x"
-        )
-
-    # Raw numbers are informational: they compare different machines.
-    for section in ("timer_churn", "device_churn", "device_churn_reference"):
-        base_section = baseline.get(section)
-        fresh_section = fresh.get(section)
-        if not base_section or not fresh_section:
-            continue
-        for key in ("events_per_sec", "bursts_per_sec"):
-            if key in base_section and key in fresh_section:
-                raw_drop = relative_drop(float(base_section[key]), float(fresh_section[key]))
-                note = "  [warn: raw cross-machine drop]" if raw_drop > tolerance else ""
-                print(
-                    f"{section:<21}: baseline {float(base_section[key]):12,.0f} {key}   "
-                    f"fresh {float(fresh_section[key]):12,.0f}   "
-                    f"drop {100 * raw_drop:+6.1f}%{note}"
-                )
-
-    if baseline.get("quick") != fresh.get("quick"):
-        print(
-            f"note: baseline quick={baseline.get('quick')} vs fresh "
-            f"quick={fresh.get('quick')} — workloads differ in scale, the "
-            "normalized speedup gate still applies"
-        )
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default="BENCH_engine.json", help="committed report")
+    parser.add_argument("--baseline", required=True, help="committed report")
     parser.add_argument("--fresh", required=True, help="freshly measured report")
     parser.add_argument(
         "--tolerance",
         type=float,
         default=0.30,
-        help="max fractional per-burst-throughput drop before failing (default 0.30)",
+        help="scenario/sweep: max fractional SLO-violation growth, completed-request "
+        "drop or GPU-seconds growth before failing (default 0.30); serve uses the "
+        "baseline's own bounds",
     )
     args = parser.parse_args(argv)
     if not 0 < args.tolerance < 1:
@@ -360,10 +299,8 @@ def main(argv: list[str] | None = None) -> int:
             failures = check_serve(baseline, fresh, args.tolerance)
         elif kind == "scenario":
             failures = check_scenario(baseline, fresh, args.tolerance)
-        elif kind == "sweep":
-            failures = check_sweep(baseline, fresh, args.tolerance)
         else:
-            failures = check(baseline, fresh, args.tolerance)
+            failures = check_sweep(baseline, fresh, args.tolerance)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

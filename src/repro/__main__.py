@@ -14,7 +14,6 @@ Usage::
     python -m repro serve examples/scenarios/cold_bursty.json --quick --port 8080
     python -m repro replay examples/scenarios/cold_bursty.json --quick --port 8080
     python -m repro sweep examples/benches/swap_quick.json --output S.json
-    python -m repro bench --quick                # writes BENCH_engine.json
 
 Each subcommand owns its flags (``--output`` belongs to whatever report
 that subcommand writes) instead of leaking them into one global namespace.
@@ -77,7 +76,6 @@ def _cmd_list() -> int:
     print("replay     Fire a scenario's DES arrival schedule at a live server.")
     print("sweep      Run a declarative parameter sweep (examples/sweeps/*.json) or diff reports.")
     print("           Benches: sweep examples/benches/{cluster,prewarm,swap,migrate}[_quick].json")
-    print("bench      Engine micro-benchmark (writes BENCH_engine.json).")
     return 0
 
 
@@ -381,24 +379,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 1 if failed else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    report = runner.write_benchmark_report(args.output, quick=args.quick, jobs=args.jobs)
-    churn = report["device_churn"]
-    ref = report["device_churn_reference"]
-    print(f"timer churn     : {report['timer_churn']['events_per_sec']:,.0f} events/s")
-    print(f"device churn    : {churn['bursts_per_sec']:,.0f} bursts/s (single-timer model)")
-    print(f"reference model : {ref['bursts_per_sec']:,.0f} bursts/s (seed semantics)")
-    print(f"speedup         : {report['speedup_vs_reference']:.1f}x")
-    if "parallel_runner" in report:
-        par = report["parallel_runner"]
-        print(
-            f"parallel runner : {par['speedup']:.2f}x on {par['jobs']} jobs "
-            f"(bit_identical={par['bit_identical']})"
-        )
-    print(f"[report written to {args.output}]")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -633,16 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare two saved sweep reports cell by cell instead of running",
     )
 
-    p_bench = sub.add_parser("bench", help="engine micro-benchmark")
-    p_bench.add_argument("--quick", action="store_true")
-    p_bench.add_argument("--jobs", type=int, default=1, metavar="N")
-    p_bench.add_argument(
-        "--output",
-        default="BENCH_engine.json",
-        metavar="PATH",
-        help="where to write the JSON report",
-    )
-
     return parser
 
 
@@ -663,9 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_explain(args, parser)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    return _cmd_bench(args)
+    return _cmd_replay(args)
 
 
 if __name__ == "__main__":

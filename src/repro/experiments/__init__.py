@@ -24,8 +24,7 @@ ablations   MRA vs placement baselines; token scheduler variants
 ==========  ==========================================================
 
 :mod:`repro.experiments.runner` executes any subset of these — serially or
-fanned across a process pool with deterministic per-task seeds — and hosts
-the engine micro-benchmark behind ``python -m repro bench``.
+fanned across a process pool with deterministic per-task seeds.
 """
 
 from repro.experiments import (  # noqa: F401  (re-export for discoverability)

@@ -13,18 +13,11 @@ the user's base seed (so ``--jobs 4`` reproduces exactly what the serial CLI
 printed before parallelism existed), while replicate ``r > 0`` mixes the
 experiment name and replicate index through CRC-32 — deterministic across
 processes and Python versions (unlike ``hash()``, which is salted).
-
-The module also hosts the engine micro-benchmark used for the
-``BENCH_engine.json`` speedup report (``python -m repro bench``): it times
-the production single-timer fluid device against the seed-semantics
-:class:`~repro.gpu.reference.ReferenceGPUDevice` on the same churn workload.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import time
 import typing as _t
 import zlib
@@ -175,148 +168,3 @@ def iter_suite(
     tasks = build_tasks(names, seed=seed, quick=quick, replicates=replicates)
     yield from map_tasks(run_task, tasks, jobs=jobs)
 
-
-def run_suite(
-    names: _t.Sequence[str],
-    *,
-    seed: int = 42,
-    quick: bool = False,
-    jobs: int = 1,
-    replicates: int = 1,
-) -> list[TaskResult]:
-    """Eager form of :func:`iter_suite` (results as a list, in task order)."""
-    return list(
-        iter_suite(names, seed=seed, quick=quick, jobs=jobs, replicates=replicates)
-    )
-
-
-# -- engine micro-benchmark (BENCH_engine.json) -----------------------------
-
-
-def churn_workload(device_cls: type, total: int, batch: int, duration: float) -> float:
-    """Feed ``total`` bursts, ``batch`` at a time, through a fluid device."""
-    from repro.gpu import KernelBurst, gpu_spec
-    from repro.sim import Engine
-
-    engine = Engine()
-    device = device_cls(engine, gpu_spec("V100"))
-    submitted = 0
-
-    def feed() -> None:
-        nonlocal submitted
-        for _ in range(batch):
-            device.submit(KernelBurst(duration=duration, sm_demand=12, sm_activity=0.02))
-            submitted += 1
-        if submitted < total:
-            engine.schedule(0.004, feed)
-
-    engine.schedule(0.0, feed)
-    start = time.perf_counter()
-    engine.run()
-    elapsed = time.perf_counter() - start
-    if device.completed_bursts != total:
-        raise AssertionError(
-            f"churn workload lost bursts: {device.completed_bursts}/{total}"
-        )
-    return elapsed
-
-
-def _timer_workload(total: int) -> float:
-    from repro.sim import Engine
-
-    engine = Engine()
-    count = 0
-
-    def tick() -> None:
-        nonlocal count
-        count += 1
-        if count < total:
-            engine.schedule(0.001, tick)
-
-    engine.schedule(0.001, tick)
-    start = time.perf_counter()
-    engine.run()
-    return time.perf_counter() - start
-
-
-def benchmark_engine(quick: bool = False, jobs: int = 1) -> dict:
-    """Measure engine/device hot paths; returns the BENCH_engine.json payload.
-
-    The ``device_churn`` workload keeps ~``batch`` bursts resident at once —
-    the regime where the seed model's O(n) timer sweeps blow up.  The
-    reference (seed-semantics) device runs a scaled-down burst count and is
-    compared on per-burst throughput, which is load- not length-dependent.
-    """
-    from repro.gpu import GPUDevice, ReferenceGPUDevice
-
-    timer_events = 20_000
-    if quick:
-        new_total, ref_total, batch = 2_000, 400, 16
-    else:
-        new_total, ref_total, batch = 8_000, 800, 32
-    burst_duration = batch * 0.004 / 2  # keeps ~batch bursts resident
-
-    timer_s = min(_timer_workload(timer_events) for _ in range(3))
-    new_s = min(
-        churn_workload(GPUDevice, new_total, batch, burst_duration) for _ in range(3)
-    )
-    ref_s = churn_workload(ReferenceGPUDevice, ref_total, batch, burst_duration)
-
-    new_tput = new_total / new_s
-    ref_tput = ref_total / ref_s
-    report: dict[str, _t.Any] = {
-        "benchmark": "engine",
-        "quick": quick,
-        "workload": {
-            "resident_bursts": batch,
-            "burst_duration_s": burst_duration,
-            "new_model_bursts": new_total,
-            "reference_model_bursts": ref_total,
-        },
-        "timer_churn": {
-            "events": timer_events,
-            "seconds": timer_s,
-            "events_per_sec": timer_events / timer_s,
-        },
-        "device_churn": {
-            "bursts": new_total,
-            "seconds": new_s,
-            "bursts_per_sec": new_tput,
-        },
-        "device_churn_reference": {
-            "bursts": ref_total,
-            "seconds": ref_s,
-            "bursts_per_sec": ref_tput,
-        },
-        "speedup_vs_reference": new_tput / ref_tput,
-    }
-    if jobs > 1:
-        names = experiment_names()
-        serial_t = time.perf_counter()
-        serial = run_suite(names, quick=True, jobs=1)
-        serial_s = time.perf_counter() - serial_t
-        parallel_t = time.perf_counter()
-        parallel = run_suite(names, quick=True, jobs=jobs)
-        parallel_s = time.perf_counter() - parallel_t
-        identical = [s.output for s in serial] == [p.output for p in parallel]
-        report["parallel_runner"] = {
-            "experiments": names,
-            "jobs": jobs,
-            "cpu_count": os.cpu_count(),
-            "serial_seconds": serial_s,
-            "parallel_seconds": parallel_s,
-            "speedup": serial_s / parallel_s,
-            "bit_identical": identical,
-        }
-    return report
-
-
-def write_benchmark_report(
-    path: str = "BENCH_engine.json", *, quick: bool = False, jobs: int = 1
-) -> dict:
-    """Run :func:`benchmark_engine` and write the JSON report to ``path``."""
-    report = benchmark_engine(quick=quick, jobs=jobs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return report

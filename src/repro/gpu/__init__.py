@@ -21,7 +21,6 @@ from repro.gpu.kernels import InferencePlan, KernelBurst
 from repro.gpu.memory import GpuOutOfMemoryError, MemoryLedger
 from repro.gpu.metrics import GPUMetrics, MetricsSampler, UtilizationSample
 from repro.gpu.mps import MPSClient, MPSServer
-from repro.gpu.reference import ReferenceGPUDevice
 from repro.gpu.specs import GPU_CATALOG, GPUSpec, gpu_spec
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "MPSServer",
     "MemoryLedger",
     "MetricsSampler",
-    "ReferenceGPUDevice",
     "UtilizationSample",
     "gpu_spec",
 ]

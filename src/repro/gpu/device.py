@@ -31,8 +31,9 @@ the hot path into:
   not O(n) property scans).
 
 The seed's O(n)-per-transition formulation is preserved verbatim in
-:mod:`repro.gpu.reference` for differential testing and before/after
-benchmarks (``benchmarks/test_engine_speed.py``, ``BENCH_engine.json``).
+``tests/property/reference_device.py`` as the differential oracle for this
+model (``tests/property/test_device_churn.py``); the throughput
+micro-benchmarks are in ``benchmarks/test_engine_speed.py``.
 """
 
 from __future__ import annotations

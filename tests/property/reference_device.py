@@ -3,18 +3,13 @@
 This is the original formulation of :class:`repro.gpu.device.GPUDevice`
 (one completion timer per resident burst, O(n) demand/occupancy scans, and a
 full timer cancel+reschedule sweep on every transition).  It is retained —
-verbatim apart from the unified ``_EPSILON`` — for two purposes:
+verbatim apart from the unified ``_EPSILON`` — as the differential oracle:
+``test_device_churn.py`` replays identical burst schedules through this
+model and the production single-timer model and asserts completion times,
+work conservation, and metric integrals agree.
 
-* **Differential testing**: the property suite replays identical burst
-  schedules through this model and the production single-timer model and
-  asserts completion times, work conservation, and metric integrals agree
-  (``tests/property/test_device_churn.py``).
-* **Before/after benchmarking**: ``python -m repro bench`` measures this
-  model against the production one and records the speedup in
-  ``BENCH_engine.json``.
-
-Do not use this class in experiments; it exists to pin down semantics, not
-to be fast.
+It lives with the tests because nothing else uses it; it exists to pin down
+semantics, not to be fast.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ completion timers with a virtual-work-clock single-timer model.  These tests
 replay identical burst schedules — including thousands of overlapping bursts
 with randomized demands, and cancellation churn from interleaved engine
 timers — through both the new model and the seed-semantics
-:class:`~repro.gpu.reference.ReferenceGPUDevice`, asserting that
+:class:`reference_device.ReferenceGPUDevice`, asserting that
 
 * total executed work equals submitted work (work conservation),
 * the busy-time and occupancy metric integrals agree, and
@@ -22,8 +22,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.gpu import GPUDevice, KernelBurst, ReferenceGPUDevice, gpu_spec
+from repro.gpu import GPUDevice, KernelBurst, gpu_spec
 from repro.sim import Engine
+from tests.property.reference_device import ReferenceGPUDevice
 
 
 def _replay(device_cls, specs):

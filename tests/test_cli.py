@@ -1,7 +1,7 @@
 """CLI contract tests: valid invocations succeed, typos exit non-zero.
 
 The CLI is argparse subparsers (``run`` / ``list`` / ``scenario`` / ``sweep``
-/ ``bench`` / ...); each subcommand owns its flags, so a ``sweep`` flag on
+/ ``serve`` / ...); each subcommand owns its flags, so a ``sweep`` flag on
 ``run`` is a usage error, not a silently ignored option.  The extension
 benches are committed sweep specs (``examples/benches/``), so their
 malformed variants exit 2 through ``sweep`` with the offending path.
@@ -59,9 +59,14 @@ def test_unknown_experiment_exits_nonzero_with_usage(capsys):
 
 def test_unknown_flag_exits_nonzero_with_usage(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--quik"])
+        main(["sweep", "--quik"])
     assert excinfo.value.code == 2
     assert "usage:" in capsys.readouterr().err
+    # There is no `bench` subcommand.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_bench_flags_do_not_leak_into_run(capsys):
