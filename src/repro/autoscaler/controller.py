@@ -18,11 +18,23 @@ pre-existing behaviour: ``predicted_rps`` passes the gateway signal
 through, ``on_tick`` only ingests observations, and no warm pods exist.
 ``fig12`` and every other reactive experiment route through this same
 controller, so there is one control path, not two.
+
+**Sleep.** A tick views only functions with something to decide.  A
+function *sleeps* — no ingest, no view, no capacity snapshot, no gap — when
+its next view provably plans the same as its last: it holds no replica,
+nothing is pending, its parked pods are settled ``HOST_RESIDENT``, the
+policy planned no action for it, left it idle, and its forecast names no
+next activity (the :class:`~repro.autoscaler.forecast.Forecaster` contract
+keeps that so until traffic returns).  It wakes on a new arrival, any change
+to its replicas or parked pods, or the policy's :meth:`wake_at` deadline;
+waking early only costs a view.  A never-invoked function with a quiet
+forecaster starts asleep.  Without a policy nothing goes back to sleep.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as _t
 
 from repro.autoscaler.forecast import Forecaster, OracleForecaster
@@ -32,6 +44,7 @@ from repro.autoscaler.policy import (
     PreWarmPolicy,
     RetireAction,
 )
+from repro.k8s.objects import PodPhase
 from repro.scheduler.mra import NoFitError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -78,7 +91,18 @@ class PredictiveAutoscaler:
         self.prewarms = 0
         self.retirements = 0
         self._floors: dict[str, int] = {}
-        self._idle: frozenset[str] = frozenset()
+        self._idle: set[str] = set()
+        self._names = sorted(self.controllers)
+        #: Sleeping functions: name -> (arrivals, parked pod ids, deadline)
+        #: as of falling asleep; any change to the first two, or reaching
+        #: the deadline, wakes the function.
+        self._asleep: dict[str, tuple[int, frozenset[str], float]] = {
+            name: (0, frozenset(), math.inf)
+            for name in self._names
+            if name not in self.forecasters or self.forecasters[name].quiet_until_observed
+        }
+        #: (tick time, forecast rate per viewed function) of the last views.
+        self._view_rates: tuple[float, dict[str, float | None]] = (-math.inf, {})
 
     # -- wiring -------------------------------------------------------------------
     def bind(self, scheduler: "FaSTScheduler") -> None:
@@ -101,7 +125,14 @@ class PredictiveAutoscaler:
         forecaster = self.forecasters.get(function)
         if forecaster is None:
             return base
-        prediction = forecaster.predict_rps(self.engine.now)
+        now = self.engine.now
+        viewed_at, rates = self._view_rates
+        if viewed_at == now and function in rates:
+            # This tick's view already asked.  Exact: no on-tick action
+            # touches a forecaster or the arrival bins it ingests.
+            prediction = rates[function]
+        else:
+            prediction = forecaster.predict_rps(now)
         return base if prediction is None else max(base, prediction)
 
     def min_replicas_for(self, function: str, default: int) -> int:
@@ -109,37 +140,56 @@ class PredictiveAutoscaler:
         return self._floors.get(function, default)
 
     def dormant(self, function: str) -> bool:
-        """No arrival, replica or parked pod yet, and a forecaster quiet until
-        it observes traffic: the view is static, built-in policies plan nothing
-        for it, and its gap is exactly 0 (a policy acting on never-invoked
-        functions must pair with a forecaster that is not quiet)."""
-        forecaster = self.forecasters.get(function)
+        """Asleep, and nothing has woken it yet: no new arrival, no change to
+        its replicas or parked pods, and its wake deadline not reached.  Its
+        floor and idle state hold, and its gap is exactly 0.  (A policy
+        acting on never-invoked functions, which start asleep, must pair
+        with a forecaster that is not quiet until observed.)"""
+        sleep = self._asleep.get(function)
+        if sleep is None:
+            return False
+        arrivals, parked, wake_at = sleep
+        controller = self.controllers[function]
         return (
-            function not in self.gateway.last_arrival
-            and not self.controllers[function].replicas
-            and not self.controllers[function].parked
-            and (forecaster is None or forecaster.quiet_until_observed)
+            self.engine.now < wake_at
+            and not controller.replicas
+            and self.gateway.submitted.get(function, 0) == arrivals
+            and controller.parked.keys() == parked
         )
+
+    def wake(self) -> _t.Container[str]:
+        """Wake every sleeper :meth:`dormant` no longer holds; returns the
+        names still asleep.  The scheduler calls this first in its tick."""
+        for name in [name for name in self._asleep if not self.dormant(name)]:
+            del self._asleep[name]
+        return self._asleep.keys()
+
+    def wake_all(self) -> None:
+        """Wake every function (something outside the sleep rule moved,
+        e.g. an oracle forecaster's trace origin)."""
+        self._asleep.clear()
 
     # -- the tick ---------------------------------------------------------------------
     def on_tick(self) -> None:
         """Observe, plan, and apply pre-warm/retire actions (scheduler tick).
 
-        :meth:`dormant` functions are neither ingested nor viewed; their
-        pull-based forecasters replay the skipped bins once they wake."""
+        Sleeping functions (see :meth:`wake`) are neither ingested nor viewed;
+        their pull-based forecasters replay the skipped bins once they wake."""
         now = self.engine.now
-        names = [name for name in sorted(self.controllers) if not self.dormant(name)]
+        names = [name for name in self._names if name not in self._asleep]
         self._ingest(now, names)
         if not self.predictive or self.scheduler is None:
             return
         views = [self._view(now, name) for name in names]
+        self._view_rates = (now, {view.function: view.predicted_rps for view in views})
         hub = self.engine.hub
         if hub.enabled:
             # Forecast inputs first, chosen actions after: the audit trail
             # reads "what the policy saw → what it did" in event order.
-            # All-idle views (nothing running, parked, pending, or predicted)
-            # are skipped so long-tail fleets don't drown the stream in
-            # zero rows.
+            # Only viewed functions get a row (a sleeper's policy saw
+            # nothing), and all-idle views (nothing running, parked,
+            # pending, or predicted) are skipped so long-tail fleets don't
+            # drown the stream in zero rows.
             for view in views:
                 if not (
                     view.serving
@@ -170,8 +220,12 @@ class PredictiveAutoscaler:
                     **{k: v for k, v in inputs.items() if v is not None},
                 )
         decision = self.policy.plan(now, views)
-        self._floors = decision.min_replicas
-        self._idle = decision.idle
+        # Viewed functions get fresh floors and idle state; sleepers keep theirs.
+        for name in names:
+            self._floors.pop(name, None)
+        self._floors.update(decision.min_replicas)
+        self._idle.difference_update(names)
+        self._idle.update(decision.idle)
         for action in decision.actions:
             if isinstance(action, PreWarmAction):
                 self._apply_prewarm(action)
@@ -182,6 +236,28 @@ class PredictiveAutoscaler:
                 # to apply themselves (the memory tier's demote/promote/
                 # evict go through here without this module knowing them).
                 action.apply(self)
+        acted = {action.function for action in decision.actions}
+        for view in views:
+            if view.function in decision.idle and view.function not in acted:
+                self._sleep_if_quiescent(view)
+
+    def _sleep_if_quiescent(self, view: FunctionView) -> None:
+        """Put an idle function the policy left alone to sleep (see the
+        module docstring).  No replica means no warm pod to retire, demote
+        or reserve and no serving pod to drain; a parked pod must have
+        finished demoting, because its phase change would wake nothing."""
+        controller = self.controllers[view.function]
+        if (
+            view.next_active is None
+            and view.pending == 0
+            and not controller.replicas
+            and all(pod.phase is PodPhase.HOST_RESIDENT for pod in controller.parked.values())
+        ):
+            self._asleep[view.function] = (
+                self.gateway.submitted.get(view.function, 0),
+                frozenset(controller.parked),
+                self.policy.wake_at(view),
+            )
 
     def note_event(
         self, action: str, function: str, reason: str, **payload: object

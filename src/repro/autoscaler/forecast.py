@@ -44,7 +44,15 @@ FORECASTER_KINDS = ("ewma", "seasonal", "histogram", "hybrid")
 
 
 class Forecaster(abc.ABC):
-    """Arrival-process predictor over the gateway's fixed-width bins."""
+    """Arrival-process predictor over the gateway's fixed-width bins.
+
+    Quiescence contract, which the controller's sleep rule relies on: once
+    :meth:`next_active_time` returns ``None``, it returns ``None`` for every
+    later ``now`` until a non-empty bin is observed.  Over that stretch
+    :meth:`idle_deadline` keeps its verdict: ``None`` stays ``None``, and a
+    deadline at or before ``now`` stays passed.  Empty bins may move
+    :meth:`predict_rps`, never these two answers.
+    """
 
     #: Predicts no activity before observing a non-empty bin, so a never-invoked
     #: function may go unasked.  False unless declared: the oracle needs no history.
@@ -353,9 +361,8 @@ class CompositeForecaster(Forecaster):
         super().__init__(bin_s)
         if not parts:
             raise ValueError("composite needs at least one part")
-        self.parts = list(parts)
-
-    quiet_until_observed = property(lambda self: all(p.quiet_until_observed for p in self.parts))
+        self.parts = tuple(parts)
+        self.quiet_until_observed = all(p.quiet_until_observed for p in self.parts)
 
     def observe(self, bin_index: int, count: int) -> None:
         for part in self.parts:

@@ -158,6 +158,17 @@ class PreWarmPolicy:
             return view.last_arrival + self.spare_keepalive_s
         return None
 
+    def wake_at(self, view: FunctionView) -> float:
+        """When a sleeping function must be viewed again with no event.
+
+        A sleeper holds no replica, has nothing pending and no predicted
+        activity, and was idle at its last view.  Until traffic returns its
+        expiry stays passed and ``next_active`` stays None, so the idle
+        branch keeps planning nothing, floor 0 and idle: no deadline.  A
+        subclass with time-driven rules for such a function overrides this.
+        """
+        return math.inf
+
     # -- the per-tick plan --------------------------------------------------------
     def plan(self, now: float, views: _t.Sequence[FunctionView]) -> PolicyDecision:
         actions: list[PreWarmPlanAction] = []

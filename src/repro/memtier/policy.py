@@ -181,6 +181,13 @@ class MemTierPolicy(PreWarmPolicy):
             and now - view.last_arrival > self.host_keepalive_s
         )
 
+    def wake_at(self, view: FunctionView) -> float:
+        """A sleeper with host copies wakes at the host keep-alive deadline
+        (the evict rule); demotes need warm pods, so nothing else is due."""
+        if view.parked > 0 and view.last_arrival is not None:
+            return view.last_arrival + self.host_keepalive_s
+        return super().wake_at(view)
+
     # -- the per-tick plan ----------------------------------------------------------
     def _plan_function(self, now, view, floors, idle_set):
         base = super()._plan_function(now, view, floors, idle_set)

@@ -8,6 +8,10 @@ decision time, pod phase transitions, and the engine's own timer channel
 (``Engine(trace=True)`` emits an ``engine``/``schedule`` event per
 scheduled callback).
 
+An ``autoscaler``/``tick`` row records what the policy saw, so only
+functions the tick viewed emit one: a sleeping function (see
+:mod:`repro.autoscaler.controller`) emits none until it wakes.
+
 Design constraints (enforced by tests):
 
 * **off by default, zero-cost when disabled** — a disabled hub's

@@ -220,6 +220,8 @@ class ControlPlane:
         if self.oracle_forecasters:
             for forecaster in self.oracle_forecasters.values():
                 forecaster.origin = t_start  # trace offset 0 == replay start
+            # Every oracle forecast moved: nothing may sleep through that.
+            self.scheduler.predictive.wake_all()
 
 
 def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> ControlPlane:

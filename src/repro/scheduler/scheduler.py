@@ -135,7 +135,7 @@ class FaSTScheduler:
         self._last_scale_up: dict[str, float] = {}
         self._promotions_seen: dict[str, int] = {}
         self._swaps_seen: dict[str, int] = {}
-        #: This tick's serving pods and capacity per non-dormant function.
+        #: This tick's serving pods and capacity per awake function.
         self.running: dict[str, list[RunningPod]] = {}
         self.capacity: dict[str, float] = {}
         self._handle = None
@@ -251,15 +251,16 @@ class FaSTScheduler:
         # One capacity snapshot per tick, shared with the predictive views.
         # Exact because no on-tick action changes a serving set: prewarm,
         # retire, demote and evict touch warm or parked pods only, and the
-        # memtier PromoteAction parks its pod warm.  Dormant functions
-        # (PredictiveAutoscaler.dormant) have a gap of exactly 0: skipped.
+        # memtier PromoteAction parks its pod warm.  Sleeping functions
+        # (PredictiveAutoscaler.wake) have a gap of exactly 0: skipped.
+        asleep = self.predictive.wake()
         self.running = {
             name: [
                 RunningPod(pod_id, sm, q, self._throughput_of(name, sm, q, pod_id=pod_id))
                 for pod_id, sm, _q_req, q in controller.serving_configs()
             ]
             for name, controller in self.controllers.items()
-            if not self.predictive.dormant(name)
+            if name not in asleep
         }
         self.capacity = {n: sum(p.throughput for p in pods) for n, pods in self.running.items()}
         # Predictive layer next: observe arrivals, pre-warm/retire WARM_IDLE

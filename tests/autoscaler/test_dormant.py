@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pathlib
 import random
 
@@ -11,6 +12,7 @@ from repro import FaSTGShare
 from repro.autoscaler.controller import PredictiveAutoscaler
 from repro.autoscaler.forecast import (
     FORECASTER_KINDS,
+    CompositeForecaster,
     HybridHistogram,
     OracleForecaster,
     make_forecaster,
@@ -131,11 +133,97 @@ def test_tick_views_only_awake_functions():
     assert set(scheduler.running) == {"busy"}  # no snapshot, no gap for "idle"
 
 
+# -- sleeping after activity, and what wakes a sleeper ----------------------------------
+def asleep_after_burst(host_keepalive_s: float = 300.0):
+    """One memtier function that served a 3 s burst, parked its idle reserve
+    in host RAM (evicted again past ``host_keepalive_s``) and fell asleep;
+    returns (platform, scheduler, views) with ``views`` recording every tick
+    time the function is viewed from 25.5 s on."""
+    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=5, host_memory_mb=65536.0)
+    platform.register_function("fn", model="resnet50")
+    db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
+    scheduler = platform.start_autoscaler(
+        db,
+        interval=1.0,
+        min_replicas=0,
+        policy="memtier",
+        prewarm=MemTierPolicy(host_keepalive_s=host_keepalive_s),
+    )
+    autoscaler = scheduler.predictive
+    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(10, 3.0))
+    platform.engine.run(until=25.5)
+    assert autoscaler.dormant("fn") and not platform.controllers["fn"].replicas
+    # A sleeper keeps the floor and idle state of its last view.
+    assert autoscaler.min_replicas_for("fn", 1) == 0
+    assert autoscaler.predicted_rps("fn") == 0.0
+    views = []
+    view = autoscaler._view
+    autoscaler._view = lambda now, name: views.append(now) or view(now, name)
+    platform.engine.run(until=30.5)
+    assert views == [] and "fn" not in scheduler.running
+    return platform, scheduler, views
+
+
+@pytest.mark.parametrize("host_keepalive_s", [300.0, 10.0])
+def test_request_submit_wakes_a_sleeper(host_keepalive_s):
+    platform, scheduler, views = asleep_after_burst(host_keepalive_s)
+    # 300 s: the host copy is parked, so the arrival also swaps it in;
+    # 10 s: it was evicted, and only the arrival itself can wake the function.
+    assert bool(platform.controllers["fn"].parked) == (host_keepalive_s > 25.5)
+    platform.gateway.submit("fn")
+    assert not scheduler.predictive.dormant("fn")
+    platform.engine.run(until=31.5)
+    assert views == [31.0]
+
+
+def test_externally_deployed_replica_wakes_a_sleeper():
+    platform, scheduler, views = asleep_after_burst(host_keepalive_s=10.0)
+    p_eff = scheduler.scaler.p_eff("fn")
+    platform.deploy("fn", [(p_eff.sm_partition, p_eff.quota)])
+    assert not scheduler.predictive.dormant("fn")
+    platform.engine.run(until=31.5)
+    assert views == [31.0]
+
+
+def test_host_keepalive_deadline_wakes_a_sleeper():
+    platform, scheduler, views = asleep_after_burst(host_keepalive_s=40.0)
+    deadline = platform.gateway.last_arrival["fn"] + 40.0
+    platform.engine.run(until=deadline + 1.0)
+    # Viewed on the first tick past the deadline, which evicts the host copy.
+    assert views == [math.ceil(deadline)]
+    assert platform.lifecycle.evictions == 1
+    assert not platform.controllers["fn"].parked
+    # One more view finds nothing to do: asleep again, now with no deadline.
+    platform.engine.run(until=deadline + 30.0)
+    assert views == [math.ceil(deadline), math.ceil(deadline) + 1.0]
+    assert scheduler.predictive.dormant("fn")
+
+
+def test_one_forecast_rate_query_per_view(monkeypatch):
+    """The scheduler's gap reuses the rate each view read."""
+    calls = []
+    predict = CompositeForecaster.predict_rps
+    monkeypatch.setattr(
+        CompositeForecaster,
+        "predict_rps",
+        lambda self, now: calls.append(now) or predict(self, now),
+    )
+    views = []
+    view = PredictiveAutoscaler._view
+    monkeypatch.setattr(
+        PredictiveAutoscaler,
+        "_view",
+        lambda self, now, name: views.append(name) or view(self, now, name),
+    )
+    run_scenario(load_scenario(str(SCENARIOS / "longtail_swap.json")), quick=True)
+    assert views and len(calls) == len(views)
+
+
 def test_forecaster_quietness_flags():
     for kind in FORECASTER_KINDS:
         assert make_forecaster(kind, period_s=20.0).quiet_until_observed
-    composite = make_forecaster("hybrid")
-    composite.parts.append(OracleForecaster(FunctionTrace("f", "resnet50", (1,), 1.0)))
+    oracle = OracleForecaster(FunctionTrace("f", "resnet50", (1,), 1.0))
+    composite = CompositeForecaster([*make_forecaster("hybrid").parts, oracle])
     assert not composite.quiet_until_observed
 
 

@@ -8,12 +8,30 @@ is the control tick before it scaled with activity.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
+import json
 import pathlib
 
 import pytest
 
 from repro.autoscaler.controller import PredictiveAutoscaler
-from repro.scenario import load_scenario
+from repro.autoscaler.forecast import make_forecaster
+from repro.autoscaler.registry import register_forecaster, unregister_forecaster
+from repro.faas import requests
+from repro.k8s import objects
+from repro.manager import tokens
+from repro.memtier.policy import MemTierPolicy
+from repro.scenario import (
+    AutoscalerSpec,
+    ClusterSpec,
+    MeasurementSpec,
+    Scenario,
+    ScenarioFunction,
+    WorkloadSpec,
+    load_scenario,
+)
 from repro.scenario.runner import run_scenario
 from repro.scheduler import GPURectangleList
 from repro.sweep import load_sweep
@@ -35,25 +53,145 @@ CASES = {
 }
 
 
+def test_oracle_anchor_wakes_functions_asleep_during_deployment(monkeypatch):
+    """Ticks run while the initial bert pod cold-starts, with the oracle
+    trace still anchored at time 0: ``late``'s burst (trace offset 1-2 s)
+    lies behind the first tick, so it falls asleep.  Anchoring the trace at
+    replay start must wake it, so the oracle pre-warms ahead of the burst."""
+    scenario = Scenario(
+        name="oracle-anchor",
+        seed=3,
+        cluster=ClusterSpec(nodes=("V100",)),
+        functions=(
+            ScenarioFunction(
+                name="warm",
+                model="bert",
+                initial_replicas=1,
+                workload=WorkloadSpec(kind="counts", counts=(4,) * 24, bin_s=0.5),
+            ),
+            ScenarioFunction(
+                name="late",
+                model="resnet50",
+                initial_replicas=0,
+                workload=WorkloadSpec(
+                    kind="counts", counts=(0, 0, 6, 6) + (0,) * 20, bin_s=0.5
+                ),
+            ),
+        ),
+        autoscaler=AutoscalerSpec(policy="oracle", interval=2.0, min_replicas=0),
+        measurement=MeasurementSpec(drain_s=2.0, sample_dt=0.5),
+    )
+    fast = run_scenario(scenario).to_json()
+    force_awake_and_dirty(monkeypatch)
+    assert run_scenario(scenario).to_json() == fast
+
+
+def count_views(monkeypatch) -> list[tuple[float, str]]:
+    """Record every ``(now, function)`` the controller views from here on."""
+    views: list[tuple[float, str]] = []
+    view = PredictiveAutoscaler._view
+
+    def counted_view(self, now, name):
+        views.append((now, name))
+        return view(self, now, name)
+
+    monkeypatch.setattr(PredictiveAutoscaler, "_view", counted_view)
+    return views
+
+
+def force_awake_and_dirty(monkeypatch) -> list[tuple[float, str]]:
+    """Switch both shortcuts off; returns the twin's view record."""
+    monkeypatch.setattr(PredictiveAutoscaler, "dormant", lambda self, function: False)
+    always_dirty = property(lambda self: False, lambda self, value: None)
+    monkeypatch.setattr(GPURectangleList, "clean", always_dirty, raising=False)
+    return count_views(monkeypatch)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_identical_with_every_function_awake_and_every_gpu_dirty(monkeypatch, case):
     path, quick = CASES[case]
     scenario = prewarm_oracle_cell() if path is None else load_scenario(str(path))
     fast = run_scenario(scenario, quick=quick).to_json()
 
-    views = []
-    view = PredictiveAutoscaler._view
-
-    def counted_view(self, now, name):
-        views.append(name)
-        return view(self, now, name)
-
-    monkeypatch.setattr(PredictiveAutoscaler, "dormant", lambda self, function: False)
-    monkeypatch.setattr(PredictiveAutoscaler, "_view", counted_view)
-    always_dirty = property(lambda self: False, lambda self, value: None)
-    monkeypatch.setattr(GPURectangleList, "clean", always_dirty, raising=False)
+    views = force_awake_and_dirty(monkeypatch)
     slow = run_scenario(scenario, quick=quick).to_json()
     assert slow == fast
     if scenario.autoscaler.policy != "reactive":
         # The twin really viewed every function on every tick.
-        assert set(views) == {fn.name for fn in scenario.functions}
+        assert {name for _, name in views} == {fn.name for fn in scenario.functions}
+
+
+@pytest.fixture
+def short_host_keepalive():
+    """longtail_swap under memtier with a 30 s host keep-alive: quick runs
+    then cross the evict deadline, which only a timed wake can reach."""
+    register_forecaster(
+        "test-short-host",
+        functools.partial(make_forecaster, "hybrid"),
+        policy_factory=lambda: MemTierPolicy(host_keepalive_s=30.0),
+    )
+    yield
+    unregister_forecaster("test-short-host")
+
+
+def test_deadline_wake_reports_identically(monkeypatch, short_host_keepalive):
+    scenario = load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json"))
+    scenario = dataclasses.replace(
+        scenario,
+        autoscaler=dataclasses.replace(scenario.autoscaler, policy="test-short-host"),
+    )
+    fast = run_scenario(scenario, quick=True)
+    assert fast.host_evictions > 0
+    force_awake_and_dirty(monkeypatch)
+    assert run_scenario(scenario, quick=True).to_json() == fast.to_json()
+
+
+def test_sleepers_emit_no_tick_rows(monkeypatch):
+    """With telemetry on, the stream is the forced-awake twin's minus the
+    ``autoscaler``/``tick`` rows of functions that were asleep."""
+    scenario = load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json"))
+    scenario = dataclasses.replace(
+        scenario, measurement=dataclasses.replace(scenario.measurement, telemetry=True)
+    )
+
+    def run():
+        # Pod, request and token ids are process-wide serials; restart them
+        # so the two streams compare.
+        monkeypatch.setattr(objects, "_uid_counter", itertools.count(1))
+        monkeypatch.setattr(requests, "_request_ids", itertools.count(1))
+        monkeypatch.setattr(tokens, "_token_ids", itertools.count(1))
+        return json.loads(run_scenario(scenario, quick=True).to_json())
+
+    with monkeypatch.context() as patch:
+        views = count_views(patch)
+        fast = run()
+    viewed = set(views)
+    force_awake_and_dirty(monkeypatch)
+    slow = run()
+
+    def is_sleeper_tick(event) -> bool:
+        return (
+            event["source"] == "autoscaler"
+            and event["kind"] == "tick"
+            and (event["time"], event["function"]) not in viewed
+        )
+
+    fast_events = fast["telemetry"].pop("events")
+    slow_events = slow["telemetry"].pop("events")
+    kept = [event for event in slow_events if not is_sleeper_tick(event)]
+    assert len(kept) < len(slow_events)
+    assert kept == fast_events
+    # The only other difference is the gauge counting the stream itself.
+    for report, events in ((fast, fast_events), (slow, slow_events)):
+        gauge = report["telemetry"]["metrics"]["gauges"].pop("repro_telemetry_events")
+        assert gauge == [{"labels": {}, "value": float(len(events))}]
+    assert slow == fast
+
+
+def test_view_count_pin(monkeypatch):
+    """Work-counter pin: the exact number of views on quick longtail_swap
+    (3,538 when every invoked function was viewed every tick).  A change
+    that moves it explains the new count."""
+    views = count_views(monkeypatch)
+    run_scenario(load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json")), quick=True)
+    assert len(views) == 1026
