@@ -39,7 +39,7 @@ def main() -> None:
 
     # Inspect the 2D resource packing.
     print("\nGPU 2D-resource usage (quota x SMs):")
-    for name, share in platform._mra.utilized_area_by_node().items():
+    for name, share in platform.placement.utilized_area_by_node().items():
         print(f"  {name}: {100 * share:.1f}% of the resource rectangle allocated")
 
 

@@ -188,7 +188,3 @@ class CudaDriver:
         else:
             del self._allocs[ptr.alloc_id]
             self.device.memory.free(owner, size)
-
-    # -- diagnostics ---------------------------------------------------------
-    def resident_allocations(self) -> int:
-        return len(self._allocs)

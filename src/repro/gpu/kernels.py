@@ -77,11 +77,6 @@ class InferencePlan:
     def host_time(self) -> float:
         return self.pre_gap + sum(self.host_gaps)
 
-    @property
-    def total_time(self) -> float:
-        """Lower-bound latency on an idle, un-shared GPU."""
-        return self.gpu_time + self.host_time
-
     def steps(self) -> _t.Iterator[tuple[KernelBurst, float]]:
         """Iterate (burst, following host gap) pairs."""
         return zip(self.bursts, self.host_gaps)

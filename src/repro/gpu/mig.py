@@ -87,10 +87,6 @@ class MIGPartitioner:
     def used_compute_slices(self) -> int:
         return sum(i.profile.compute_slices for i in self.instances)
 
-    @property
-    def used_memory_slices(self) -> int:
-        return sum(i.profile.memory_slices for i in self.instances)
-
     def validate(self, profile_names: _t.Sequence[str]) -> list[MIGProfile]:
         """Check a whole configuration against the placement rules."""
         profiles = []

@@ -84,12 +84,6 @@ class TransferFabric:
         """Transfers currently in flight."""
         return len(self._active)
 
-    def current_rate_mb_per_s(self) -> float:
-        """Instantaneous per-transfer rate (fair share of the link)."""
-        if not self._active:
-            return self.total_mb_per_s
-        return self.total_mb_per_s / len(self._active)
-
     def estimate_s(self, mb: float) -> float:
         """Swap-in time estimate for ``mb`` admitted *now*.
 

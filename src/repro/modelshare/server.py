@@ -139,9 +139,6 @@ class ModelStorageServer:
     def stored_models(self) -> list[str]:
         return sorted(self._models)
 
-    def resident_mb(self) -> float:
-        return sum(r.size_mb for r in self._models.values())
-
     def refcount(self, model_name: str) -> int:
         return self._record(model_name).refcount
 

@@ -5,11 +5,18 @@ FaST Backend + model storage), function registry, gateway, FaSTPod
 controllers, and optionally the FaST-Scheduler — behind a small experiment
 API::
 
-    platform = FaSTGShare.build(nodes=4, gpu="V100", sharing="fast", seed=42)
+    platform = FaSTGShare.build(nodes=4, gpu="V100", sharing="fast", seed=42,
+                                placement="binpack")
     platform.register_function("classify", model="resnet50", slo_ms=69)
     platform.deploy("classify", configs=[(12, 0.4)] * 4)
     report = platform.run_workload("classify", rps=120, duration=60)
     print(report.summary())
+
+In ``fast`` mode the platform keeps exactly one Maximal Rectangles ledger
+(``platform.placement``, scored by the ``placement`` policy): ``deploy`` and
+the FaST-Scheduler started by :meth:`FaSTGShare.start_autoscaler` place into
+and release from the same object, so neither can over-commit a GPU the
+other filled.
 
 Multi-tenant experiments use the declarative Scenario API instead — one
 JSON-round-trippable spec describing cluster, fleet, workloads, autoscaler
@@ -46,9 +53,9 @@ from repro.k8s.cluster import Cluster
 from repro.k8s.deviceplugin import DevicePlugin
 from repro.k8s.fastpod import FaSTPodController
 from repro.profiler.database import ProfileDatabase
-from repro.scheduler.mra import MaximalRectanglesScheduler, NoFitError
+from repro.scheduler.mra import MaximalRectanglesScheduler
 from repro.scheduler.placement_baselines import QuotaPackingScheduler
-from repro.scheduler.scheduler import FaSTScheduler
+from repro.scheduler.scheduler import FaSTScheduler, place
 from repro.sim.engine import Engine
 
 
@@ -71,6 +78,9 @@ class PlatformConfig:
     host_memory_mb: float | None = None
     #: Host↔GPU transfer-fabric bandwidth per node (gigabytes/s).
     fabric_gbps: float = 16.0
+    #: MRA node-scoring policy of the platform's placement ledger
+    #: (:data:`repro.scheduler.mra.PLACEMENT_POLICIES`).
+    placement: str = "binpack"
 
 
 @dataclasses.dataclass(slots=True)
@@ -154,11 +164,14 @@ class FaSTGShare:
         #: ``defrag`` config is given (both None otherwise).
         self.migrator = None
         self.defragmenter = None
-        # Placement state for the manual deploy() paths.
         node_names = [n.name for n in self.cluster.nodes]
-        self._mra = MaximalRectanglesScheduler(
-            node_names, node_factors=self.cluster.speed_factors()
+        #: The one MRA ledger of every GPU's SM×quota space: manual fast
+        #: deploys, the FaST-Scheduler, the memory tier and the migrator
+        #: all place into (and release from) this object.
+        self.placement = MaximalRectanglesScheduler(
+            node_names, policy=config.placement, node_factors=self.cluster.speed_factors()
         )
+        # Ledgers of the timeshare / exclusive baselines' manual deploys.
         self._quota_packer = QuotaPackingScheduler(node_names)
         self._device_plugin = DevicePlugin(self.cluster)
 
@@ -172,12 +185,14 @@ class FaSTGShare:
         seed: int = 42,
         host_memory_mb: float | None = None,
         fabric_gbps: float = 16.0,
+        placement: str = "binpack",
     ) -> "FaSTGShare":
         if not isinstance(nodes, int):
             nodes = tuple(nodes)
         return cls(PlatformConfig(
             nodes=nodes, gpu=gpu, sharing=sharing, window=window, seed=seed,
             host_memory_mb=host_memory_mb, fabric_gbps=fabric_gbps,
+            placement=placement,
         ))
 
     # -- function management ------------------------------------------------------
@@ -233,22 +248,12 @@ class FaSTGShare:
             replica = controller.scale_up(target, sm, q_req, q_lim)
             if sharing == "fast":
                 # Pinned deployments may deliberately over-subscribe.
-                self._mra.bind_at(
+                self.placement.bind_at(
                     replica.pod.pod_id, target.name, q_lim * 100.0, sm, require_fit=False
                 )
             return replica
         if sharing == "fast":
-            probe = self._memory_probe(controller.function)
-            choice = self._mra.select_node(q_lim * 100.0, sm, allowed=probe)
-            if choice is None:
-                raise NoFitError(
-                    f"{controller.function.name}: no GPU fits (q={q_lim}, s={sm})"
-                )
-            node_name, rect = choice
-            target = self.cluster.node(node_name)
-            replica = controller.scale_up(target, sm, q_req, q_lim)
-            self._mra.bind_at(replica.pod.pod_id, node_name, q_lim * 100.0, sm, target=rect)
-            return replica
+            return place(self.cluster, self.placement, controller, sm, q_req, q_lim)
         if sharing == "timeshare":
             # KubeShare-style: pack by time quota only (every pod sees all SMs).
             reservation = f"pending-{controller.function.name}-{id(controller)}-{controller.replica_count}"
@@ -266,25 +271,19 @@ class FaSTGShare:
         # racing: pile pods onto the first node unless pinned.
         return controller.scale_up(self.cluster.node(0), sm, q_req, q_lim)
 
-    def _memory_probe(self, function: FunctionSpec):
-        mem = function.pod_gpu_mem_mb()
-
-        def allowed(node_name: str) -> bool:
-            node = self.cluster.node(node_name)
-            extra = 0.0
-            if function.use_model_sharing:
-                if function.model.name not in node.model_storage.stored_models():
-                    extra = function.model.memory.server_mb
-            return node.device.memory.can_allocate(mem + extra)
-
-        return allowed
-
     def scale_down(self, function: str, pod_id: str, drain: bool = True) -> None:
-        controller = self.controllers[function]
-        controller.scale_down(pod_id, drain=drain)
-        for placement in (self._mra,):
+        """Remove one replica and release its binding in the ledger of the
+        platform's sharing mode (pinned deploys may never have bound one)."""
+        self.controllers[function].scale_down(pod_id, drain=drain)
+        sharing = self.config.sharing
+        if sharing == "exclusive":
+            for node_name, owner in self._device_plugin.assignment().items():
+                if owner == pod_id:
+                    self._device_plugin.release(node_name)
+        elif sharing in ("fast", "timeshare"):
+            ledger = self.placement if sharing == "fast" else self._quota_packer
             try:
-                placement.unbind(pod_id)
+                ledger.unbind(pod_id)
             except KeyError:
                 pass
 
@@ -297,7 +296,6 @@ class FaSTGShare:
         scale_down_cooldown: float = 6.0,
         min_replicas: int = 1,
         latency_headroom: float = 0.6,
-        placement_policy: str = "binpack",
         policy: str = "reactive",
         forecasters: _t.Mapping[str, _t.Any] | None = None,
         prewarm: _t.Any | None = None,
@@ -343,13 +341,13 @@ class FaSTGShare:
             self.gateway,
             database,
             self.controllers,
+            self.placement,
             interval=interval,
             headroom=headroom,
             scale_down_cooldown=scale_down_cooldown,
             min_replicas=min_replicas,
             latency_headroom=latency_headroom,
             down_hysteresis=down_hysteresis,
-            placement_policy=placement_policy,
             predictive=predictive,
             min_replicas_by_function=min_replicas_by_function,
         )
@@ -363,7 +361,7 @@ class FaSTGShare:
                 self.engine,
                 self.cluster,
                 self.controllers,
-                placement=self.scheduler.placement,
+                placement=self.placement,
             )
             self.gateway.lifecycle = self.lifecycle
             self.scheduler.lifecycle = self.lifecycle
@@ -376,12 +374,12 @@ class FaSTGShare:
                 self.cluster,
                 self.gateway,
                 self.controllers,
-                placement=self.scheduler.placement,
+                placement=self.placement,
             )
             self.defragmenter = Defragmenter(
                 self.engine,
                 self.migrator,
-                self.scheduler.placement,
+                self.placement,
                 self.cluster,
                 threshold=defrag.threshold,
                 max_moves_per_tick=defrag.max_moves_per_tick,

@@ -100,6 +100,7 @@ def build_platform(scenario: Scenario) -> "FaSTGShare":
         seed=scenario.seed,
         host_memory_mb=cluster.host_memory_mb,
         fabric_gbps=cluster.fabric_gbps,
+        placement=scenario.autoscaler.placement,
     )
     for fn in scenario.functions:
         platform.register_function(
@@ -139,11 +140,11 @@ def _deploy_static(platform: "FaSTGShare", scenario: Scenario) -> None:
         {fn.name: MODEL_ZOO[fn.model] for fn in scenario.functions}
     )
     slo_map = {fn.name: platform.registry.get(fn.name).slo_ms for fn in scenario.functions}
-    min_factor = min(platform.cluster.speed_factors().values())
-    scaler = HeuristicScaler(
+    scaler = HeuristicScaler.for_cluster(
         database,
-        slo_ms=slo_map,
-        latency_headroom=scenario.autoscaler.latency_headroom * min(1.0, min_factor),
+        slo_map,
+        scenario.autoscaler.latency_headroom,
+        platform.cluster.speed_factors(),
     )
     for fn in scenario.functions:
         if fn.initial_count == 0:
@@ -252,7 +253,6 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
             scale_down_cooldown=auto.scale_down_cooldown,
             min_replicas=auto.min_replicas,
             latency_headroom=auto.latency_headroom,
-            placement_policy=auto.placement,
             policy=auto.policy,
             forecasters=oracle_forecasters,
             forecast_period_s=auto.forecast_period_s,
@@ -288,17 +288,11 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
     )
 
 
-def placement_state(
-    platform: "FaSTGShare", scheduler: _t.Any | None, sharing: str
-) -> tuple[int, dict[str, float]]:
+def placement_state(platform: "FaSTGShare") -> tuple[int, dict[str, float]]:
     """(GPUs in use, per-node utilized allocation area) for one sample tick."""
-    if scheduler is not None:
-        return (
-            scheduler.placement.gpus_in_use(),
-            scheduler.placement.utilized_area_by_node(),
-        )
-    if sharing == "fast":
-        return platform._mra.gpus_in_use(), platform._mra.utilized_area_by_node()
+    if platform.config.sharing == "fast":
+        ledger = platform.placement
+        return ledger.gpus_in_use(), ledger.utilized_area_by_node()
     hosts = {
         pod.node_name for pod in platform.cluster.pods.values() if pod.node_name
     }
@@ -361,7 +355,7 @@ def _execute(
     samples: list[tuple[float, int, dict[str, float]]] = []
 
     def sample() -> None:
-        gpus, alloc = placement_state(platform, scheduler, scenario.cluster.sharing)
+        gpus, alloc = placement_state(platform)
         samples.append((engine.now, gpus, alloc))
         if engine.now < t_start + horizon:
             engine.schedule(measurement.sample_dt, sample)

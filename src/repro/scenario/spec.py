@@ -407,10 +407,6 @@ class ClusterSpec:
         if self.window <= 0:
             raise ScenarioError("cluster: window must be positive")
 
-    @property
-    def node_count(self) -> int:
-        return self.nodes if isinstance(self.nodes, int) else len(self.nodes)
-
     def to_dict(self) -> dict:
         payload: dict[str, _t.Any] = {
             "nodes": self.nodes if isinstance(self.nodes, int) else list(self.nodes),
@@ -474,7 +470,9 @@ class AutoscalerSpec:
     :func:`~repro.autoscaler.register_forecaster` (``oracle`` builds
     per-function trace oracles from each workload's resolved counts, lead
     ``oracle_lead_s``); ``placement`` is one of
-    :data:`~repro.scheduler.mra.PLACEMENT_POLICIES`.  ``enabled=False`` runs a
+    :data:`~repro.scheduler.mra.PLACEMENT_POLICIES` and scores the
+    platform's one placement ledger, so it also steers a static ``fast``
+    deployment.  ``enabled=False`` runs a
     static deployment (each function's ``initial_replicas`` pods, no control
     loop) — the form the non-``fast`` sharing baselines use.
     """

@@ -83,6 +83,24 @@ class HeuristicScaler:
         self._memo: dict[str, tuple[list[ProfilePoint], ProfilePoint]] = {}
         self._memo_version = database.version
 
+    @classmethod
+    def for_cluster(
+        cls,
+        database: ProfileDatabase,
+        slo_ms: _t.Mapping[str, float],
+        latency_headroom: float,
+        speed_factors: _t.Mapping[str, float],
+    ) -> "HeuristicScaler":
+        """A scaler whose SLO budget holds on the cluster's slowest GPU.
+
+        Profile latencies are V100-calibrated; on a cluster containing
+        slower GPU types a pod's GPU-resident time grows by 1/factor, so
+        the SLO-feasibility budget shrinks by the slowest node's factor —
+        a config passing this bound meets its latency budget on any node.
+        """
+        slowest = min(1.0, min(speed_factors.values()))
+        return cls(database, slo_ms=slo_ms, latency_headroom=latency_headroom * slowest)
+
     # -- SLO-feasible candidate set ------------------------------------------
     def _feasible(self, function: str) -> tuple[list[ProfilePoint], ProfilePoint]:
         if self._memo_version != self.database.version:

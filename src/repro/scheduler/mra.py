@@ -217,7 +217,6 @@ class MaximalRectanglesScheduler:
     def __init__(
         self,
         node_names: _t.Sequence[str],
-        restructure_threshold: int = 24,
         policy: str = "binpack",
         node_factors: _t.Mapping[str, float] | None = None,
     ):
@@ -228,8 +227,7 @@ class MaximalRectanglesScheduler:
         self.policy = policy
         self.node_factors = dict(node_factors or {})
         self.gpus: dict[str, GPURectangleList] = {
-            name: GPURectangleList(restructure_threshold=restructure_threshold)
-            for name in node_names
+            name: GPURectangleList() for name in node_names
         }
         self._bindings: dict[str, str] = {}  # pod -> node
 

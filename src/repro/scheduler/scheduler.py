@@ -38,9 +38,72 @@ from repro.scheduler.mra import MaximalRectanglesScheduler, NoFitError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.autoscaler.controller import PredictiveAutoscaler
+    from repro.faas.function import FunctionSpec
     from repro.k8s.cluster import Cluster
     from repro.faas.gateway import Gateway
     from repro.sim.engine import Engine
+
+
+def memory_probe(cluster: "Cluster", function: "FunctionSpec") -> _t.Callable[[str], bool]:
+    """Feasibility filter: does the node have GPU memory for one more pod?"""
+    mem = function.pod_gpu_mem_mb()
+
+    def allowed(node_name: str) -> bool:
+        node = cluster.node(node_name)
+        extra = 0.0
+        if function.use_model_sharing:
+            if function.model.name not in node.model_storage.stored_models():
+                extra = function.model.memory.server_mb
+        return node.device.memory.can_allocate(mem + extra)
+
+    return allowed
+
+
+def place(
+    cluster: "Cluster",
+    placement: MaximalRectanglesScheduler,
+    controller: FaSTPodController,
+    sm_partition: float,
+    quota_request: float,
+    quota_limit: float,
+    warm: bool = False,
+    used_nodes_only: bool = False,
+):
+    """MRA-place and start one replica; returns it (or raises NoFitError).
+
+    The one fast-mode place path, shared by manual deploys and the
+    scheduler: memory probe → MRA node selection (w = quota·100,
+    h = SM partition) → FaSTPod scale-up → rectangle bind.
+
+    ``warm=True`` creates a pre-warmed pod: the full rectangle is
+    reserved (spatial cost explicit — promotion can never fail
+    placement) and GPU memory is held, but the replica parks in
+    ``WARM_IDLE`` and draws zero time quota until promoted.
+
+    ``used_nodes_only=True`` confines placement to nodes already
+    hosting pods — pre-warmed spares ride along on provisioned GPUs
+    instead of powering up an idle one (their whole point is hiding
+    latency, not growing the fleet).
+    """
+    width = quota_limit * 100.0
+    fits_memory = memory_probe(cluster, controller.function)
+    allowed = fits_memory
+    if used_nodes_only:
+
+        def allowed(node_name: str) -> bool:
+            return bool(placement.gpus[node_name].placed) and fits_memory(node_name)
+
+    choice = placement.select_node(width, sm_partition, allowed=allowed)
+    if choice is None:
+        raise NoFitError(
+            f"{controller.function.name}: no GPU fits "
+            f"(q={quota_limit}, s={sm_partition})"
+        )
+    node_name, rect = choice
+    node = cluster.node(node_name)
+    replica = controller.scale_up(node, sm_partition, quota_request, quota_limit, warm=warm)
+    placement.bind_at(replica.pod.pod_id, node_name, width, sm_partition, target=rect)
+    return replica
 
 
 @dataclasses.dataclass(slots=True)
@@ -65,15 +128,14 @@ class FaSTScheduler:
         gateway: "Gateway",
         database: ProfileDatabase,
         controllers: _t.Mapping[str, FaSTPodController],
+        placement: MaximalRectanglesScheduler,
         interval: float = 2.0,
         headroom: float = 1.10,
         scale_down_cooldown: float = 6.0,
-        restructure_threshold: int = 24,
         min_replicas: int = 1,
         latency_headroom: float = 0.6,
         down_hysteresis: float = 0.10,
         max_down_per_tick: int = 1,
-        placement_policy: str = "binpack",
         predictive: "PredictiveAutoscaler | None" = None,
         min_replicas_by_function: _t.Mapping[str, int] | None = None,
     ):
@@ -99,21 +161,12 @@ class FaSTScheduler:
         self.down_hysteresis = down_hysteresis
         self.max_down_per_tick = max_down_per_tick
         slo_map = {name: c.function.slo_ms for name, c in self.controllers.items()}
-        # Profile latencies are V100-calibrated; on a cluster containing
-        # slower GPU types a pod's GPU-resident time grows by 1/factor, so
-        # shrink the SLO-feasibility budget by the slowest node's factor —
-        # a config passing this bound meets its latency budget on any node.
-        min_factor = min(cluster.speed_factors().values())
-        effective_headroom = latency_headroom * min(1.0, min_factor)
-        self.scaler = HeuristicScaler(
-            database, slo_ms=slo_map, latency_headroom=effective_headroom
+        self.scaler = HeuristicScaler.for_cluster(
+            database, slo_map, latency_headroom, cluster.speed_factors()
         )
-        self.placement = MaximalRectanglesScheduler(
-            [node.name for node in cluster.nodes],
-            restructure_threshold=restructure_threshold,
-            policy=placement_policy,
-            node_factors=cluster.speed_factors(),
-        )
+        #: the platform's one MRA ledger, shared with manual deploys, the
+        #: memory tier, and the migrator/defragmenter.
+        self.placement = placement
         if predictive is None:
             # The reactive configuration is the *degenerate* predictive
             # controller (no forecasters, no policy) — one control path.
@@ -153,7 +206,7 @@ class FaSTScheduler:
         if self._handle is not None:
             self._handle.cancel()
 
-    # -- helpers the platform uses for manual placement too ------------------------
+    # -- placement -------------------------------------------------------------
     def place_pod(
         self,
         controller: FaSTPodController,
@@ -163,51 +216,11 @@ class FaSTScheduler:
         warm: bool = False,
         used_nodes_only: bool = False,
     ):
-        """MRA-place and start one replica; returns it (or raises NoFitError).
-
-        ``warm=True`` creates a pre-warmed pod: the full rectangle is
-        reserved (spatial cost explicit — promotion can never fail
-        placement) and GPU memory is held, but the replica parks in
-        ``WARM_IDLE`` and draws zero time quota until promoted.
-
-        ``used_nodes_only=True`` confines placement to nodes already
-        hosting pods — pre-warmed spares ride along on provisioned GPUs
-        instead of powering up an idle one (their whole point is hiding
-        latency, not growing the fleet).
-        """
-        width = quota_limit * 100.0
-        probe = self._memory_probe(controller)
-        if used_nodes_only:
-            memory_probe = probe
-
-            def probe(node_name: str) -> bool:  # noqa: F811 — deliberate wrap
-                return bool(self.placement.gpus[node_name].placed) and memory_probe(node_name)
-        choice = self.placement.select_node(width, sm_partition, allowed=probe)
-        if choice is None:
-            raise NoFitError(
-                f"{controller.function.name}: no GPU fits "
-                f"(q={quota_limit}, s={sm_partition})"
-            )
-        node_name, rect = choice
-        node = self.cluster.node(node_name)
-        replica = controller.scale_up(node, sm_partition, quota_request, quota_limit, warm=warm)
-        self.placement.bind_at(replica.pod.pod_id, node_name, width, sm_partition, target=rect)
-        return replica
-
-    def _memory_probe(self, controller: FaSTPodController):
-        """Feasibility filter: does the node have GPU memory for one more pod?"""
-        function = controller.function
-        mem = function.pod_gpu_mem_mb()
-
-        def allowed(node_name: str) -> bool:
-            node = self.cluster.node(node_name)
-            extra = 0.0
-            if function.use_model_sharing:
-                if function.model.name not in node.model_storage.stored_models():
-                    extra = function.model.memory.server_mb
-            return node.device.memory.can_allocate(mem + extra)
-
-        return allowed
+        """:func:`place` into the shared ledger (returns the replica)."""
+        return place(
+            self.cluster, self.placement, controller, sm_partition,
+            quota_request, quota_limit, warm=warm, used_nodes_only=used_nodes_only,
+        )
 
     def _note(self, event: SchedulerEvent, **extra) -> None:
         """Record a scaling decision (and mirror it onto the telemetry hub)."""
@@ -233,7 +246,7 @@ class FaSTScheduler:
         rectangle holds the pod; ``no-capacity``: not enough free area at all.
         """
         width = quota_limit * 100.0
-        probe = self._memory_probe(controller)
+        probe = memory_probe(self.cluster, controller.function)
         rejects = []
         for node_name, gpu in self.placement.gpus.items():
             if not probe(node_name):

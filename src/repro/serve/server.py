@@ -136,9 +136,7 @@ class LiveServer:
         dt = self.scenario.measurement.sample_dt
 
         def sample() -> None:
-            gpus, alloc = placement_state(
-                platform, plane.scheduler, self.scenario.cluster.sharing
-            )
+            gpus, alloc = placement_state(platform)
             self._samples.append((engine.now, gpus, alloc))
             if not self._draining:
                 self._sample_handle = engine.schedule(dt, sample)

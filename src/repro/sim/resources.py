@@ -33,10 +33,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
     def put(self, item: object) -> None:
         """Enqueue ``item``, waking the oldest waiting getter if any."""
         while self._getters:
@@ -98,10 +94,6 @@ class Gate:
         self.name = name
         self._open = open_
         self._waiters: list[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
 
     def wait(self) -> Event:
         """Event that succeeds immediately if open, else on the next open()."""

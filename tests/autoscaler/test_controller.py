@@ -124,7 +124,8 @@ def test_scheduler_builds_degenerate_controller_by_default():
     from repro.scheduler.scheduler import FaSTScheduler
 
     scheduler = FaSTScheduler(
-        platform.engine, platform.cluster, platform.gateway, db, platform.controllers
+        platform.engine, platform.cluster, platform.gateway, db, platform.controllers,
+        platform.placement,
     )
     assert scheduler.predictive is not None
     assert scheduler.predictive.scheduler is scheduler

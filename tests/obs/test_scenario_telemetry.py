@@ -139,6 +139,10 @@ def test_scheduler_nofit_events_carry_per_node_reject_reasons():
         if e.source == "scheduler" and e.kind == "nofit"
     ]
     assert nofits
+    # The deployed pod fills the scheduler's ledger too: no scale-up lands.
+    assert not any(
+        e.source == "scheduler" and e.kind == "up" for e in platform.engine.hub.events
+    )
     for event in nofits:
         rejects = event.payload["rejects"]
         assert len(rejects) == 1  # one node in this cluster

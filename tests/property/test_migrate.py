@@ -293,7 +293,7 @@ def test_defragmenter_migrates_without_overcommit_or_request_loss():
     rectangles never overlap, and allocated area never exceeds capacity —
     i.e. make-before-break never over-commits.  And every submitted request
     completes: handoffs lose nothing."""
-    platform = FaSTGShare.build(nodes=3, sharing="fast", seed=13)
+    platform = FaSTGShare.build(nodes=3, sharing="fast", seed=13, placement="spread")
     names = [f"fn{i}" for i in range(4)]
     for name in names:
         platform.register_function(name, model="resnet50")
@@ -303,7 +303,6 @@ def test_defragmenter_migrates_without_overcommit_or_request_loss():
         interval=1.0,
         min_replicas=0,
         policy="hybrid",
-        placement_policy="spread",
         scale_down_cooldown=3.0,
         defrag=DefragSpec(threshold=0.3, max_moves_per_tick=2),
     )

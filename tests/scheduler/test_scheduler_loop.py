@@ -23,13 +23,13 @@ def test_validation():
     platform, db = build()
     with pytest.raises(ValueError):
         FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, interval=0)
+                      platform.controllers, platform.placement, interval=0)
     with pytest.raises(ValueError):
         FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, headroom=0.9)
+                      platform.controllers, platform.placement, headroom=0.9)
     with pytest.raises(ValueError):
         FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, min_replicas=-1)
+                      platform.controllers, platform.placement, min_replicas=-1)
 
 
 def test_double_start_rejected():
@@ -85,6 +85,34 @@ def test_nofit_recorded_when_cluster_full():
                       ConstantRate(rps=400, duration=6.0))
     platform.engine.run(until=platform.engine.now + 6.0)
     assert any(e.action == "nofit" for e in scheduler.events)
+    # The hand-deployed pod sits in the scheduler's ledger: nothing fits.
+    assert not any(e.action == "up" for e in scheduler.events)
+
+
+@pytest.mark.parametrize("deploy_first", [False, True])
+def test_manual_deploy_and_scheduler_share_one_ledger(deploy_first):
+    platform, db = build(nodes=1)
+    if deploy_first:
+        platform.deploy("fn", configs=[(100, 1.0)])
+    scheduler = platform.start_autoscaler(db, interval=1.0)
+    if not deploy_first:
+        platform.deploy("fn", configs=[(100, 1.0)])
+    platform.wait_ready()
+    OpenLoopGenerator(platform.engine, platform.gateway, "fn",
+                      ConstantRate(rps=400, duration=6.0))
+    end = platform.engine.now + 6.0
+    while platform.engine.now < end:
+        platform.engine.run(until=platform.engine.now + 0.25)
+        committed = sum(
+            r.pod.spec.sm_partition * r.pod.spec.quota_limit * 100.0
+            for r in platform.controllers["fn"].replicas.values()
+            if r.pod.node_name == "node0"
+        )
+        assert committed <= 100.0 * 100.0 + 1e-6
+    actions = [e.action for e in scheduler.events]
+    assert "nofit" in actions
+    assert "up" not in actions[: actions.index("nofit")]
+    assert scheduler.placement is platform.placement
 
 
 def test_replica_series_recorded():
@@ -100,7 +128,7 @@ def test_replica_series_recorded():
 def test_throughput_of_falls_back_to_analytic():
     platform, db = build()
     scheduler = FaSTScheduler(platform.engine, platform.cluster, platform.gateway,
-                              db, platform.controllers)
+                              db, platform.controllers, platform.placement)
     # Config outside the profiled grid -> analytic model rate.
     value = scheduler._throughput_of("fn", 33.0, 0.77)
     model = get_model("resnet50")
@@ -110,7 +138,7 @@ def test_throughput_of_falls_back_to_analytic():
 def test_place_pod_respects_memory_probe():
     platform, db = build(nodes=2)
     scheduler = FaSTScheduler(platform.engine, platform.cluster, platform.gateway,
-                              db, platform.controllers)
+                              db, platform.controllers, platform.placement)
     controller = platform.controllers["fn"]
     # Exhaust node0's memory with ballast so placement must pick node1.
     platform.cluster.node(0).device.memory.allocate("ballast", 15500)

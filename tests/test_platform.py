@@ -99,13 +99,19 @@ def test_deploy_pinned_node_allows_oversubscription():
 
 
 def test_scale_down_releases_capacity():
-    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=1)
-    platform.register_function("classify", model="resnet50")
-    replicas = platform.deploy("classify", configs=[(60, 1.0)])
-    platform.wait_ready("classify")
-    platform.scale_down("classify", replicas[0].pod.pod_id, drain=True)
-    platform.engine.run(until=platform.engine.now + 1.0)
-    platform.deploy("classify", configs=[(60, 1.0)])  # space reclaimed
+    # Each sharing mode releases the binding in the ledger that made it.
+    for sharing in ("fast", "timeshare", "racing", "exclusive"):
+        platform = FaSTGShare.build(nodes=1, sharing=sharing, seed=1)
+        platform.register_function("classify", model="resnet50")
+        replicas = platform.deploy("classify", configs=[(100, 1.0)])
+        platform.wait_ready("classify")
+        platform.scale_down("classify", replicas[0].pod.pod_id, drain=True)
+        platform.engine.run(until=platform.engine.now + 1.0)
+        # A pinned deploy may bind nothing; its scale-down must not raise.
+        pinned = platform.deploy("classify", configs=[(10, 0.1)], node=0)
+        platform.scale_down("classify", pinned[0].pod.pod_id, drain=False)
+        platform.engine.run(until=platform.engine.now + 1.0)
+        platform.deploy("classify", configs=[(100, 1.0)])  # space reclaimed
 
 
 def test_autoscaler_end_to_end_meets_demand():
@@ -152,3 +158,10 @@ def test_heterogeneous_build_accepts_node_list():
     platform = FaSTGShare.build(nodes=("V100", "T4"), sharing="fast", seed=1)
     assert platform.config.nodes == ("V100", "T4")
     assert [n.spec.name for n in platform.cluster.nodes] == ["V100", "T4"]
+
+
+def test_placement_policy_is_a_platform_setting():
+    platform = FaSTGShare.build(nodes=2, sharing="fast", placement="spread")
+    assert platform.placement.policy == "spread"
+    with pytest.raises(ValueError, match="unknown placement policy"):
+        FaSTGShare.build(nodes=2, sharing="fast", placement="best-effort")
