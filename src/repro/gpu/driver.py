@@ -100,24 +100,18 @@ class CudaDriver:
         ctx.destroyed = True
 
     # -- execution ----------------------------------------------------------
-    def launch_burst(self, ctx: CudaContext, duration: float, sm_activity: float,
-                     tag: str = "") -> "Event":
+    def launch_burst(self, ctx: CudaContext, duration: float, sm_activity: float) -> "Event":
         """cuLaunchKernel(+stream): submit one burst; returns completion event.
 
         The burst's SM demand comes from the context's MPS partition; its
         occupancy contribution is clipped to the partition (kernels cannot use
-        SMs the partition withholds).
+        SMs the partition withholds).  Settled bursts leave the context's
+        ``outstanding`` list here, so it only holds what a sync would wait on.
         """
         ctx._check_alive()
         demand = ctx.sm_demand
-        burst = KernelBurst(
-            duration=duration,
-            sm_demand=demand,
-            sm_activity=min(sm_activity, demand / 100.0),
-            owner=ctx.owner,
-            tag=tag,
-        )
-        done = self.device.submit(burst)
+        done = self.device.submit(KernelBurst(duration, demand, min(sm_activity, demand / 100.0)))
+        ctx.outstanding = [e for e in ctx.outstanding if not e.triggered]
         ctx.outstanding.append(done)
         return done
 

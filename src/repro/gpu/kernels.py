@@ -6,6 +6,10 @@ ended by a host-side synchronisation (``cuCtxSynchronize`` /
 ``cuMemcpyDtoH``) — separated by host gaps (pre/post-processing, launch
 overhead).  The FaST hook library requests a time token before each burst and
 reports measured GPU residency after the sync.
+
+An :class:`InferencePlan` is plain data (per-burst durations, one occupancy
+figure, host gaps); the driver builds the one :class:`KernelBurst` of each
+launch, stamping it with the launching context's MPS partition.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ class KernelBurst:
     duration: float
     sm_demand: float
     sm_activity: float
-    owner: str = ""
-    tag: str = ""
 
     def __post_init__(self) -> None:
         if self.duration < 0:
@@ -50,19 +52,24 @@ class KernelBurst:
 class InferencePlan:
     """The full execution plan of one inference request on one replica.
 
-    ``bursts`` alternate with ``host_gaps``: gap[i] is host work *after*
-    burst[i] (the final gap is response serialisation).  ``pre_gap`` is host
-    work before the first kernel launch (input decode, tensor staging).
+    ``durations`` are the bursts' GPU-resident times and alternate with
+    ``host_gaps``: gap[i] is host work *after* burst[i] (the final gap is
+    response serialisation).  ``sm_activity`` is every burst's occupancy
+    contribution at the partition the plan was made for; the partition
+    itself is the launching context's (see :meth:`~repro.gpu.driver.CudaDriver.launch_burst`).
+    ``pre_gap`` is host work before the first kernel launch (input decode,
+    tensor staging).
     """
 
-    bursts: list[KernelBurst]
+    durations: list[float]
+    sm_activity: float
     host_gaps: list[float]
     pre_gap: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.host_gaps) != len(self.bursts):
+        if len(self.host_gaps) != len(self.durations):
             raise ValueError(
-                f"need one host gap per burst: {len(self.bursts)} bursts, "
+                f"need one host gap per burst: {len(self.durations)} bursts, "
                 f"{len(self.host_gaps)} gaps"
             )
         if self.pre_gap < 0 or any(g < 0 for g in self.host_gaps):
@@ -71,12 +78,12 @@ class InferencePlan:
     @property
     def gpu_time(self) -> float:
         """Total GPU-resident time (dedicated, unstretched)."""
-        return sum(b.duration for b in self.bursts)
+        return sum(self.durations)
 
     @property
     def host_time(self) -> float:
         return self.pre_gap + sum(self.host_gaps)
 
-    def steps(self) -> _t.Iterator[tuple[KernelBurst, float]]:
-        """Iterate (burst, following host gap) pairs."""
-        return zip(self.bursts, self.host_gaps)
+    def steps(self) -> _t.Iterator[tuple[float, float]]:
+        """Iterate (burst duration, following host gap) pairs."""
+        return zip(self.durations, self.host_gaps)

@@ -2,14 +2,17 @@
 
 Mirrors the paper's work-node stack (Fig. 2): the GPU device with its driver,
 the MPS server container (DaemonSet-managed), the FaST-Manager backend, the
-Model Storage server, and the set of admitted pods.  The node's *sharing
-mode* decides which of these a pod's container is wired to:
+Model Storage server, and the set of admitted pods.  Every pod's container
+gets the same wiring — a :class:`~repro.manager.frontend.FaSTFrontend` —
+and the node's *sharing mode* decides only whether that frontend has an MPS
+client and a FaST backend:
 
-* ``fast``      — MPS partition + FaST frontend (token-gated, spatial limits);
-* ``timeshare`` — KubeShare-like: token-gated with the partition forced to
-  100% (single-token passing emerges because Σ running partitions ≤ 100%);
-* ``racing``    — unmanaged: direct driver access, full-GPU contexts;
-* ``exclusive`` — device-plugin semantics: direct access, and the device
+* ``fast``      — MPS at the pod's own partition + backend (token-gated,
+  spatial limits);
+* ``timeshare`` — KubeShare-like: backend, MPS partition forced to 100%
+  (single-token passing emerges because Σ running partitions ≤ 100%);
+* ``racing``    — unmanaged: no MPS client, no backend (full-GPU contexts);
+* ``exclusive`` — device-plugin semantics: as ``racing``, and the device
   plugin admits at most one pod per GPU.
 """
 
@@ -25,7 +28,6 @@ from repro.gpu.specs import GPUSpec
 from repro.k8s.objects import Pod, PodPhase
 from repro.manager.backend import FaSTBackend
 from repro.manager.frontend import FaSTFrontend
-from repro.manager.hook import DirectHookLibrary
 from repro.modelshare.server import ModelStorageServer
 from repro.modelshare.store_lib import ModelStoreLib
 
@@ -45,25 +47,24 @@ class Container:
     def __init__(
         self,
         pod: Pod,
-        hook,
+        frontend: FaSTFrontend,
         store_lib: ModelStoreLib | None,
-        frontend: FaSTFrontend | None,
-        teardown: _t.Callable[[], None],
         speed_factor: float = 1.0,
     ):
         self.pod = pod
-        self.hook = hook
-        self.store_lib = store_lib
         self.frontend = frontend
+        self.hook = frontend.hook
+        self.store_lib = store_lib
         #: GPU-type speed relative to the V100 profiles (hetero clusters).
         self.speed_factor = speed_factor
-        self._teardown = teardown
         self.closed = False
 
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            self._teardown()
+            if self.store_lib is not None:
+                self.store_lib.release_all()
+            self.frontend.close()
 
 
 class GPUNode:
@@ -93,7 +94,7 @@ class GPUNode:
         self.speed_factor = gpu_type_factor(spec)
         self.device = GPUDevice(engine, spec, name=f"{name}/gpu0")
         self.driver = CudaDriver(engine, self.device)
-        # DaemonSet: one MPS server container per node (only used by `fast`).
+        # DaemonSet: one MPS server container per node (`fast`/`timeshare` connect).
         self.mps_server = MPSServer(self.device)
         self.mps_server.start()
         self.backend = FaSTBackend(engine, name=f"{name}/fast-backend", window=window)
@@ -228,44 +229,20 @@ class GPUNode:
     # -- container wiring ---------------------------------------------------------
     def _build_container(self, pod: Pod) -> Container:
         spec = pod.spec
-        if self.sharing_mode in ("fast", "timeshare"):
-            partition = spec.sm_partition if self.sharing_mode == "fast" else 100.0
-            frontend = FaSTFrontend(
-                self.engine,
-                pod.pod_id,
-                self.backend,
-                self.driver,
-                self.mps_server,
-                sm_partition=partition,
-                quota_request=spec.quota_request,
-                quota_limit=spec.quota_limit,
-                gpu_mem_mb=spec.gpu_mem_mb,
-            )
-            store_lib = self._make_store_lib(pod, frontend.ctx) if spec.use_model_sharing else None
-
-            def teardown() -> None:
-                if store_lib is not None:
-                    store_lib.release_all()
-                frontend.close()
-
-            return Container(
-                pod, frontend.hook, store_lib, frontend, teardown,
-                speed_factor=self.speed_factor,
-            )
-
-        # racing / exclusive: unmanaged direct access.
-        self.device.memory.allocate(pod.pod_id, spec.gpu_mem_mb)
-        ctx = self.driver.create_context(pod.pod_id)
-        hook = DirectHookLibrary(self.engine, self.driver, ctx, pod.pod_id)
-        store_lib = self._make_store_lib(pod, ctx) if spec.use_model_sharing else None
-
-        def teardown() -> None:
-            if store_lib is not None:
-                store_lib.release_all()
-            self.driver.destroy_context(ctx)
-            self.device.memory.release_owner(pod.pod_id)
-
-        return Container(pod, hook, store_lib, None, teardown, speed_factor=self.speed_factor)
+        managed = self.sharing_mode in ("fast", "timeshare")
+        frontend = FaSTFrontend(
+            self.engine,
+            pod.pod_id,
+            self.backend if managed else None,
+            self.driver,
+            self.mps_server if managed else None,
+            sm_partition=spec.sm_partition if self.sharing_mode == "fast" else 100.0,
+            quota_request=spec.quota_request,
+            quota_limit=spec.quota_limit,
+            gpu_mem_mb=spec.gpu_mem_mb,
+        )
+        store_lib = self._make_store_lib(pod, frontend.ctx) if spec.use_model_sharing else None
+        return Container(pod, frontend, store_lib, speed_factor=self.speed_factor)
 
     def _make_store_lib(self, pod: Pod, ctx) -> ModelStoreLib:
         return ModelStoreLib(self.engine, self.model_storage, self.driver, ctx, pod.pod_id)

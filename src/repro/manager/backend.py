@@ -57,7 +57,6 @@ class PodEntry:
     # -- lifetime accounting (diagnostics / tests) --
     total_gpu_seconds: float = 0.0
     tokens_granted: int = 0
-    windows_blocked: int = 0
 
     @property
     def q_miss(self) -> float:
@@ -97,8 +96,6 @@ class FaSTBackend:
         self.adapter = SMAllocationAdapter()
         self.entries: dict[str, PodEntry] = {}
         self._arrivals = itertools.count()
-        self.window_id = 0
-        self.windows_elapsed = 0
         self._window_handle = engine.schedule(window, self._roll_window)
 
     # -- registration (synced from the FaSTPod controller) --------------------
@@ -219,23 +216,14 @@ class FaSTBackend:
                 self.adapter.acquire(entry.pod_id, entry.sm_partition)
                 entry.holding = True
                 entry.tokens_granted += 1
-                token = TimeToken(
-                    pod_id=entry.pod_id,
-                    sm_partition=entry.sm_partition,
-                    window_id=self.window_id,
-                    granted_at=self.engine.now,
-                )
+                token = TimeToken(pod_id=entry.pod_id, sm_partition=entry.sm_partition)
                 entry.token = token
                 waiter.succeed(token)
                 return
 
     def _roll_window(self) -> None:
         """Window rollover: decay used quotas, unblock pods, re-dispatch."""
-        self.window_id += 1
-        self.windows_elapsed += 1
         for entry in self.entries.values():
-            if entry.blocked:
-                entry.windows_blocked += 1
             # Carry overage beyond the limit into the next window so that
             # long bursts cannot beat the quota in the long run.
             entry.q_used = max(0.0, entry.q_used - entry.quota_limit)

@@ -9,6 +9,9 @@ When a function instance container starts, the frontend
    task executes (steps ③/④ happen per burst inside the hook).
 
 Teardown reverses everything (token, backend row, MPS client, context).
+Every sharing mode uses this one wiring: without an MPS server the context
+sees the whole GPU, and without a backend the hook launches unmediated
+(the racing and device-plugin baselines).
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ class FaSTFrontend:
         self,
         engine: "Engine",
         pod_id: str,
-        backend: FaSTBackend,
+        backend: FaSTBackend | None,
         driver: CudaDriver,
-        mps_server: MPSServer,
+        mps_server: MPSServer | None,
         sm_partition: float,
         quota_request: float,
         quota_limit: float,
@@ -45,9 +48,12 @@ class FaSTFrontend:
         self.driver = driver
         self.gpu_mem_mb = gpu_mem_mb
         # ① configure the SM partition in the MPS server.
-        self.mps_client = mps_server.connect(pod_id, sm_partition)
+        self.mps_client = (
+            mps_server.connect(pod_id, sm_partition) if mps_server is not None else None
+        )
         # ② register quotas (and memory) in the FaST Backend table.
-        self.entry = backend.register(pod_id, sm_partition, quota_request, quota_limit)
+        if backend is not None:
+            backend.register(pod_id, sm_partition, quota_request, quota_limit)
         # Reserve the pod's GPU memory up front (framework + model + buffers).
         driver.device.memory.allocate(pod_id, gpu_mem_mb)
         self.ctx = driver.create_context(pod_id, self.mps_client)
@@ -60,7 +66,9 @@ class FaSTFrontend:
             return
         self.closed = True
         self.hook.release()
-        self.backend.deregister(self.pod_id)
+        if self.backend is not None:
+            self.backend.deregister(self.pod_id)
         self.driver.destroy_context(self.ctx)
         self.driver.device.memory.release_owner(self.pod_id)
-        self.mps_client.disconnect()
+        if self.mps_client is not None:
+            self.mps_client.disconnect()

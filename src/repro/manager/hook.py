@@ -11,6 +11,9 @@ facade with the same protocol:
 * when the backend invalidates the token (window quota consumed), return it
   — freeing the pod's SM reservation — and re-request before the next burst;
 * release the token at the end of a request so idle pods never pin SMs.
+
+Without a backend (the racing and device-plugin baselines) the same hook
+launches straight to the driver: no token, no charge, no release.
 """
 
 from __future__ import annotations
@@ -27,12 +30,17 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 
 class CudaHookLibrary:
-    """Per-pod interception layer between the inference task and the driver."""
+    """Per-pod interception layer between the inference task and the driver.
+
+    ``backend=None`` leaves every launch unmediated: the device's
+    capacity-sharing model alone arbitrates contention, which is exactly the
+    unmanaged behaviour the paper's Fig. 1 measures.
+    """
 
     def __init__(
         self,
         engine: "Engine",
-        backend: FaSTBackend,
+        backend: FaSTBackend | None,
         driver: CudaDriver,
         ctx: CudaContext,
         pod_id: str,
@@ -48,20 +56,16 @@ class CudaHookLibrary:
         self.bursts_executed = 0
 
     # -- token management ----------------------------------------------------
-    @property
-    def holding_valid_token(self) -> bool:
-        return self._token is not None and self._token.valid
-
-    def _ensure_token(self):
+    def _ensure_token(self, backend: FaSTBackend):
         """(generator) Block until the pod holds a valid token."""
-        if self.holding_valid_token:
-            return
         if self._token is not None:
+            if self._token.valid:
+                return
             # Consumed token: return it (frees our SM share) before asking again.
-            self.backend.release_token(self.pod_id)
+            backend.release_token(self.pod_id)
             self._token = None
         wait_start = self.engine.now
-        grant = self.backend.request_token(self.pod_id)
+        grant = backend.request_token(self.pod_id)
         token = yield grant
         self.token_wait_seconds += self.engine.now - wait_start
         self._token = token
@@ -69,21 +73,24 @@ class CudaHookLibrary:
     def release(self) -> None:
         """Return the token (end of request / teardown)."""
         if self._token is not None:
-            self.backend.release_token(self.pod_id)
+            _t.cast(FaSTBackend, self.backend).release_token(self.pod_id)
             self._token = None
 
     # -- intercepted execution ---------------------------------------------------
-    def run_burst(self, duration: float, sm_activity: float, tag: str = ""):
+    def run_burst(self, duration: float, sm_activity: float):
         """(generator) Token-gated launch + timed sync of one kernel burst.
 
         Returns the measured GPU residency (wall-clock seconds the burst was
         resident, i.e. what the quota is charged with).
         """
-        yield from self._ensure_token()
-        done = self.driver.launch_burst(self.ctx, duration, sm_activity, tag=tag)
+        backend = self.backend
+        if backend is not None:
+            yield from self._ensure_token(backend)
+        done = self.driver.launch_burst(self.ctx, duration, sm_activity)
         # CUDA timing event inserted before the synchronisation API:
         residency = yield done
-        self.backend.charge(self.pod_id, _t.cast(float, residency))
+        if backend is not None:
+            backend.charge(self.pod_id, _t.cast(float, residency))
         self.bursts_executed += 1
         return residency
 
@@ -96,50 +103,11 @@ class CudaHookLibrary:
         if plan.pre_gap > 0:
             yield self.engine.timeout(plan.pre_gap)
         gpu_residency = 0.0
-        for burst, gap in plan.steps():
-            residency = yield from self.run_burst(burst.duration, burst.sm_activity)
+        sm_activity = plan.sm_activity
+        for duration, gap in plan.steps():
+            residency = yield from self.run_burst(duration, sm_activity)
             gpu_residency += residency
             if gap > 0:
                 yield self.engine.timeout(gap)
         self.release()
         return gpu_residency
-
-
-class DirectHookLibrary:
-    """Token-less execution path for the baselines (racing / device plugin).
-
-    Same generator interface as :class:`CudaHookLibrary`, but launches go
-    straight to the driver: no time tokens, no SM reservation — the device's
-    capacity-sharing model alone arbitrates contention, which is exactly the
-    unmanaged behaviour the paper's Fig. 1 measures.
-    """
-
-    def __init__(self, engine: "Engine", driver: CudaDriver, ctx: CudaContext, pod_id: str):
-        self.engine = engine
-        self.driver = driver
-        self.ctx = ctx
-        self.pod_id = pod_id
-        self.token_wait_seconds = 0.0  # interface parity: always zero
-        self.bursts_executed = 0
-
-    def run_burst(self, duration: float, sm_activity: float, tag: str = ""):
-        """(generator) Unmediated launch + sync."""
-        done = self.driver.launch_burst(self.ctx, duration, sm_activity, tag=tag)
-        residency = yield done
-        self.bursts_executed += 1
-        return residency
-
-    def run_plan(self, plan: InferencePlan):
-        """(generator) Execute a plan without any token gating."""
-        if plan.pre_gap > 0:
-            yield self.engine.timeout(plan.pre_gap)
-        gpu_residency = 0.0
-        for burst, gap in plan.steps():
-            residency = yield from self.run_burst(burst.duration, burst.sm_activity)
-            gpu_residency += residency
-            if gap > 0:
-                yield self.engine.timeout(gap)
-        return gpu_residency
-
-    def release(self) -> None:
-        """Interface parity with the token hook; nothing to release."""

@@ -9,9 +9,6 @@ the pod's SM partition in the allocation adapter.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-
-_token_ids = itertools.count(1)
 
 
 @dataclasses.dataclass(slots=True)
@@ -20,9 +17,6 @@ class TimeToken:
 
     pod_id: str
     sm_partition: float
-    window_id: int
-    granted_at: float
-    token_id: int = dataclasses.field(default_factory=lambda: next(_token_ids))
     valid: bool = True
 
     def invalidate(self) -> None:

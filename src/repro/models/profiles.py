@@ -8,7 +8,7 @@ import typing as _t
 
 import numpy as np
 
-from repro.gpu.kernels import InferencePlan, KernelBurst
+from repro.gpu.kernels import InferencePlan
 from repro.models.scaling import interpolate_anchors, monotone, saturation_point
 
 #: Fixed storage-process context the Model Storage Server pays per model on a
@@ -193,17 +193,11 @@ class ModelProfile:
             total_gpu *= float(rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma))
             raw = rng.uniform(0.7, 1.3, size=self.n_bursts)
             weights = raw / raw.sum()
-        activity = self.sm_activity(partition_pct)
-        bursts = [
-            KernelBurst(
-                duration=float(total_gpu * w),
-                sm_demand=partition_pct,
-                sm_activity=activity,
-                owner=self.name,
-            )
-            for w in weights
-        ]
         host_total = self.host_time_ms / 1000.0
-        pre_gap = 0.3 * host_total
         per_gap = 0.7 * host_total / self.n_bursts
-        return InferencePlan(bursts=bursts, host_gaps=[per_gap] * self.n_bursts, pre_gap=pre_gap)
+        return InferencePlan(
+            durations=[float(total_gpu * w) for w in weights],
+            sm_activity=self.sm_activity(partition_pct),
+            host_gaps=[per_gap] * self.n_bursts,
+            pre_gap=0.3 * host_total,
+        )

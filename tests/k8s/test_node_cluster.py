@@ -81,7 +81,7 @@ def test_racing_mode_has_no_backend_gating(engine: Engine):
     cluster = Cluster(engine, nodes=1, sharing_mode="racing")
     node = cluster.node(0)
     container = node.admit(make_pod())
-    assert container.frontend is None
+    assert container.hook.backend is None
     assert container.hook.ctx.sm_demand == 100
     assert not node.backend.entries  # nothing registered with the backend
 

@@ -21,7 +21,6 @@ from repro.autoscaler.forecast import make_forecaster
 from repro.autoscaler.registry import register_forecaster, unregister_forecaster
 from repro.faas import requests
 from repro.k8s import objects
-from repro.manager import tokens
 from repro.memtier.policy import MemTierPolicy
 from repro.scenario import (
     AutoscalerSpec,
@@ -155,11 +154,10 @@ def test_sleepers_emit_no_tick_rows(monkeypatch):
     )
 
     def run():
-        # Pod, request and token ids are process-wide serials; restart them
-        # so the two streams compare.
+        # Pod and request ids are process-wide serials; restart them so the
+        # two streams compare.
         monkeypatch.setattr(objects, "_uid_counter", itertools.count(1))
         monkeypatch.setattr(requests, "_request_ids", itertools.count(1))
-        monkeypatch.setattr(tokens, "_token_ids", itertools.count(1))
         return json.loads(run_scenario(scenario, quick=True).to_json())
 
     with monkeypatch.context() as patch:
