@@ -34,6 +34,7 @@ from repro.modelshare.store_lib import ModelStoreLib
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
+#: Sharing mechanisms a node understands (see repro.platform docstring).
 SHARING_MODES = ("fast", "timeshare", "racing", "exclusive")
 
 

@@ -15,8 +15,11 @@ through the *same* code path::
 
 Validation is strict: unknown fields, unknown shapes/policies/GPU types, and
 out-of-range values raise :class:`ScenarioError` with the offending path
-(``functions[1].workload: unknown field 'shapee'``) — a typo'd spec can
-never silently run a different experiment.
+(``functions[1].workload: unknown field(s) 'shapee'``) — a typo'd spec can
+never silently run a different experiment.  Typing is strict too: booleans
+take only ``true``/``false``, strings only strings, and numbers never
+booleans.  One typed codec (:mod:`repro.scenario.codec`) decodes and encodes
+every spec class from its field annotations.
 """
 
 from __future__ import annotations
@@ -28,49 +31,30 @@ import typing as _t
 from repro.autoscaler.registry import available_policies
 from repro.faas.traces import TRACE_SHAPES
 from repro.gpu.specs import GPU_CATALOG
+from repro.k8s.node import SHARING_MODES
 from repro.models import MODEL_ZOO
+from repro.scenario.codec import ScenarioError, Spec
 from repro.scheduler.mra import PLACEMENT_POLICIES
 
 #: Format tag written into serialized scenarios (bumped on breaking change).
 SCENARIO_FORMAT = "fast-gshare-scenario/1"
 
-#: Sharing mechanisms the platform understands (see repro.platform docstring).
-SHARING_MODES = ("fast", "timeshare", "racing", "exclusive")
-
 #: Workload kinds a function entry may declare.
 WORKLOAD_KINDS = ("synthetic", "counts", "trace", "steps", "constant")
 
-
-class ScenarioError(ValueError):
-    """A scenario spec is malformed (unknown field, bad value, bad reference)."""
-
-
-def _require(payload: _t.Any, path: str) -> dict:
-    if not isinstance(payload, dict):
-        raise ScenarioError(f"{path}: expected an object, got {type(payload).__name__}")
-    return dict(payload)
-
-
-def _reject_unknown(leftover: dict, path: str) -> None:
-    if leftover:
-        fields = ", ".join(repr(k) for k in sorted(leftover))
-        raise ScenarioError(f"{path}: unknown field(s) {fields}")
-
-
-def _number(value: _t.Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value: _t.Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
+#: Per workload kind: (keys always written, keys written only when set).
+#: Together they are the keys that kind accepts, besides ``kind`` itself.
+_KIND_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "synthetic": (("shape", "mean_rps", "bins", "bin_s"), ()),
+    "counts": (("counts", "bin_s", "shape"), ()),
+    "trace": (("path",), ("trace_function", "max_bins")),
+    "steps": (("steps", "poisson"), ()),
+    "constant": (("rps", "duration", "poisson"), ()),
+}
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec):
     """One function's offered load, as data.
 
     ``kind`` selects the arrival process:
@@ -107,9 +91,7 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in WORKLOAD_KINDS:
-            raise ScenarioError(
-                f"workload: unknown kind {self.kind!r}; known: {WORKLOAD_KINDS}"
-            )
+            raise ScenarioError(f"workload: unknown kind {self.kind!r}; known: {WORKLOAD_KINDS}")
         if self.max_bins and self.kind != "trace":
             raise ScenarioError("workload: max_bins only applies to trace workloads")
         if self.kind == "synthetic":
@@ -147,87 +129,13 @@ class WorkloadSpec:
             if self.duration <= 0:
                 raise ScenarioError("workload: duration must be positive")
 
-    def to_dict(self) -> dict:
-        payload: dict[str, _t.Any] = {"kind": self.kind}
-        if self.kind == "synthetic":
-            payload.update(
-                shape=self.shape, mean_rps=self.mean_rps, bins=self.bins, bin_s=self.bin_s
-            )
-        elif self.kind == "counts":
-            payload.update(counts=list(self.counts), bin_s=self.bin_s, shape=self.shape)
-        elif self.kind == "trace":
-            payload.update(path=self.path)
-            if self.trace_function:
-                payload["trace_function"] = self.trace_function
-            if self.max_bins:
-                payload["max_bins"] = self.max_bins
-        elif self.kind == "steps":
-            payload.update(steps=[[d, r] for d, r in self.steps], poisson=self.poisson)
-        else:  # constant
-            payload.update(rps=self.rps, duration=self.duration, poisson=self.poisson)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any, path: str = "workload") -> "WorkloadSpec":
-        data = _require(payload, path)
-        kind = data.pop("kind", None)
-        if kind not in WORKLOAD_KINDS:
-            raise ScenarioError(f"{path}: unknown kind {kind!r}; known: {WORKLOAD_KINDS}")
-        kwargs: dict[str, _t.Any] = {"kind": kind}
-        if kind == "synthetic":
-            if "shape" in data:
-                kwargs["shape"] = str(data.pop("shape"))
-            if "mean_rps" in data:
-                kwargs["mean_rps"] = _number(data.pop("mean_rps"), f"{path}.mean_rps")
-            if "bins" in data:
-                kwargs["bins"] = _integer(data.pop("bins"), f"{path}.bins")
-            if "bin_s" in data:
-                kwargs["bin_s"] = _number(data.pop("bin_s"), f"{path}.bin_s")
-        elif kind == "counts":
-            raw = data.pop("counts", None)
-            if not isinstance(raw, list):
-                raise ScenarioError(f"{path}.counts: expected a list of integers")
-            kwargs["counts"] = tuple(_integer(c, f"{path}.counts[{i}]") for i, c in enumerate(raw))
-            if "bin_s" in data:
-                kwargs["bin_s"] = _number(data.pop("bin_s"), f"{path}.bin_s")
-            if "shape" in data:
-                kwargs["shape"] = str(data.pop("shape"))
-        elif kind == "trace":
-            kwargs["path"] = str(data.pop("path", ""))
-            if "trace_function" in data:
-                kwargs["trace_function"] = str(data.pop("trace_function"))
-            if "max_bins" in data:
-                kwargs["max_bins"] = _integer(data.pop("max_bins"), f"{path}.max_bins")
-        elif kind == "steps":
-            raw = data.pop("steps", None)
-            if not isinstance(raw, list):
-                raise ScenarioError(f"{path}.steps: expected a list of [duration, rps] pairs")
-            steps = []
-            for i, pair in enumerate(raw):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ScenarioError(f"{path}.steps[{i}]: expected a [duration, rps] pair")
-                steps.append(
-                    (
-                        _number(pair[0], f"{path}.steps[{i}][0]"),
-                        _number(pair[1], f"{path}.steps[{i}][1]"),
-                    )
-                )
-            kwargs["steps"] = tuple(steps)
-            if "poisson" in data:
-                kwargs["poisson"] = bool(data.pop("poisson"))
-        else:  # constant
-            if "rps" in data:
-                kwargs["rps"] = _number(data.pop("rps"), f"{path}.rps")
-            if "duration" in data:
-                kwargs["duration"] = _number(data.pop("duration"), f"{path}.duration")
-            if "poisson" in data:
-                kwargs["poisson"] = bool(data.pop("poisson"))
-        _reject_unknown(data, path)
-        return cls(**kwargs)
+    def _emits(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        always, when_set = _KIND_KEYS[self.kind]
+        return ("kind", *always), when_set
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class ScenarioFunction:
+class ScenarioFunction(Spec):
     """One tenant: a function, its model/SLO, and its offered workload.
 
     ``slo_ms=None`` takes the model's calibrated SLO.  ``min_replicas`` is
@@ -272,51 +180,9 @@ class ScenarioFunction:
             return self.initial_replicas
         return max(1, self.min_replicas)
 
-    def to_dict(self) -> dict:
-        payload: dict[str, _t.Any] = {
-            "name": self.name,
-            "model": self.model,
-            "workload": self.workload.to_dict(),
-        }
-        if self.slo_ms is not None:
-            payload["slo_ms"] = self.slo_ms
-        if not self.model_sharing:
-            payload["model_sharing"] = False
-        if self.min_replicas != 1:
-            payload["min_replicas"] = self.min_replicas
-        if self.initial_replicas is not None:
-            payload["initial_replicas"] = self.initial_replicas
-        if self.weight_mb is not None:
-            payload["weight_mb"] = self.weight_mb
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any, path: str = "function") -> "ScenarioFunction":
-        data = _require(payload, path)
-        name = str(data.pop("name", ""))
-        model = str(data.pop("model", ""))
-        workload = WorkloadSpec.from_dict(data.pop("workload", None), f"{path}.workload")
-        kwargs: dict[str, _t.Any] = {}
-        if "slo_ms" in data:
-            raw = data.pop("slo_ms")
-            kwargs["slo_ms"] = None if raw is None else _number(raw, f"{path}.slo_ms")
-        if "model_sharing" in data:
-            kwargs["model_sharing"] = bool(data.pop("model_sharing"))
-        if "min_replicas" in data:
-            kwargs["min_replicas"] = _integer(data.pop("min_replicas"), f"{path}.min_replicas")
-        if "initial_replicas" in data:
-            kwargs["initial_replicas"] = _integer(
-                data.pop("initial_replicas"), f"{path}.initial_replicas"
-            )
-        if "weight_mb" in data:
-            raw = data.pop("weight_mb")
-            kwargs["weight_mb"] = None if raw is None else _number(raw, f"{path}.weight_mb")
-        _reject_unknown(data, path)
-        return cls(name=name, model=model, workload=workload, **kwargs)
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class DefragSpec:
+class DefragSpec(Spec):
     """Background defragmentation knobs (see :mod:`repro.migrate`).
 
     When present on a cluster, the platform runs the live-migration
@@ -333,35 +199,13 @@ class DefragSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
-            raise ScenarioError("cluster.defrag: threshold must be in (0, 1)")
+            raise ScenarioError("cluster: defrag threshold must be in (0, 1)")
         if self.max_moves_per_tick < 1:
-            raise ScenarioError("cluster.defrag: max_moves_per_tick must be >= 1")
-
-    def to_dict(self) -> dict:
-        payload: dict[str, _t.Any] = {}
-        defaults = DefragSpec()
-        for field in ("threshold", "max_moves_per_tick"):
-            value = getattr(self, field)
-            if value != getattr(defaults, field):
-                payload[field] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any, path: str = "cluster.defrag") -> "DefragSpec":
-        data = _require(payload, path)
-        kwargs: dict[str, _t.Any] = {}
-        if "threshold" in data:
-            kwargs["threshold"] = _number(data.pop("threshold"), f"{path}.threshold")
-        if "max_moves_per_tick" in data:
-            kwargs["max_moves_per_tick"] = _integer(
-                data.pop("max_moves_per_tick"), f"{path}.max_moves_per_tick"
-            )
-        _reject_unknown(data, path)
-        return cls(**kwargs)
+            raise ScenarioError("cluster: defrag max_moves_per_tick must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class ClusterSpec:
+class ClusterSpec(Spec):
     """The serving cluster: per-node GPU types (or N homogeneous nodes).
 
     ``host_memory_mb`` enables the host↔GPU memory tier: that much host RAM
@@ -372,7 +216,7 @@ class ClusterSpec:
     defragmentation; absent means no migration machinery at all.
     """
 
-    nodes: int | tuple[str, ...] = 1
+    nodes: _t.Annotated[int | tuple[str, ...], "an int or GPU-type list"] = 1
     gpu: str = "V100"
     sharing: str = "fast"
     window: float = 0.1
@@ -407,61 +251,14 @@ class ClusterSpec:
         if self.window <= 0:
             raise ScenarioError("cluster: window must be positive")
 
-    def to_dict(self) -> dict:
-        payload: dict[str, _t.Any] = {
-            "nodes": self.nodes if isinstance(self.nodes, int) else list(self.nodes),
-            "sharing": self.sharing,
-        }
-        if isinstance(self.nodes, int):
-            payload["gpu"] = self.gpu
-        if self.window != 0.1:
-            payload["window"] = self.window
-        if self.host_memory_mb is not None:
-            payload["host_memory_mb"] = self.host_memory_mb
-        if self.fabric_gbps != 16.0:
-            payload["fabric_gbps"] = self.fabric_gbps
-        if self.defrag is not None:
-            payload["defrag"] = self.defrag.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any, path: str = "cluster") -> "ClusterSpec":
-        data = _require(payload, path)
-        kwargs: dict[str, _t.Any] = {}
-        if "host_memory_mb" in data:
-            raw = data.pop("host_memory_mb")
-            kwargs["host_memory_mb"] = (
-                None if raw is None else _number(raw, f"{path}.host_memory_mb")
-            )
-        if "fabric_gbps" in data:
-            kwargs["fabric_gbps"] = _number(data.pop("fabric_gbps"), f"{path}.fabric_gbps")
-        if "defrag" in data:
-            raw = data.pop("defrag")
-            kwargs["defrag"] = (
-                None if raw is None else DefragSpec.from_dict(raw, f"{path}.defrag")
-            )
-        if "nodes" in data:
-            raw = data.pop("nodes")
-            if isinstance(raw, bool):
-                raise ScenarioError(f"{path}.nodes: expected an integer or a list of GPU types")
-            if isinstance(raw, int):
-                kwargs["nodes"] = raw
-            elif isinstance(raw, list):
-                kwargs["nodes"] = tuple(str(n) for n in raw)
-            else:
-                raise ScenarioError(f"{path}.nodes: expected an integer or a list of GPU types")
-        if "gpu" in data:
-            kwargs["gpu"] = str(data.pop("gpu"))
-        if "sharing" in data:
-            kwargs["sharing"] = str(data.pop("sharing"))
-        if "window" in data:
-            kwargs["window"] = _number(data.pop("window"), f"{path}.window")
-        _reject_unknown(data, path)
-        return cls(**kwargs)
+    def _emits(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        # ``gpu`` only means something for N homogeneous nodes.
+        gpu = ("gpu",) if isinstance(self.nodes, int) else ()
+        return ("nodes", "sharing", *gpu), ("window", "host_memory_mb", "fabric_gbps", "defrag")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class AutoscalerSpec:
+class AutoscalerSpec(Spec):
     """The control plane: autoscaling policy + pre-warm/placement knobs.
 
     ``policy`` is any name in
@@ -494,9 +291,7 @@ class AutoscalerSpec:
         # repro.autoscaler.register_forecaster are valid scenario policies.
         policies = available_policies()
         if self.policy not in policies:
-            raise ScenarioError(
-                f"autoscaler: unknown policy {self.policy!r}; known: {policies}"
-            )
+            raise ScenarioError(f"autoscaler: unknown policy {self.policy!r}; known: {policies}")
         if self.placement not in PLACEMENT_POLICIES:
             raise ScenarioError(
                 f"autoscaler: unknown placement {self.placement!r}; "
@@ -511,60 +306,9 @@ class AutoscalerSpec:
         if self.oracle_lead_s < 0:
             raise ScenarioError("autoscaler: oracle_lead_s must be >= 0")
 
-    def to_dict(self) -> dict:
-        payload: dict[str, _t.Any] = {}
-        if not self.enabled:
-            payload["enabled"] = False
-        defaults = AutoscalerSpec()
-        for field in (
-            "policy",
-            "interval",
-            "headroom",
-            "scale_down_cooldown",
-            "down_hysteresis",
-            "min_replicas",
-            "latency_headroom",
-            "placement",
-            "forecast_period_s",
-            "oracle_lead_s",
-        ):
-            value = getattr(self, field)
-            if value != getattr(defaults, field):
-                payload[field] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any, path: str = "autoscaler") -> "AutoscalerSpec":
-        data = _require(payload, path)
-        kwargs: dict[str, _t.Any] = {}
-        if "enabled" in data:
-            kwargs["enabled"] = bool(data.pop("enabled"))
-        for field in ("policy", "placement"):
-            if field in data:
-                kwargs[field] = str(data.pop(field))
-        for field in (
-            "interval",
-            "headroom",
-            "scale_down_cooldown",
-            "down_hysteresis",
-            "latency_headroom",
-            "oracle_lead_s",
-        ):
-            if field in data:
-                kwargs[field] = _number(data.pop(field), f"{path}.{field}")
-        if "min_replicas" in data:
-            kwargs["min_replicas"] = _integer(data.pop("min_replicas"), f"{path}.min_replicas")
-        if "forecast_period_s" in data:
-            raw = data.pop("forecast_period_s")
-            kwargs["forecast_period_s"] = (
-                None if raw is None else _number(raw, f"{path}.forecast_period_s")
-            )
-        _reject_unknown(data, path)
-        return cls(**kwargs)
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class MeasurementSpec:
+class MeasurementSpec(Spec):
     """The measured window: optional warm-up, post-horizon drain, sampling.
 
     ``telemetry: true`` additionally records the run's structured event
@@ -586,34 +330,13 @@ class MeasurementSpec:
         if self.sample_dt <= 0:
             raise ScenarioError("measurement: sample_dt must be positive")
 
-    def to_dict(self) -> dict:
-        payload: dict[str, _t.Any] = {}
-        defaults = MeasurementSpec()
-        for field in ("warmup_s", "drain_s", "sample_dt", "telemetry"):
-            value = getattr(self, field)
-            if value != getattr(defaults, field):
-                payload[field] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any, path: str = "measurement") -> "MeasurementSpec":
-        data = _require(payload, path)
-        kwargs: dict[str, _t.Any] = {}
-        for field in ("warmup_s", "drain_s", "sample_dt"):
-            if field in data:
-                kwargs[field] = _number(data.pop(field), f"{path}.{field}")
-        if "telemetry" in data:
-            value = data.pop("telemetry")
-            if not isinstance(value, bool):
-                raise ScenarioError(f"{path}.telemetry: expected true/false")
-            kwargs["telemetry"] = value
-        _reject_unknown(data, path)
-        return cls(**kwargs)
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(Spec):
     """One complete, declarative multi-tenant serving experiment."""
+
+    _format = SCENARIO_FORMAT
+    _always = ("seed", "cluster", "autoscaler", "measurement")
 
     name: str
     functions: tuple[ScenarioFunction, ...]
@@ -653,70 +376,6 @@ class Scenario:
                 return fn
         raise KeyError(f"no function {name!r} in scenario {self.name!r}")
 
-    # -- serialization ----------------------------------------------------------
-    def to_dict(self) -> dict:
-        payload: dict[str, _t.Any] = {
-            "format": SCENARIO_FORMAT,
-            "name": self.name,
-            "seed": self.seed,
-            "cluster": self.cluster.to_dict(),
-            "functions": [f.to_dict() for f in self.functions],
-            "autoscaler": self.autoscaler.to_dict(),
-            "measurement": self.measurement.to_dict(),
-        }
-        if self.description:
-            payload["description"] = self.description
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any) -> "Scenario":
-        data = _require(payload, "scenario")
-        fmt = data.pop("format", None)
-        if fmt != SCENARIO_FORMAT:
-            raise ScenarioError(
-                f"scenario: unsupported format {fmt!r} (want {SCENARIO_FORMAT!r})"
-            )
-        name = str(data.pop("name", ""))
-        description = str(data.pop("description", ""))
-        seed = data.pop("seed", 42)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ScenarioError(f"scenario.seed: expected an integer, got {seed!r}")
-        cluster = (
-            ClusterSpec.from_dict(data.pop("cluster"), "cluster")
-            if "cluster" in data
-            else ClusterSpec()
-        )
-        raw_functions = data.pop("functions", None)
-        if not isinstance(raw_functions, list):
-            raise ScenarioError("scenario.functions: expected a list of function entries")
-        functions = tuple(
-            ScenarioFunction.from_dict(entry, f"functions[{i}]")
-            for i, entry in enumerate(raw_functions)
-        )
-        autoscaler = (
-            AutoscalerSpec.from_dict(data.pop("autoscaler"), "autoscaler")
-            if "autoscaler" in data
-            else AutoscalerSpec()
-        )
-        measurement = (
-            MeasurementSpec.from_dict(data.pop("measurement"), "measurement")
-            if "measurement" in data
-            else MeasurementSpec()
-        )
-        _reject_unknown(data, "scenario")
-        return cls(
-            name=name,
-            functions=functions,
-            cluster=cluster,
-            autoscaler=autoscaler,
-            measurement=measurement,
-            seed=seed,
-            description=description,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         try:
@@ -724,10 +383,6 @@ class Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario: invalid JSON ({exc})") from exc
         return cls.from_dict(payload)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
 
     # -- quick variant ----------------------------------------------------------
     def quick(self) -> "Scenario":
@@ -760,9 +415,7 @@ def _quick_workload(spec: WorkloadSpec) -> WorkloadSpec:
         if total <= 40.0:
             return spec
         factor = 40.0 / total
-        return dataclasses.replace(
-            spec, steps=tuple((d * factor, r) for d, r in spec.steps)
-        )
+        return dataclasses.replace(spec, steps=tuple((d * factor, r) for d, r in spec.steps))
     if spec.kind == "constant":
         return dataclasses.replace(spec, duration=min(spec.duration, 10.0))
     # trace: replay only the first bins of the committed file.

@@ -70,16 +70,15 @@ import os
 import typing as _t
 import zlib
 
-from repro.autoscaler.registry import available_policies
-from repro.gpu.specs import GPU_CATALOG
+from repro.scenario.codec import Spec, decode_spec, field_decoder
 from repro.scenario.spec import (
-    DefragSpec,
+    AutoscalerSpec,
+    ClusterSpec,
     Scenario,
     ScenarioError,
     WorkloadSpec,
     load_scenario,
 )
-from repro.scheduler.mra import PLACEMENT_POLICIES
 
 #: Format tag written into serialized sweeps (bumped on breaking change).
 SWEEP_FORMAT = "fast-gshare-sweep/1"
@@ -96,6 +95,20 @@ SWEEP_AXES = (
     "host_memory",
     "defrag",
 )
+
+#: The axes that set one spec field: axis → (scenario section, field).  A
+#: ``defrag`` value is the threshold of a fresh ``DefragSpec``, i.e. it sets
+#: ``cluster.defrag`` to ``{"threshold": value}`` (null: no defragmenter).
+_FIELD_AXES = {
+    "placement": ("autoscaler", "placement"),
+    "autoscaler": ("autoscaler", "policy"),
+    "nodes": ("cluster", "nodes"),
+    "headroom": ("autoscaler", "headroom"),
+    "fabric_gbps": ("cluster", "fabric_gbps"),
+    "host_memory": ("cluster", "host_memory_mb"),
+    "defrag": ("cluster", "defrag"),
+}
+_SECTIONS = {"autoscaler": AutoscalerSpec, "cluster": ClusterSpec}
 
 #: Cell metrics an ``assert`` entry may compare.  The memory-tier and
 #: migration counts read as 0 in cells where the tier or the defragmenter
@@ -165,8 +178,24 @@ def coords_key(coords: _t.Sequence[tuple[str, _t.Any]]) -> str:
     return ",".join(f"{axis}={axis_value_label(value)}" for axis, value in coords)
 
 
+def _field_value(axis: str, value: _t.Any) -> _t.Any:
+    """Decode one axis value with the type of the field it sets, and build
+    that section so the section's own checks validate it."""
+    section, name = _FIELD_AXES[axis]
+    raw = axis_value_to_json(value)
+    if axis == "defrag" and raw is not None:
+        raw = {"threshold": raw}
+    cls = _SECTIONS[section]
+    try:
+        decoded = field_decoder(cls, name)(raw, f"{section}.{name}")
+        cls(**{name: decoded})
+    except ScenarioError as exc:
+        raise SweepError(f"axes[{axis}]: {exc}") from exc
+    return decoded
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
-class SweepAxis:
+class SweepAxis(Spec):
     """One grid dimension: an axis name and its explicit value list."""
 
     axis: str
@@ -174,9 +203,7 @@ class SweepAxis:
 
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
-            raise SweepError(
-                f"axes: unknown axis {self.axis!r}; known: {SWEEP_AXES}"
-            )
+            raise SweepError(f"axes: unknown axis {self.axis!r}; known: {SWEEP_AXES}")
         # Normalize list-valued entries (node lists) to hashable tuples.
         object.__setattr__(
             self,
@@ -185,105 +212,24 @@ class SweepAxis:
         )
         if not self.values:
             raise SweepError(f"axes[{self.axis}]: needs at least one value")
+        path = f"axes[{self.axis}]"
+        for value in self.values:
+            if self.axis == "fleet_size":
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise SweepError(f"{path}: expected an integer, got {value!r}")
+                if value < 1:
+                    raise SweepError(f"{path}: fleet_size must be >= 1, got {value}")
+            elif self.axis == "workload_scale":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise SweepError(f"{path}: expected a number, got {value!r}")
+                if value <= 0:
+                    raise SweepError(f"{path}: workload_scale must be positive, got {value}")
+            else:
+                _field_value(self.axis, value)
         if len(set(self.values)) != len(self.values):
             raise SweepError(
-                f"axes[{self.axis}]: duplicate values {list(self.values)} "
-                "would collide in the grid"
+                f"{path}: duplicate values {list(self.values)} would collide in the grid"
             )
-        for value in self.values:
-            self._validate_value(value)
-
-    def _validate_value(self, value: _t.Any) -> None:
-        path = f"axes[{self.axis}]"
-        if self.axis == "placement":
-            if value not in PLACEMENT_POLICIES:
-                raise SweepError(
-                    f"{path}: unknown placement {value!r}; known: {PLACEMENT_POLICIES}"
-                )
-        elif self.axis == "autoscaler":
-            # Read the registry at validation time so plugin-registered
-            # policies are sweepable without touching this module.
-            known = available_policies()
-            if value not in known:
-                raise SweepError(
-                    f"{path}: unknown policy {value!r}; known: {known}"
-                )
-        elif self.axis == "nodes":
-            if isinstance(value, bool):
-                raise SweepError(f"{path}: expected an int or GPU-type list, got {value!r}")
-            if isinstance(value, int):
-                if value < 1:
-                    raise SweepError(f"{path}: need at least one node, got {value}")
-            elif isinstance(value, tuple):
-                if not value:
-                    raise SweepError(f"{path}: need at least one node")
-                for name in value:
-                    if name not in GPU_CATALOG:
-                        raise SweepError(
-                            f"{path}: unknown GPU type {name!r}; known: {sorted(GPU_CATALOG)}"
-                        )
-            else:
-                raise SweepError(f"{path}: expected an int or GPU-type list, got {value!r}")
-        elif self.axis == "fleet_size":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SweepError(f"{path}: expected an integer, got {value!r}")
-            if value < 1:
-                raise SweepError(f"{path}: fleet_size must be >= 1, got {value}")
-        elif self.axis == "workload_scale":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SweepError(f"{path}: expected a number, got {value!r}")
-            if value <= 0:
-                raise SweepError(f"{path}: workload_scale must be positive, got {value}")
-        elif self.axis == "headroom":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SweepError(f"{path}: expected a number, got {value!r}")
-            if value < 1.0:
-                raise SweepError(f"{path}: headroom must be >= 1, got {value}")
-        elif self.axis == "fabric_gbps":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SweepError(f"{path}: expected a number, got {value!r}")
-            if value <= 0:
-                raise SweepError(f"{path}: fabric_gbps must be positive, got {value}")
-        elif self.axis == "host_memory":
-            # MB per node; null disables the host tier.
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise SweepError(f"{path}: expected a number or null, got {value!r}")
-            if value is not None and value <= 0:
-                raise SweepError(f"{path}: host_memory must be positive, got {value}")
-        else:  # defrag (trigger threshold; null disables live migration)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise SweepError(f"{path}: expected a number or null, got {value!r}")
-            if value is not None and not 0.0 < value < 1.0:
-                raise SweepError(f"{path}: defrag threshold must be in (0, 1), got {value}")
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "values": [axis_value_to_json(v) for v in self.values],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any, path: str = "axes") -> "SweepAxis":
-        if not isinstance(payload, dict):
-            raise SweepError(f"{path}: expected an object, got {type(payload).__name__}")
-        data = dict(payload)
-        axis = data.pop("axis", None)
-        if not isinstance(axis, str):
-            raise SweepError(f"{path}: each axis entry needs an 'axis' name")
-        raw_values = data.pop("values", None)
-        if not isinstance(raw_values, list):
-            raise SweepError(f"{path}[{axis}]: 'values' must be a list")
-        if data:
-            fields = ", ".join(repr(k) for k in sorted(data))
-            raise SweepError(f"{path}[{axis}]: unknown field(s) {fields}")
-        values = tuple(
-            tuple(str(n) for n in v) if isinstance(v, list) else v for v in raw_values
-        )
-        return cls(axis=axis, values=values)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -299,47 +245,18 @@ class SweepCell:
     def key(self) -> str:
         return coords_key(self.coords)
 
-    @property
-    def coords_dict(self) -> dict[str, _t.Any]:
-        return {axis: axis_value_to_json(value) for axis, value in self.coords}
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class SweepAssertion:
+class SweepAssertion(Spec):
     """One ``assert`` entry: ``cell`` beats every ``vs`` cell on each metric
     (strictly on ``lt`` metrics, lower or equal on ``le`` metrics)."""
+
+    _always = ("lt", "le")
 
     cell: str
     vs: tuple[str, ...]
     lt: tuple[str, ...] = ()
     le: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "cell": self.cell,
-            "vs": list(self.vs),
-            "lt": list(self.lt),
-            "le": list(self.le),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: _t.Any, path: str) -> "SweepAssertion":
-        if not isinstance(payload, dict):
-            raise SweepError(f"{path}: expected an object, got {type(payload).__name__}")
-        data = dict(payload)
-        cell = data.pop("cell", None)
-        if not isinstance(cell, str):
-            raise SweepError(f"{path}.cell: expected a cell key string")
-        lists = {}
-        for name in ("vs", "lt", "le"):
-            raw = data.pop(name, [])
-            if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-                raise SweepError(f"{path}.{name}: expected a list of strings")
-            lists[name] = tuple(raw)
-        if data:
-            fields = ", ".join(repr(k) for k in sorted(data))
-            raise SweepError(f"{path}: unknown field(s) {fields}")
-        return cls(cell=cell, **lists)
 
 
 def _scale_workload(spec: WorkloadSpec, factor: float, function: str) -> WorkloadSpec:
@@ -347,13 +264,9 @@ def _scale_workload(spec: WorkloadSpec, factor: float, function: str) -> Workloa
     if spec.kind == "synthetic":
         return dataclasses.replace(spec, mean_rps=spec.mean_rps * factor)
     if spec.kind == "counts":
-        return dataclasses.replace(
-            spec, counts=tuple(int(round(c * factor)) for c in spec.counts)
-        )
+        return dataclasses.replace(spec, counts=tuple(int(round(c * factor)) for c in spec.counts))
     if spec.kind == "steps":
-        return dataclasses.replace(
-            spec, steps=tuple((d, r * factor) for d, r in spec.steps)
-        )
+        return dataclasses.replace(spec, steps=tuple((d, r * factor) for d, r in spec.steps))
     if spec.kind == "constant":
         return dataclasses.replace(spec, rps=spec.rps * factor)
     raise SweepError(
@@ -365,18 +278,12 @@ def _scale_workload(spec: WorkloadSpec, factor: float, function: str) -> Workloa
 
 def apply_axis(scenario: Scenario, axis: str, value: _t.Any) -> Scenario:
     """Return ``scenario`` with one axis value applied (pure, validation kept)."""
-    if axis == "placement":
-        return dataclasses.replace(
-            scenario, autoscaler=dataclasses.replace(scenario.autoscaler, placement=value)
+    if axis in _FIELD_AXES:
+        section, name = _FIELD_AXES[axis]
+        updated = dataclasses.replace(
+            getattr(scenario, section), **{name: _field_value(axis, value)}
         )
-    if axis == "autoscaler":
-        return dataclasses.replace(
-            scenario, autoscaler=dataclasses.replace(scenario.autoscaler, policy=value)
-        )
-    if axis == "nodes":
-        return dataclasses.replace(
-            scenario, cluster=dataclasses.replace(scenario.cluster, nodes=value)
-        )
+        return dataclasses.replace(scenario, **{section: updated})
     if axis == "fleet_size":
         if value > len(scenario.functions):
             raise SweepError(
@@ -394,38 +301,15 @@ def apply_axis(scenario: Scenario, axis: str, value: _t.Any) -> Scenario:
                 for fn in scenario.functions
             ),
         )
-    if axis == "headroom":
-        return dataclasses.replace(
-            scenario,
-            autoscaler=dataclasses.replace(scenario.autoscaler, headroom=float(value)),
-        )
-    if axis == "fabric_gbps":
-        return dataclasses.replace(
-            scenario,
-            cluster=dataclasses.replace(scenario.cluster, fabric_gbps=float(value)),
-        )
-    if axis == "host_memory":
-        return dataclasses.replace(
-            scenario,
-            cluster=dataclasses.replace(
-                scenario.cluster,
-                host_memory_mb=None if value is None else float(value),
-            ),
-        )
-    if axis == "defrag":
-        return dataclasses.replace(
-            scenario,
-            cluster=dataclasses.replace(
-                scenario.cluster,
-                defrag=None if value is None else DefragSpec(threshold=float(value)),
-            ),
-        )
     raise SweepError(f"unknown axis {axis!r}; known: {SWEEP_AXES}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class Sweep:
+class Sweep(Spec):
     """A parameter grid over a base Scenario (see module docstring)."""
+
+    _format = SWEEP_FORMAT
+    _keys = {"asserts": "assert"}
 
     name: str
     base: Scenario
@@ -495,93 +379,34 @@ class Sweep:
         CRC-derived per-cell seed (``reseed=True``: independent draws).
         """
         cells = []
-        for index, values in enumerate(
-            itertools.product(*(axis.values for axis in self.axes))
-        ):
-            coords = tuple(
-                (axis.axis, value) for axis, value in zip(self.axes, values)
-            )
+        for index, values in enumerate(itertools.product(*(axis.values for axis in self.axes))):
+            coords = tuple((axis.axis, value) for axis, value in zip(self.axes, values))
             key = coords_key(coords)
-            seed = (
-                derive_cell_seed(self.base.seed, key) if self.reseed else self.base.seed
-            )
+            seed = derive_cell_seed(self.base.seed, key) if self.reseed else self.base.seed
             scenario = self.base
             for axis_name, value in coords:
                 scenario = apply_axis(scenario, axis_name, value)
-            scenario = dataclasses.replace(
-                scenario, name=f"{self.base.name}[{key}]", seed=seed
-            )
+            scenario = dataclasses.replace(scenario, name=f"{self.base.name}[{key}]", seed=seed)
             cells.append(SweepCell(index=index, coords=coords, scenario=scenario, seed=seed))
         return tuple(cells)
-
-    # -- serialization ----------------------------------------------------------
-    def to_dict(self) -> dict:
-        payload: dict[str, _t.Any] = {
-            "format": SWEEP_FORMAT,
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-        }
-        if self.reseed:
-            payload["reseed"] = True
-        if self.cell_budget_s is not None:
-            payload["cell_budget_s"] = self.cell_budget_s
-        if self.description:
-            payload["description"] = self.description
-        if self.asserts:
-            payload["assert"] = [check.to_dict() for check in self.asserts]
-        return payload
 
     @classmethod
     def from_dict(cls, payload: _t.Any, root: str = ".") -> "Sweep":
         """Parse a sweep payload; a path-string ``base`` resolves against ``root``."""
-        if not isinstance(payload, dict):
-            raise SweepError(f"sweep: expected an object, got {type(payload).__name__}")
-        data = dict(payload)
-        fmt = data.pop("format", None)
-        if fmt != SWEEP_FORMAT:
-            raise SweepError(f"sweep: unsupported format {fmt!r} (want {SWEEP_FORMAT!r})")
-        name = str(data.pop("name", ""))
-        description = str(data.pop("description", ""))
-        reseed = bool(data.pop("reseed", False))
-        budget = data.pop("cell_budget_s", None)
-        if budget is not None and (
-            isinstance(budget, bool) or not isinstance(budget, (int, float))
-        ):
-            raise SweepError(f"sweep.cell_budget_s: expected a number, got {budget!r}")
-        raw_base = data.pop("base", None)
+        base = payload.get("base") if type(payload) is dict else None
+        if base is not None:
+            try:
+                if isinstance(base, str):
+                    base = load_scenario(os.path.join(root, base))
+                else:
+                    base = Scenario.from_dict(base)
+            except ScenarioError as exc:
+                raise SweepError(f"base: {exc}") from exc
+            payload = {**payload, "base": base}
         try:
-            if isinstance(raw_base, str):
-                base = load_scenario(os.path.join(root, raw_base))
-            else:
-                base = Scenario.from_dict(raw_base)
+            return decode_spec(cls, payload)
         except ScenarioError as exc:
-            raise SweepError(f"base: {exc}") from exc
-        raw_axes = data.pop("axes", None)
-        if not isinstance(raw_axes, list):
-            raise SweepError("sweep.axes: expected a list of axis entries")
-        axes = tuple(SweepAxis.from_dict(entry) for entry in raw_axes)
-        raw_asserts = data.pop("assert", [])
-        if not isinstance(raw_asserts, list):
-            raise SweepError("assert: expected a list of assertion entries")
-        asserts = tuple(
-            SweepAssertion.from_dict(entry, f"assert[{i}]") for i, entry in enumerate(raw_asserts)
-        )
-        if data:
-            fields = ", ".join(repr(k) for k in sorted(data))
-            raise SweepError(f"sweep: unknown field(s) {fields}")
-        return cls(
-            name=name,
-            base=base,
-            axes=axes,
-            reseed=reseed,
-            cell_budget_s=None if budget is None else float(budget),
-            description=description,
-            asserts=asserts,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+            raise SweepError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, text: str, root: str = ".") -> "Sweep":
@@ -590,10 +415,6 @@ class Sweep:
         except json.JSONDecodeError as exc:
             raise SweepError(f"sweep: invalid JSON ({exc})") from exc
         return cls.from_dict(payload, root)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
 
 
 def load_sweep(path: str) -> Sweep:

@@ -91,6 +91,18 @@ def test_defaults_are_omitted_from_json():
         (lambda d: d["cluster"].__setitem__("nodes", ["H900"]), "unknown GPU type"),
         (lambda d: d.__setitem__("format", "fast-gshare-scenario/999"), "unsupported format"),
         (lambda d: d.__setitem__("functions", []), "at least one function"),
+        # strict typing: no silent coercion of a wrong-typed value
+        (lambda d: d["autoscaler"].__setitem__("enabled", "false"), r"autoscaler\.enabled"),
+        (
+            lambda d: d["functions"][0].__setitem__("model_sharing", "false"),
+            r"functions\[0\]\.model_sharing",
+        ),
+        (lambda d: d["functions"][0].__setitem__("name", None), r"functions\[0\]\.name"),
+        (
+            lambda d: d["functions"][2]["workload"].__setitem__("poisson", 0),
+            r"functions\[2\]\.workload\.poisson",
+        ),
+        (lambda d: d.__setitem__("description", 5), "description"),
     ],
 )
 def test_invalid_specs_raise_scenario_error(mutate, message):

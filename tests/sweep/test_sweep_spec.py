@@ -241,6 +241,17 @@ def test_unknown_fields_rejected():
         Sweep.from_dict(payload)
 
 
+def test_reseed_takes_only_a_boolean():
+    payload = Sweep(
+        name="rt",
+        base=base_scenario(),
+        axes=(SweepAxis(axis="placement", values=("binpack",)),),
+    ).to_dict()
+    payload["reseed"] = "false"
+    with pytest.raises(SweepError, match="reseed: expected true/false"):
+        Sweep.from_dict(payload)
+
+
 def test_base_scenario_errors_carry_path():
     payload = Sweep(
         name="rt",

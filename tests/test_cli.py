@@ -175,6 +175,15 @@ def test_scenario_unknown_field_exits_nonzero(tmp_path, capsys):
     assert load_scenario(EXAMPLE_SCENARIO).name == "cold_bursty"
 
 
+def test_scenario_wrong_typed_field_exits_two_naming_its_path(tmp_path, capsys):
+    spec = json.loads(__import__("pathlib").Path(EXAMPLE_SCENARIO).read_text())
+    spec["autoscaler"]["enabled"] = "false"  # a string, not a boolean
+    path = tmp_path / "string_bool.json"
+    path.write_text(json.dumps(spec))
+    assert main(["scenario", str(path)]) == 2
+    assert "autoscaler.enabled: expected true/false" in capsys.readouterr().err
+
+
 def test_scenario_bad_policy_exits_nonzero(tmp_path, capsys):
     spec = json.loads(__import__("pathlib").Path(EXAMPLE_SCENARIO).read_text())
     spec["autoscaler"]["policy"] = "hybrdi"
