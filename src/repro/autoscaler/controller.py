@@ -29,11 +29,20 @@ keeps that so until traffic returns).  It wakes on a new arrival, any change
 to its replicas or parked pods, or the policy's :meth:`wake_at` deadline;
 waking early only costs a view.  A never-invoked function with a quiet
 forecaster starts asleep.  Without a policy nothing goes back to sleep.
+
+Waking is pushed, not polled: ``Gateway.submit`` and every replica or
+parked-pod change in the FaSTPod controller add the function to the
+gateway's ``touched`` set, and deadlines wait in a heap.  :meth:`wake` asks
+:meth:`dormant` — still the only judge — about those candidates alone, so a
+tick costs O(woken) rather than O(sleepers).  A sleeper that is neither
+touched nor due is dormant: each of its wake conditions needs one of those
+events first.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 import typing as _t
 
@@ -52,6 +61,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.k8s.fastpod import FaSTPodController
     from repro.scheduler.scheduler import FaSTScheduler
     from repro.sim.engine import Engine
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class AutoscaleEvent:
@@ -101,6 +111,9 @@ class PredictiveAutoscaler:
             for name in self._names
             if name not in self.forecasters or self.forecasters[name].quiet_until_observed
         }
+        #: Finite sleep deadlines as a heap of (wake_at, name); entries of
+        #: functions that have since woken are dropped when they come due.
+        self._deadlines: list[tuple[float, str]] = []
         #: (tick time, forecast rate per viewed function) of the last views.
         self._view_rates: tuple[float, dict[str, float | None]] = (-math.inf, {})
 
@@ -160,14 +173,28 @@ class PredictiveAutoscaler:
     def wake(self) -> _t.Container[str]:
         """Wake every sleeper :meth:`dormant` no longer holds; returns the
         names still asleep.  The scheduler calls this first in its tick."""
-        for name in [name for name in self._asleep if not self.dormant(name)]:
-            del self._asleep[name]
-        return self._asleep.keys()
+        asleep = self._asleep
+        for name in self._candidates(self.engine.now):
+            if name in asleep and not self.dormant(name):
+                del asleep[name]
+        return asleep.keys()
+
+    def _candidates(self, now: float) -> list[str]:
+        """The functions that may have woken since the last :meth:`wake`:
+        touched (an arrival, a replica or parked-pod change) or due."""
+        touched = self.gateway.touched
+        names = list(touched)
+        touched.clear()
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] <= now:
+            names.append(heapq.heappop(deadlines)[1])
+        return names
 
     def wake_all(self) -> None:
         """Wake every function (something outside the sleep rule moved,
         e.g. an oracle forecaster's trace origin)."""
         self._asleep.clear()
+        self._deadlines.clear()
 
     # -- the tick ---------------------------------------------------------------------
     def on_tick(self) -> None:
@@ -253,15 +280,16 @@ class PredictiveAutoscaler:
             and not controller.replicas
             and all(pod.phase is PodPhase.HOST_RESIDENT for pod in controller.parked.values())
         ):
+            wake_at = self.policy.wake_at(view)
             self._asleep[view.function] = (
                 self.gateway.submitted.get(view.function, 0),
                 frozenset(controller.parked),
-                self.policy.wake_at(view),
+                wake_at,
             )
+            if wake_at < math.inf:
+                heapq.heappush(self._deadlines, (wake_at, view.function))
 
-    def note_event(
-        self, action: str, function: str, reason: str, **payload: object
-    ) -> None:
+    def note_event(self, action: str, function: str, reason: str, **payload: object) -> None:
         """Record an applied decision (extension-action bookkeeping hook).
 
         ``payload`` is decision context for the telemetry audit trail only

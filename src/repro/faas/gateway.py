@@ -63,7 +63,9 @@ class Gateway:
         self.promote_load_threshold = promote_load_threshold
         self.log = RequestLog()
         self._replicas: dict[str, list["FunctionReplica"]] = collections.defaultdict(list)
-        self._pending: dict[str, collections.deque[Request]] = collections.defaultdict(collections.deque)
+        self._pending: dict[str, collections.deque[Request]] = collections.defaultdict(
+            collections.deque
+        )
         #: WARM_IDLE replicas available for promotion, FIFO per function.
         self._warm: dict[str, list["FunctionReplica"]] = collections.defaultdict(list)
         #: promotions triggered but not yet serving (replica_ready pending).
@@ -82,10 +84,15 @@ class Gateway:
         self.swap_promotions_by_function: dict[str, int] = collections.defaultdict(int)
         self._rr: dict[str, int] = collections.defaultdict(int)
         #: per-function arrival counts in fixed wall-clock bins (RPS signal).
-        self._arrival_bins: dict[str, collections.Counter] = collections.defaultdict(collections.Counter)
+        self._arrival_bins: dict[str, collections.Counter] = collections.defaultdict(
+            collections.Counter
+        )
         #: most recent arrival time per function (keep-alive signal).
         self.last_arrival: dict[str, float] = {}
         self.submitted: dict[str, int] = collections.defaultdict(int)
+        #: Functions with an arrival or a replica/parked-pod change since
+        #: the autoscaler last looked (it drains the set to wake sleepers).
+        self.touched: set[str] = set()
 
     # -- replica membership (called by the FaSTPod controller / replicas) -------
     def replica_ready(self, replica: "FunctionReplica") -> None:
@@ -215,6 +222,7 @@ class Gateway:
         now = self.engine.now
         request = Request(function=function, arrival=now, done_event=done_event)
         self.submitted[function] += 1
+        self.touched.add(function)
         self.log.note_submitted()
         self._arrival_bins[function][math.floor(now / self.rps_bin_s)] += 1
         self.last_arrival[function] = now

@@ -119,10 +119,15 @@ class RequestLog:
         return sum(1 for r in self.completed if r.swap_wait > 0.0)
 
     def latency_percentile_ms(self, percentile: float) -> float:
+        return self.latency_percentiles_ms(percentile)[0]
+
+    def latency_percentiles_ms(self, *percentiles: float) -> tuple[float, ...]:
+        """Several latency percentiles (ms) from one ``np.percentile`` call
+        (bit-identical to one call each); NaN each when nothing completed."""
         latencies = self.latencies_ms()
         if latencies.size == 0:
-            return float("nan")
-        return float(np.percentile(latencies, percentile))
+            return (float("nan"),) * len(percentiles)
+        return tuple(float(p) for p in np.percentile(latencies, percentiles))
 
     def throughput(self, duration: float) -> float:
         """Completed requests per second over ``duration``."""
@@ -130,7 +135,9 @@ class RequestLog:
             raise ValueError("duration must be positive")
         return len(self.completed) / duration
 
-    def completions_per_second(self, horizon: float, bin_s: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    def completions_per_second(
+        self, horizon: float, bin_s: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Time series of completion rate (the paper's throughput-vs-time plots)."""
         edges = np.arange(0.0, horizon + bin_s, bin_s)
         ends = np.array([r.end for r in self.completed if r.end is not None], dtype=float)

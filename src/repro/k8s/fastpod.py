@@ -76,8 +76,9 @@ class FaSTPodController:
             gpu_mem_mb=self.function.pod_gpu_mem_mb(),
             use_model_sharing=self.function.use_model_sharing,
         )
-        meta = ObjectMeta(name=name, annotations=spec.annotations(),
-                          labels={"faas_function": self.function.name})
+        meta = ObjectMeta(
+            name=name, annotations=spec.annotations(), labels={"faas_function": self.function.name}
+        )
         pod = Pod(meta=meta, spec=spec)
         self.cluster.register_pod(pod)
         container = node.admit(pod)
@@ -96,6 +97,7 @@ class FaSTPodController:
             swap_fabric=node.fabric if swap_in_mb is not None else None,
         )
         self.replicas[pod.pod_id] = replica
+        self._touch()
         return replica
 
     # -- scale down ------------------------------------------------------------------
@@ -105,6 +107,7 @@ class FaSTPodController:
         replica = self.replicas.pop(pod_id, None)
         if replica is None:
             raise KeyError(f"{self.function.name}: no replica {pod_id}")
+        self._touch()
 
         def terminate():
             if drain:
@@ -138,6 +141,7 @@ class FaSTPodController:
             self.replicas[pod_id] = replica
             raise ValueError(f"{self.function.name}: {pod_id} is not WARM_IDLE")
         self.parked[pod_id] = replica.pod
+        self._touch()
 
         def demote():
             replica.kill()
@@ -183,6 +187,7 @@ class FaSTPodController:
             swap_fabric=node.fabric,
         )
         self.replicas[pod.pod_id] = replica
+        self._touch()
         return replica
 
     def evict_parked(self, pod_id: str) -> None:
@@ -190,8 +195,13 @@ class FaSTPodController:
         pod = self.parked.pop(pod_id, None)
         if pod is None:
             raise KeyError(f"{self.function.name}: no parked pod {pod_id}")
+        self._touch()
         self.cluster.node(pod.node_name).evict(pod)
         self.cluster.forget_pod(pod_id)
+
+    def _touch(self) -> None:
+        """Replicas or parked pods changed: a sleeping function may wake."""
+        self.gateway.touched.add(self.function.name)
 
     # -- introspection ------------------------------------------------------------------
     @property
@@ -214,8 +224,12 @@ class FaSTPodController:
     def running_configs(self) -> list[tuple[str, float, float, float]]:
         """[(pod_id, sm, q_request, q_limit)] of live replicas."""
         return [
-            (r.pod.pod_id, r.pod.spec.sm_partition, r.pod.spec.quota_request,
-             r.pod.spec.quota_limit)
+            (
+                r.pod.pod_id,
+                r.pod.spec.sm_partition,
+                r.pod.spec.quota_request,
+                r.pod.spec.quota_limit,
+            )
             for r in self.replicas.values()
         ]
 
@@ -225,8 +239,12 @@ class FaSTPodController:
         count it as capacity (nor try to drain it; retirement is the
         predictive layer's job)."""
         return [
-            (r.pod.pod_id, r.pod.spec.sm_partition, r.pod.spec.quota_request,
-             r.pod.spec.quota_limit)
+            (
+                r.pod.pod_id,
+                r.pod.spec.sm_partition,
+                r.pod.spec.quota_request,
+                r.pod.spec.quota_limit,
+            )
             for r in self.replicas.values()
             if not r.warm_pending
         ]

@@ -187,17 +187,22 @@ class ModelProfile:
             raise ValueError(f"gpu_factor {gpu_factor} must be positive")
         scale = self.scale(partition_pct)
         total_gpu = self.gpu_time_ms / 1000.0 / scale / gpu_factor
-        weights = np.full(self.n_bursts, 1.0 / self.n_bursts)
+        n_bursts = self.n_bursts
         if rng is not None and self.jitter_cv > 0:
             sigma = math.sqrt(math.log(1.0 + self.jitter_cv**2))
             total_gpu *= float(rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma))
-            raw = rng.uniform(0.7, 1.3, size=self.n_bursts)
-            weights = raw / raw.sum()
+            raw = rng.uniform(0.7, 1.3, size=n_bursts)
+            # numpy's pairwise sum: a left-to-right Python sum differs from
+            # it in the last bit for 8 or more bursts.
+            raw_total = float(raw.sum())
+            durations = [total_gpu * (w / raw_total) for w in raw.tolist()]
+        else:
+            durations = [total_gpu * (1.0 / n_bursts)] * n_bursts
         host_total = self.host_time_ms / 1000.0
-        per_gap = 0.7 * host_total / self.n_bursts
+        per_gap = 0.7 * host_total / n_bursts
         return InferencePlan(
-            durations=[float(total_gpu * w) for w in weights],
+            durations=durations,
             sm_activity=self.sm_activity(partition_pct),
-            host_gaps=[per_gap] * self.n_bursts,
+            host_gaps=[per_gap] * n_bursts,
             pre_gap=0.3 * host_total,
         )

@@ -189,11 +189,18 @@ class FaSTGShare:
     ) -> "FaSTGShare":
         if not isinstance(nodes, int):
             nodes = tuple(nodes)
-        return cls(PlatformConfig(
-            nodes=nodes, gpu=gpu, sharing=sharing, window=window, seed=seed,
-            host_memory_mb=host_memory_mb, fabric_gbps=fabric_gbps,
-            placement=placement,
-        ))
+        return cls(
+            PlatformConfig(
+                nodes=nodes,
+                gpu=gpu,
+                sharing=sharing,
+                window=window,
+                seed=seed,
+                host_memory_mb=host_memory_mb,
+                fabric_gbps=fabric_gbps,
+                placement=placement,
+            )
+        )
 
     # -- function management ------------------------------------------------------
     def register_function(
@@ -256,7 +263,9 @@ class FaSTGShare:
             return place(self.cluster, self.placement, controller, sm, q_req, q_lim)
         if sharing == "timeshare":
             # KubeShare-style: pack by time quota only (every pod sees all SMs).
-            reservation = f"pending-{controller.function.name}-{id(controller)}-{controller.replica_count}"
+            reservation = (
+                f"pending-{controller.function.name}-{id(controller)}-{controller.replica_count}"
+            )
             node_name = self._quota_packer.bind(reservation, q_lim)
             target = self.cluster.node(node_name)
             replica = controller.scale_up(target, sm, q_req, q_lim)
@@ -426,7 +435,7 @@ class FaSTGShare:
         self.cluster.reset_metrics()
         OpenLoopGenerator(self.engine, self.gateway, function, workload)
         self.engine.run(until=t0 + workload.duration)
-        return self._report(function, t0, self.engine.now, self.gateway.submitted[function])
+        return self._report_one(function, t0, self.gateway.submitted[function])
 
     def run_closed_loop(
         self,
@@ -445,7 +454,7 @@ class FaSTGShare:
         self.engine.run(until=t0 + duration)
         client.stop()
         submitted = self.gateway.submitted[function] - submitted_before
-        return self._report(function, t0, self.engine.now, submitted)
+        return self._report_one(function, t0, submitted)
 
     @classmethod
     def run_scenario(cls, scenario: _t.Any, quick: bool = False) -> _t.Any:
@@ -463,33 +472,57 @@ class FaSTGShare:
 
         return run_scenario(scenario, quick=quick)
 
-    def _report(self, function: str, t0: float, t1: float, submitted: int) -> RunReport:
-        spec = self.registry.get(function)
-        window = self.gateway.log.in_window(t0, t1)
-        window.completed = [r for r in window.completed if r.function == function]
+    def _report_one(self, function: str, t0: float, submitted: int) -> RunReport:
+        """One function's report over ``[t0, now)``."""
+        node_metrics = self.cluster.node_metrics()
+        return self._reports({function: submitted}, t0, self.engine.now, node_metrics)[function]
+
+    def _reports(
+        self,
+        submitted: _t.Mapping[str, int],
+        t0: float,
+        t1: float,
+        node_metrics: list[tuple[str, float, float]],
+    ) -> dict[str, RunReport]:
+        """A :class:`RunReport` per function of ``submitted`` (its arrivals
+        in the window) over the requests completed in ``[t0, t1)``: one pass
+        groups the log by function; ``node_metrics`` is read once by the
+        caller and shared."""
+        windows = {function: RequestLog() for function in submitted}
+        for request in self.gateway.log.completed:
+            end = request.end
+            if end is not None and t0 <= end < t1:
+                window = windows.get(request.function)
+                if window is not None:
+                    window.completed.append(request)
         duration = t1 - t0
-        queue_waits = window.queue_waits_ms()
-        cold_waits = window.cold_waits_ms()
-        swap_waits = window.swap_waits_ms()
-        return RunReport(
-            function=function,
-            duration=duration,
-            submitted=submitted,
-            completed=len(window),
-            throughput=window.throughput(duration),
-            p50_ms=window.latency_percentile_ms(50),
-            p95_ms=window.latency_percentile_ms(95),
-            p99_ms=window.latency_percentile_ms(99),
-            slo_ms=spec.slo_ms,
-            slo_violation_ratio=violation_ratio(window, spec.slo_ms),
-            node_metrics=self.cluster.node_metrics(),
-            log=window,
-            queue_wait_ms_mean=float(queue_waits.mean()) if queue_waits.size else 0.0,
-            cold_wait_ms_mean=float(cold_waits.mean()) if cold_waits.size else 0.0,
-            cold_hit_requests=window.cold_hits(),
-            swap_wait_ms_mean=float(swap_waits.mean()) if swap_waits.size else 0.0,
-            swap_hit_requests=window.swap_hits(),
-        )
+        reports = {}
+        for function, window in windows.items():
+            spec = self.registry.get(function)
+            p50, p95, p99 = window.latency_percentiles_ms(50, 95, 99)
+            queue_waits = window.queue_waits_ms()
+            cold_waits = window.cold_waits_ms()
+            swap_waits = window.swap_waits_ms()
+            reports[function] = RunReport(
+                function=function,
+                duration=duration,
+                submitted=submitted[function],
+                completed=len(window),
+                throughput=window.throughput(duration),
+                p50_ms=p50,
+                p95_ms=p95,
+                p99_ms=p99,
+                slo_ms=spec.slo_ms,
+                slo_violation_ratio=violation_ratio(window, spec.slo_ms),
+                node_metrics=node_metrics,
+                log=window,
+                queue_wait_ms_mean=float(queue_waits.mean()) if queue_waits.size else 0.0,
+                cold_wait_ms_mean=float(cold_waits.mean()) if cold_waits.size else 0.0,
+                cold_hit_requests=window.cold_hits(),
+                swap_wait_ms_mean=float(swap_waits.mean()) if swap_waits.size else 0.0,
+                swap_hit_requests=window.swap_hits(),
+            )
+        return reports
 
     # -- conveniences -----------------------------------------------------------------
     def rng(self, name: str) -> np.random.Generator:

@@ -113,9 +113,7 @@ def build_platform(scenario: Scenario) -> "FaSTGShare":
     return platform
 
 
-def _oracle_forecasters(
-    scenario: Scenario, traces: _t.Mapping[str, FunctionTrace | None]
-) -> dict:
+def _oracle_forecasters(scenario: Scenario, traces: _t.Mapping[str, FunctionTrace | None]) -> dict:
     from repro.autoscaler.forecast import OracleForecaster
 
     forecasters = {}
@@ -126,9 +124,7 @@ def _oracle_forecasters(
                 f"function {fn.name!r}: the oracle policy needs a count-based "
                 f"workload (synthetic/counts/trace), got {fn.workload.kind!r}"
             )
-        forecasters[fn.name] = OracleForecaster(
-            trace, lead_s=scenario.autoscaler.oracle_lead_s
-        )
+        forecasters[fn.name] = OracleForecaster(trace, lead_s=scenario.autoscaler.oracle_lead_s)
     return forecasters
 
 
@@ -136,9 +132,7 @@ def _deploy_static(platform: "FaSTGShare", scenario: Scenario) -> None:
     """Static baseline: each function's initial pods at its efficient point."""
     from repro.scheduler.autoscale import HeuristicScaler
 
-    database = ProfileDatabase.analytic(
-        {fn.name: MODEL_ZOO[fn.model] for fn in scenario.functions}
-    )
+    database = ProfileDatabase.analytic({fn.name: MODEL_ZOO[fn.model] for fn in scenario.functions})
     slo_map = {fn.name: platform.registry.get(fn.name).slo_ms for fn in scenario.functions}
     scaler = HeuristicScaler.for_cluster(
         database,
@@ -150,9 +144,7 @@ def _deploy_static(platform: "FaSTGShare", scenario: Scenario) -> None:
         if fn.initial_count == 0:
             continue
         p_eff = scaler.p_eff(fn.name)
-        platform.deploy(
-            fn.name, configs=[(p_eff.sm_partition, p_eff.quota)] * fn.initial_count
-        )
+        platform.deploy(fn.name, configs=[(p_eff.sm_partition, p_eff.quota)] * fn.initial_count)
 
 
 def transition_observer(engine) -> _t.Callable:
@@ -234,9 +226,7 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
     traces: dict[str, FunctionTrace | None] = {}
     trace_cache: dict[str, _t.Any] = {}
     for fn in scenario.functions:
-        workloads[fn.name], traces[fn.name] = resolve_workload(
-            fn, scenario.seed, trace_cache
-        )
+        workloads[fn.name], traces[fn.name] = resolve_workload(fn, scenario.seed, trace_cache)
 
     scheduler = None
     oracle_forecasters: dict | None = None
@@ -257,9 +247,7 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
             forecasters=oracle_forecasters,
             forecast_period_s=auto.forecast_period_s,
             down_hysteresis=auto.down_hysteresis,
-            min_replicas_by_function={
-                fn.name: fn.min_replicas for fn in scenario.functions
-            },
+            min_replicas_by_function={fn.name: fn.min_replicas for fn in scenario.functions},
             defrag=scenario.cluster.defrag,
         )
         # Initial pods at each function's efficient SLO-feasible point,
@@ -293,9 +281,7 @@ def placement_state(platform: "FaSTGShare") -> tuple[int, dict[str, float]]:
     if platform.config.sharing == "fast":
         ledger = platform.placement
         return ledger.gpus_in_use(), ledger.utilized_area_by_node()
-    hosts = {
-        pod.node_name for pod in platform.cluster.pods.values() if pod.node_name
-    }
+    hosts = {pod.node_name for pod in platform.cluster.pods.values() if pod.node_name}
     return len(hosts), {}
 
 
@@ -336,9 +322,7 @@ class WindowCounters:
         return counters
 
 
-def _execute(
-    scenario: Scenario, quick: bool, platform: "FaSTGShare"
-) -> ScenarioReport:
+def _execute(scenario: Scenario, quick: bool, platform: "FaSTGShare") -> ScenarioReport:
     engine = platform.engine
     plane = prepare_control_plane(scenario, platform)
     scheduler = plane.scheduler
@@ -377,9 +361,7 @@ def _execute(
     if scheduler is not None:
         scheduler.stop()
     end = engine.now
-    return aggregate_report(
-        plane, quick=quick, t0=t0, end=end, samples=samples, before=before
-    )
+    return aggregate_report(plane, quick=quick, t0=t0, end=end, samples=samples, before=before)
 
 
 def aggregate_report(
@@ -405,13 +387,18 @@ def aggregate_report(
     violated_total = 0
     completed_total = 0
     submitted_total = 0
+    submitted = {
+        fn.name: platform.gateway.submitted[fn.name] - before.submitted.get(fn.name, 0)
+        for fn in scenario.functions
+    }
+    node_metrics = platform.cluster.node_metrics()
+    runs = platform._reports(submitted, t0, end, node_metrics)
     for fn in scenario.functions:
-        submitted = platform.gateway.submitted[fn.name] - before.submitted.get(fn.name, 0)
-        run = platform._report(fn.name, t0, end, submitted)
+        run = runs[fn.name]
         latencies = run.log.latencies_ms()
         violated_total += int((latencies > run.slo_ms).sum()) if latencies.size else 0
         completed_total += run.completed
-        submitted_total += submitted
+        submitted_total += run.submitted
         outcomes.append(
             FunctionOutcome(
                 name=fn.name,
@@ -482,9 +469,7 @@ def aggregate_report(
         horizon=horizon,
         functions=tuple(outcomes),
         overall_p95_ms=window.latency_percentile_ms(95),
-        overall_violation_ratio=(
-            violated_total / completed_total if completed_total else 0.0
-        ),
+        overall_violation_ratio=(violated_total / completed_total if completed_total else 0.0),
         submitted=submitted_total,
         completed=completed_total,
         gpu_seconds=sum(gpu_counts) * measurement.sample_dt,
@@ -497,9 +482,7 @@ def aggregate_report(
             UtilizationSample(time=t - t0, gpus_in_use=count, alloc_by_node=dict(alloc))
             for t, count, alloc in samples
         ),
-        node_utilization={
-            name: util for name, util, _ in platform.cluster.node_metrics()
-        },
+        node_utilization={name: util for name, util, _ in node_metrics},
         scale_ups=scale_ups,
         scale_downs=scale_downs,
         nofit_events=nofit_events,

@@ -18,6 +18,22 @@ scheduled before the clock reached ``now``, so before every lane entry: the
 dispatch rule "heap entries due at ``now`` first, then the lane, then the
 future heap" fires exactly the order a single heap would.
 
+Inline tail resumes
+-------------------
+A process waiting on a :class:`~repro.sim.events.Timeout` is normally
+resumed through a zero-delay lane entry, like every other wakeup.  When the
+timeout fires from :meth:`Engine.run`, its only subscriber is that process,
+the lane is empty and no heap entry is due at ``now`` (:meth:`Engine._at_tail`),
+the deferred resume would be the very next dispatch: the lane holds nothing
+ahead of it, no heap entry at ``now`` would go first, and the fire callback
+does nothing after settling its one subscriber.  So the process resumes
+inline, inside the fire callback, and the firing order is identical.  Plain
+:class:`~repro.sim.events.Event` settles keep deferring, because they happen
+in the middle of a callback whose remaining work must run first; so do
+timeouts with two or more subscribers and timeouts fired by :meth:`step`.
+A consequence the FaST Backend relies on: a process body never runs while a
+heap entry due at ``now`` is still queued.
+
 Complexity guarantees
 ---------------------
 * ``schedule_at(now, ...)``: O(1) lane append; ``schedule_at(t > now, ...)``:
@@ -126,6 +142,8 @@ class Engine:
         self._heap: list[tuple[float, int, Handle]] = []
         self._seq = itertools.count()
         self._stopped = False
+        #: True while :meth:`run` dispatches (tail resumes go inline only there).
+        self._running = False
         #: Cancelled-but-not-yet-popped entries currently in the lane or heap.
         self._dead = 0
         self.rng = RngStreams(seed)
@@ -240,6 +258,13 @@ class Engine:
         if handle.cancelled:
             self._dead -= 1
 
+    def _at_tail(self) -> bool:
+        """True when the callback firing now is, inside :meth:`run`, the last
+        thing due at ``now``: the lane is empty and no heap entry is due at
+        ``now``, so a zero-delay entry it queued would be dispatched next."""
+        heap = self._heap
+        return self._running and not self._lane and not (heap and heap[0][0] <= self._now)
+
     # -- event / process factories ------------------------------------------
     def event(self, name: str = "") -> Event:
         """Create a fresh pending event bound to this engine."""
@@ -298,13 +323,17 @@ class Engine:
             raise ScheduleInPastError(f"run(until={until}) is in the past (now={self._now})")
         pop = self._pop  # local binding: the loop below is the hot path
         limit = math.inf if until is None else until
-        while not self._stopped and (handle := pop(limit)) is not None:
-            handle._engine = None
-            if handle.cancelled:
-                self._dead -= 1
-                continue
-            self._now = handle.time
-            handle.callback(*handle.args)
+        self._running = True
+        try:
+            while not self._stopped and (handle := pop(limit)) is not None:
+                handle._engine = None
+                if handle.cancelled:
+                    self._dead -= 1
+                    continue
+                self._now = handle.time
+                handle.callback(*handle.args)
+        finally:
+            self._running = False
         if until is not None and not self._stopped:
             self._now = max(self._now, until)
         return self._now

@@ -31,6 +31,10 @@ class Event:
 
     __slots__ = ("engine", "_state", "_value", "_callbacks", "name")
 
+    #: Set only on a firing :class:`Timeout` whose one subscriber may resume
+    #: inline (see :mod:`repro.sim.engine`); plain events always defer.
+    _tail = False
+
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
         self.name = name
@@ -102,16 +106,21 @@ class Event:
 class Timeout(Event):
     """An event that succeeds automatically ``delay`` time units from now."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "_tail")
 
     def __init__(self, engine: "Engine", delay: float, value: object = None, name: str = ""):
         super().__init__(engine, name or f"timeout({delay:g})")
         self.delay = float(delay)
+        self._tail = False
         engine.schedule(self.delay, self._fire, value)
 
     def _fire(self, value: object) -> None:
         if not self.triggered:  # may have been force-settled by a test
+            # A sole waiting process may resume inline when nothing else is
+            # due now; the flag lives only while this settle dispatches.
+            self._tail = len(self._callbacks) == 1 and self.engine._at_tail()
             self.succeed(value)
+            self._tail = False
 
 
 class _Composite(Event):

@@ -111,6 +111,12 @@ class Process(Event):
         # Ignore stale wakeups from events we stopped waiting on (interrupt).
         if event is not self._waiting_on:
             return
+        if event._tail:
+            # A timeout fired as the last thing due now: the deferred resume
+            # would be the next dispatch anyway (see repro.sim.engine).
+            event._tail = False
+            self._resume(event)
+            return
         # Defer resumption through the engine queue: schedulers that settle
         # events mid-iteration (e.g. the FaST Backend dispatch loop) must
         # never have a process body re-enter them synchronously.

@@ -192,3 +192,45 @@ def test_head_of_queue_blocking(backend: FaSTBackend):
     assert g_large.ok
     # With 60 in flight, small (10) now fits behind the head.
     assert g_small.ok
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        {"sm_partition": 250},
+        {"sm_partition": -5},
+        {"sm_partition": 0},
+        {"quota_request": 0.0},
+        {"quota_request": 0.9},
+        {"quota_limit": 1.5},
+    ],
+)
+def test_update_quota_validates_like_register(backend: FaSTBackend, update):
+    backend.register("a", 12, 0.3, 0.8)
+    with pytest.raises(BackendError):
+        backend.update_quota("a", **update)
+    entry = backend.entries["a"]
+    # A rejected update leaves the row as it was.
+    assert (entry.sm_partition, entry.quota_request, entry.quota_limit) == (12, 0.3, 0.8)
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_charge_rejected(engine: Engine, backend: FaSTBackend, seconds):
+    backend.register("a", 12, 0.3, 0.8)
+    with pytest.raises(BackendError):
+        backend.charge("a", seconds)
+    assert backend.entries["a"].q_used == 0.0
+    assert engine.pending_events == 0  # nothing armed the window rollover
+
+
+def test_window_rollover_runs_only_while_quota_is_used(engine: Engine, backend: FaSTBackend):
+    backend.register("a", 12, 0.2, 0.2)
+    assert engine.pending_events == 0  # an unused backend keeps no timer
+    engine.run(until=0.25)
+    backend.charge("a", 0.03)  # 0.3 of a window: two rolls bring it to 0
+    assert engine.peek() == 0.1 + 0.1 + 0.1  # the next boundary on the chain
+    engine.run(until=0.35)
+    assert backend.entries["a"].q_used == pytest.approx(0.1)
+    engine.run()
+    assert backend.entries["a"].q_used == 0.0
+    assert engine.now == 0.1 + 0.1 + 0.1 + 0.1  # the roll that disarmed it

@@ -21,6 +21,7 @@ from repro.autoscaler.forecast import make_forecaster
 from repro.autoscaler.registry import register_forecaster, unregister_forecaster
 from repro.faas import requests
 from repro.k8s import objects
+from repro.manager import FaSTBackend
 from repro.memtier.policy import MemTierPolicy
 from repro.scenario import (
     AutoscalerSpec,
@@ -33,6 +34,7 @@ from repro.scenario import (
 )
 from repro.scenario.runner import run_scenario
 from repro.scheduler import GPURectangleList
+from repro.sim import Engine
 from repro.sweep import load_sweep
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
@@ -101,6 +103,9 @@ def count_views(monkeypatch) -> list[tuple[float, str]]:
 def force_awake_and_dirty(monkeypatch) -> list[tuple[float, str]]:
     """Switch both shortcuts off; returns the twin's view record."""
     monkeypatch.setattr(PredictiveAutoscaler, "dormant", lambda self, function: False)
+    # Push wake asks dormant() about touched or due sleepers only: make
+    # every sleeper a candidate, so every function wakes on every tick.
+    monkeypatch.setattr(PredictiveAutoscaler, "_candidates", lambda self, now: list(self._asleep))
     always_dirty = property(lambda self: False, lambda self, value: None)
     monkeypatch.setattr(GPURectangleList, "clean", always_dirty, raising=False)
     return count_views(monkeypatch)
@@ -193,3 +198,27 @@ def test_view_count_pin(monkeypatch):
     views = count_views(monkeypatch)
     run_scenario(load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json")), quick=True)
     assert len(views) == 1026
+
+
+def test_idle_work_counter_pins(monkeypatch):
+    """Work-counter pins on quick longtail_swap: per-backend window rolls
+    (5,130 when every backend rolled every window), engine schedules (14,737
+    when every process resume was deferred and every window rolled) and
+    ``dormant()`` calls (35,260 when every sleeper was polled every tick).
+    A change that moves one explains the new count."""
+    counts = {"rolls": 0, "schedules": 0, "dormant": 0}
+
+    def counting(cls, name, key):
+        method = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(FaSTBackend, "_decay", "rolls")
+    counting(Engine, "schedule_at", "schedules")
+    counting(PredictiveAutoscaler, "dormant", "dormant")
+    run_scenario(load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json")), quick=True)
+    assert counts == {"rolls": 360, "schedules": 7756, "dormant": 34}

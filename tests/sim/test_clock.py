@@ -11,6 +11,9 @@ import pytest
 
 from repro.serve import EngineDriver
 from repro.sim import Engine, SimClock, WallClock
+from repro.sim.errors import Interrupt
+from repro.sim.events import AnyOf, Timeout
+from repro.sim.process import Process
 
 
 # -- SimClock: the default mode must be indistinguishable from the old engine --
@@ -20,7 +23,8 @@ class _ReferenceEngine:
     """The firing-order spec: one plain ``heapq`` of ``(time, seq)`` entries.
 
     No lane, no compaction, no dead-entry accounting — every callback,
-    zero-delay or not, is one heap entry, and cancellation blanks it.
+    zero-delay or not, is one heap entry, and cancellation blanks it.  Every
+    process resume is deferred through the heap (no inline tail resumes).
     """
 
     def __init__(self) -> None:
@@ -28,15 +32,20 @@ class _ReferenceEngine:
         self._heap: list[list] = []
         self._seq = itertools.count()
         self._stopped = False
+        self.schedules = 0
 
     def schedule(self, delay: float, callback, *args) -> "_ReferenceHandle":
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback, *args) -> "_ReferenceHandle":
         assert time >= self.now
+        self.schedules += 1
         entry = [time, next(self._seq), callback, args]
         heapq.heappush(self._heap, entry)
         return _ReferenceHandle(entry)
+
+    def _at_tail(self) -> bool:
+        return False
 
     def step(self) -> bool:
         while self._heap:
@@ -74,15 +83,77 @@ class _ReferenceHandle:
         self._entry[2] = None
 
 
-def _randomized_firing_log(engine, seed: int) -> list[tuple[float, str]]:
+class _CountingEngine(Engine):
+    """The production engine, counting its schedules."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed=seed)
+        self.schedules = 0
+
+    def schedule_at(self, time: float, callback, *args):
+        self.schedules += 1
+        return super().schedule_at(time, callback, *args)
+
+
+def _randomized_firing_log(engine, seed: int, processes: bool = False) -> list[tuple[float, str]]:
     """Drive a randomized schedule/cancel/stop workload; return the firing
-    order, with the clock after every ``run``/``step`` boundary."""
+    order, with the clock after every ``run``/``step`` boundary.
+
+    ``processes`` adds coroutine processes that wait on timeouts — alone,
+    shared with other waiters directly or through ``AnyOf``, already fired,
+    or joined processes — spawn children, and take interrupts thrown into
+    them from callbacks."""
     rng = random.Random(seed)
     log: list[tuple[float, str]] = []
     handles = []
+    live: list[Process] = []
+    shared: list[Timeout] = []
+
+    def delay() -> float:
+        return 0.0 if rng.random() < 0.25 else round(rng.uniform(0.0, 3.0), 1)
+
+    def body(tag: str):
+        log.append((engine.now, f"{tag}^"))
+        for step in range(rng.randint(1, 5)):
+            choice = rng.random()
+            try:
+                if choice < 0.45:
+                    timeout = Timeout(engine, delay())
+                    shared.append(timeout)
+                    yield timeout
+                elif choice < 0.65:
+                    timeout = Timeout(engine, delay())
+                    shared.append(timeout)
+                    yield AnyOf(engine, [timeout, Timeout(engine, delay())])
+                elif choice < 0.85 and shared:
+                    # Often still pending (a second subscriber), sometimes
+                    # already fired (resumes at once, deferred).
+                    yield shared[rng.randrange(len(shared))]
+                elif live:
+                    yield live[rng.randrange(len(live))]
+                else:
+                    yield Timeout(engine, delay())
+            except Interrupt:
+                log.append((engine.now, f"{tag}!{step}"))
+                if rng.random() < 0.3:
+                    raise
+            log.append((engine.now, f"{tag}.{step}"))
+            if rng.random() < 0.15:
+                spawn(f"{tag}c{step}")  # starts from the lane: orders visibly
+            if rng.random() < 0.02:
+                log.append((engine.now, "stop"))
+                engine.stop()
+
+    def spawn(tag: str) -> None:
+        live.append(Process(engine, body(tag), tag))
 
     def fire(tag: str) -> None:
         log.append((engine.now, tag))
+        if processes:
+            if rng.random() < 0.2:
+                spawn(f"{tag}p")
+            if live and rng.random() < 0.1:
+                live[rng.randrange(len(live))].interrupt(tag)
         # Callbacks re-schedule and cancel mid-run, like real subsystems do:
         # zero-delay follow-ups (process resumes, event settles) as well as
         # future timers.  Expected children per firing stay below one.
@@ -103,6 +174,9 @@ def _randomized_firing_log(engine, seed: int) -> list[tuple[float, str]]:
     for index in range(200):
         # One decimal place: plenty of same-time ties between timers.
         handles.append(engine.schedule_at(round(rng.uniform(0.0, 50.0), 1), fire, f"t{index}"))
+    if processes:
+        for index in range(20):
+            spawn(f"p{index}")
     for _ in range(40):
         handles.pop(rng.randrange(len(handles))).cancel()
     for until in (10.0, 20.5, 20.5, 30.0, 41.3):
@@ -128,6 +202,21 @@ def test_simclock_reproduces_default_engine_semantics(seed: int):
     assert len(fired) > 100  # the workload actually exercised the heap
     assert any(tag.endswith("0") for tag in fired)  # ... and the zero-delay lane
     assert any(tag == "stop" for _, tag in reference)  # stop() split a run
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234, 99])
+def test_inline_tail_resumes_keep_the_firing_order(seed: int):
+    """Processes resumed inline when a timeout fires as the last thing due
+    (see ``repro.sim.engine``) run exactly where the always-deferring
+    reference resumes them."""
+    reference_engine = _ReferenceEngine()
+    reference = _randomized_firing_log(reference_engine, seed, processes=True)
+    engine = _CountingEngine(seed)
+    assert _randomized_firing_log(engine, seed, processes=True) == reference
+    tags = [tag for _, tag in reference]
+    assert sum(".0" in tag for tag in tags) > 50  # processes resumed ...
+    assert any("!" in tag for tag in tags)  # ... and were interrupted
+    assert engine.schedules < reference_engine.schedules  # some resumed inline
 
 
 def test_default_engine_clock_is_sim_and_tracks_now():
