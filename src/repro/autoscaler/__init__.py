@@ -11,9 +11,11 @@ full cold start.  This subsystem adds the predictive layer on top:
   ``PreWarmAction``/``RetireAction`` with SLO-aware lead times derived from
   each model's cold-start profile, per-function min-replica floors, and
   scale-to-zero past the keep-alive tail;
-* :mod:`repro.autoscaler.controller` — drives the scheduler tick:
-  pre-warmed pods are MRA-placed in ``WARM_IDLE`` (memory held, zero time
-  quota) and promoted by the gateway the instant demand appears.
+* :mod:`repro.autoscaler.controller` — the controller the
+  FaST-Scheduler builds from a resolved policy and its forecasters
+  (:func:`build_autoscaler` resolves a policy name) and drives from its
+  tick: pre-warmed pods are MRA-placed in ``WARM_IDLE`` (memory held, zero
+  time quota) and promoted by the gateway the instant demand appears.
 """
 
 from repro.autoscaler.controller import (

@@ -55,12 +55,14 @@ from repro.autoscaler.policy import (
 )
 from repro.k8s.objects import PodPhase
 from repro.scheduler.mra import NoFitError
+from repro.scheduler.scheduler import release
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.faas.gateway import Gateway
-    from repro.k8s.fastpod import FaSTPodController
     from repro.scheduler.scheduler import FaSTScheduler
-    from repro.sim.engine import Engine
+
+#: Seconds a function's pre-warms pause after one found no GPU, so a full
+#: cluster is not re-searched every tick.
+NOFIT_BACKOFF_S = 5.0
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -74,29 +76,26 @@ class AutoscaleEvent:
 
 
 class PredictiveAutoscaler:
-    """Forecast-driven pre-warming layer over the reactive scaler."""
+    """Forecast-driven pre-warming layer over the reactive scaler.
+
+    Built by the :class:`~repro.scheduler.scheduler.FaSTScheduler` whose
+    tick drives it; the engine, gateway, controllers, placement and memory
+    tier are the scheduler's.
+    """
 
     def __init__(
         self,
-        engine: "Engine",
-        gateway: "Gateway",
-        controllers: _t.Mapping[str, "FaSTPodController"],
+        scheduler: "FaSTScheduler",
         policy: PreWarmPolicy | None = None,
         forecasters: _t.Mapping[str, Forecaster] | None = None,
-        nofit_backoff_s: float = 5.0,
     ):
-        self.engine = engine
-        self.gateway = gateway
-        self.controllers = dict(controllers)
+        self.scheduler = scheduler
+        self.engine = scheduler.engine
+        self.gateway = scheduler.gateway
+        self.controllers = scheduler.controllers
         self.policy = policy
         self.forecasters = dict(forecasters or {})
-        self.nofit_backoff_s = nofit_backoff_s
         self._nofit_until: dict[str, float] = {}
-        self.scheduler: "FaSTScheduler | None" = None
-        #: memory tier: the replica-lifecycle API (None when disabled).
-        #: Policies drive it through action ``apply`` hooks (demote /
-        #: promote / evict) — see :mod:`repro.memtier.policy`.
-        self.lifecycle = None
         self.events: list[AutoscaleEvent] = []
         self.prewarms = 0
         self.retirements = 0
@@ -116,11 +115,6 @@ class PredictiveAutoscaler:
         self._deadlines: list[tuple[float, str]] = []
         #: (tick time, forecast rate per viewed function) of the last views.
         self._view_rates: tuple[float, dict[str, float | None]] = (-math.inf, {})
-
-    # -- wiring -------------------------------------------------------------------
-    def bind(self, scheduler: "FaSTScheduler") -> None:
-        """Attach the scheduler whose tick drives this controller."""
-        self.scheduler = scheduler
 
     @property
     def predictive(self) -> bool:
@@ -205,7 +199,7 @@ class PredictiveAutoscaler:
         now = self.engine.now
         names = [name for name in self._names if name not in self._asleep]
         self._ingest(now, names)
-        if not self.predictive or self.scheduler is None:
+        if not self.predictive:
             return
         views = [self._view(now, name) for name in names]
         self._view_rates = (now, {view.function: view.predicted_rps for view in views})
@@ -318,7 +312,6 @@ class PredictiveAutoscaler:
     def _view(self, now: float, name: str) -> FunctionView:
         controller = self.controllers[name]
         scheduler = self.scheduler
-        assert scheduler is not None
         p_eff = scheduler.scaler.p_eff(name)
         spec = controller.function
         cold_start = (
@@ -328,10 +321,11 @@ class PredictiveAutoscaler:
         warm_ids = tuple(sorted(r.pod.pod_id for r in controller.warm_replicas()))
         parked_ids: tuple[str, ...] = ()
         swap_in_s = weight_mb = None
-        if self.lifecycle is not None:
-            parked_ids = tuple(self.lifecycle.parked(name))
-            swap_in_s = self.lifecycle.swap_in_estimate_s(name)
-            weight_mb = self.lifecycle.weights_mb(name)
+        lifecycle = scheduler.lifecycle
+        if lifecycle is not None:
+            parked_ids = tuple(lifecycle.parked(name))
+            swap_in_s = lifecycle.swap_in_estimate_s(name)
+            weight_mb = lifecycle.weights_mb(name)
         return FunctionView(
             function=name,
             serving=controller.serving_count,
@@ -357,8 +351,6 @@ class PredictiveAutoscaler:
 
     # -- applying actions ------------------------------------------------------------
     def _apply_prewarm(self, action: PreWarmAction) -> None:
-        scheduler = self.scheduler
-        assert scheduler is not None
         now = self.engine.now
         if now < self._nofit_until.get(action.function, -1e9):
             return  # recent no-fit: don't hammer the placement every tick
@@ -369,7 +361,7 @@ class PredictiveAutoscaler:
         ride_along = action.reason == "spare-pool"
         for sm, quota in self._prewarm_configs(action):
             try:
-                scheduler.place_pod(
+                self.scheduler.place_pod(
                     controller, sm, quota, quota, warm=True, used_nodes_only=ride_along
                 )
             except NoFitError:
@@ -377,7 +369,7 @@ class PredictiveAutoscaler:
             self.prewarms += 1
             self.note_event("prewarm", action.function, action.reason, sm=sm, quota=quota)
             return
-        self._nofit_until[action.function] = now + self.nofit_backoff_s
+        self._nofit_until[action.function] = now + NOFIT_BACKOFF_S
         self.note_event("prewarm-nofit", action.function, action.reason)
 
     def _prewarm_configs(self, action: PreWarmAction) -> list[tuple[float, float]]:
@@ -389,11 +381,9 @@ class PredictiveAutoscaler:
         strips left between resident pods.  Ordered by descending profiled
         throughput so the fallback degrades capacity as little as possible.
         """
-        scheduler = self.scheduler
-        assert scheduler is not None
         configs: list[tuple[float, float]] = [(action.sm_partition, action.quota)]
         try:
-            candidates = scheduler.scaler.candidate_points(action.function)
+            candidates = self.scheduler.scaler.candidate_points(action.function)
         except KeyError:
             return configs
         for point in sorted(candidates, key=lambda p: -p.throughput):
@@ -403,70 +393,61 @@ class PredictiveAutoscaler:
         return configs
 
     def _apply_retire(self, action: RetireAction) -> None:
-        scheduler = self.scheduler
-        assert scheduler is not None
         controller = self.controllers[action.function]
         replica = controller.replicas.get(action.pod_id)
         if replica is None or not replica.warm_pending:
             return  # promoted or already gone since the snapshot
-        controller.scale_down(action.pod_id, drain=True)
-        try:
-            scheduler.placement.unbind(action.pod_id)
-        except KeyError:
-            pass
+        release(self.scheduler.placement, controller, action.pod_id)
         self.retirements += 1
         self.note_event("retire", action.function, action.reason, pod=action.pod_id)
 
 
 def build_autoscaler(
     policy: str,
-    engine: "Engine",
-    gateway: "Gateway",
-    controllers: _t.Mapping[str, "FaSTPodController"],
+    functions: _t.Iterable[str],
     bin_s: float = 1.0,
     period_s: float | None = None,
     forecasters: _t.Mapping[str, Forecaster] | None = None,
     prewarm: PreWarmPolicy | None = None,
-) -> PredictiveAutoscaler:
-    """Assemble a :class:`PredictiveAutoscaler` for a named policy.
+) -> tuple[PreWarmPolicy | None, dict[str, Forecaster]]:
+    """Resolve a named policy into ``(pre-warm policy, forecasters)`` for
+    the :class:`~repro.scheduler.scheduler.FaSTScheduler` to build its
+    :class:`PredictiveAutoscaler` from.
 
-    ``reactive`` builds the degenerate pass-through controller.  ``oracle``
-    needs explicit per-function ``forecasters`` (built from the replayed
-    trace, e.g. :class:`~repro.autoscaler.forecast.OracleForecaster`).
-    Every other name resolves through the public policy registry
+    ``reactive`` resolves to ``(None, {})``: the degenerate pass-through
+    controller.  ``oracle`` needs explicit per-function ``forecasters``
+    (built from the replayed trace, e.g.
+    :class:`~repro.autoscaler.forecast.OracleForecaster`).  Every other name
+    resolves through the public policy registry
     (:func:`repro.autoscaler.registry.register_forecaster`): one forecaster
-    per registered function via the registered factory, paired with the
-    registered pre-warm policy.  ``prewarm`` overrides that policy.
+    per function of ``functions`` via the registered factory, paired with
+    the registered pre-warm policy.  ``prewarm`` overrides that policy.
     """
     from repro.autoscaler.registry import get_registration
 
     if policy == "reactive":
-        return PredictiveAutoscaler(engine, gateway, controllers)
+        return None, {}
     if policy == "oracle":
         if not forecasters:
             raise ValueError("oracle policy needs per-function forecasters from the trace")
         missing = [f for f in forecasters.values() if not isinstance(f, Forecaster)]
         if missing:
             raise ValueError(f"non-forecaster entries: {missing}")
-        built: dict[str, Forecaster] = dict(forecasters)
-        prewarm_policy = prewarm or PreWarmPolicy()
+        return prewarm or PreWarmPolicy(), dict(forecasters)
+    registration = get_registration(policy)  # raises ValueError when unknown
+    built = {
+        name: registration.forecaster_factory(bin_s=bin_s, period_s=period_s)
+        for name in functions
+    }
+    if forecasters:
+        built.update(forecasters)
+    if prewarm is not None:
+        prewarm_policy = prewarm
+    elif registration.policy_factory is not None:
+        prewarm_policy = registration.policy_factory()
     else:
-        registration = get_registration(policy)  # raises ValueError when unknown
-        built = {
-            name: registration.forecaster_factory(bin_s=bin_s, period_s=period_s)
-            for name in controllers
-        }
-        if forecasters:
-            built.update(forecasters)
-        if prewarm is not None:
-            prewarm_policy = prewarm
-        elif registration.policy_factory is not None:
-            prewarm_policy = registration.policy_factory()
-        else:
-            prewarm_policy = PreWarmPolicy()
-    return PredictiveAutoscaler(
-        engine, gateway, controllers, policy=prewarm_policy, forecasters=built
-    )
+        prewarm_policy = PreWarmPolicy()
+    return prewarm_policy, built
 
 
 __all__ = [

@@ -3,9 +3,10 @@
 Workload: 4 ResNet pods at (12% SMs, 40% quota), 2 RNNT pods at (24%, 40%),
 2 BERT pods at (50%, 60%), on a 4-GPU cluster.
 
-* Time sharing (KubeShare-like) has no spatial dimension: the quota packer
-  needs **all four GPUs** (Σ quota = 3.6), each ending up with low
-  utilization and occupancy (paper: 28.9-47.5% util, 3.1-9.4% occ).
+* Time sharing (KubeShare-like) has no spatial dimension: first fit on
+  each node's summed quota needs **all four GPUs** (Σ quota = 3.6), each
+  ending up with low utilization and occupancy (paper: 28.9-47.5% util,
+  3.1-9.4% occ).
 * FaST-Scheduler packs the eight 2D rectangles onto **one GPU**
   (Σ area = 98.4%), concentrating load (paper: 88.64% util, 25.3% occ).
 """
@@ -31,7 +32,7 @@ FIG11_PODS: tuple[tuple[str, str, int, float, float], ...] = (
 class Fig11Side:
     mechanism: str
     node_utilization: list[float]  # per GPU, %
-    node_occupancy: list[float]    # per GPU, %
+    node_occupancy: list[float]  # per GPU, %
     gpus_used: int
     total_throughput: float
 
@@ -66,8 +67,8 @@ def _drive(platform: FaSTGShare, duration: float, load_scale: float) -> Fig11Sid
     """Deploy the Fig. 11 pod set on the given platform and saturate it."""
     for function, model_name, pods, sm, quota in FIG11_PODS:
         platform.register_function(function, model=model_name)
-    # Deploy largest-quota first so the 1D packer reproduces a feasible
-    # 4-GPU layout (first-fit-decreasing).
+    # Deploy largest-quota first so first fit on quota reproduces a
+    # feasible 4-GPU layout (first-fit-decreasing).
     for function, model_name, pods, sm, quota in sorted(FIG11_PODS, key=lambda r: -r[4]):
         platform.deploy(function, configs=[(sm, quota)] * pods)
     platform.wait_ready()
@@ -91,8 +92,9 @@ def _drive(platform: FaSTGShare, duration: float, load_scale: float) -> Fig11Sid
     )
 
 
-def run(duration: float = 40.0, seed: int = 42, quick: bool = False,
-        load_scale: float = 0.62) -> Fig11Result:
+def run(
+    duration: float = 40.0, seed: int = 42, quick: bool = False, load_scale: float = 0.62
+) -> Fig11Result:
     """``load_scale`` scales offered RPS relative to each pod's quota-bound
     capacity.  0.62 reproduces the paper's time-sharing utilization band
     (28.9-47.5% per GPU); both mechanisms see the same absolute load."""
@@ -110,8 +112,9 @@ def format_result(result: Fig11Result) -> str:
     lines = ["Fig. 11 — per-GPU utilization / SM occupancy by scheduling mechanism"]
     for side in (result.time_sharing, result.fast_scheduler):
         label = "time sharing" if side.mechanism == "timeshare" else "FaST-Scheduler"
-        lines.append(f"  {label} (GPUs used: {side.gpus_used}, "
-                     f"throughput {side.total_throughput:.1f} req/s)")
+        lines.append(
+            f"  {label} (GPUs used: {side.gpus_used}, throughput {side.total_throughput:.1f} req/s)"
+        )
         for i, (util, occ) in enumerate(zip(side.node_utilization, side.node_occupancy)):
             lines.append(f"    GPU {i}: util {util:5.1f}%   SM occ {occ:5.2f}%")
     lines.append(

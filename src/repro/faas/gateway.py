@@ -145,22 +145,7 @@ class Gateway:
         warm = self._warm[function]
         if not warm:
             return None
-        replica = warm.pop(0)
-        self._promoting[function] += 1
-        self.promotions += 1
-        self.promotions_by_function[function] += 1
-        replica.promote()
-        hub = self.engine.hub
-        if hub.enabled:
-            hub.emit(
-                self.engine.now,
-                "gateway",
-                "promote_warm",
-                function,
-                trigger="claim",
-                replica=replica.replica_id,
-            )
-        return replica
+        return self._promote(warm[0], "claim")
 
     def claim_specific(self, replica: "FunctionReplica") -> bool:
         """Promote one *specific* warm replica (the migration handoff).
@@ -171,11 +156,22 @@ class Gateway:
         the replica is no longer in the warm pool (e.g. a parked request
         already claimed it), which the caller treats as "already serving".
         """
-        name = replica.function.name
-        try:
-            self._warm[name].remove(replica)
-        except ValueError:
+        if replica not in self._warm[replica.function.name]:
             return False
+        self._promote(replica, "migrate")
+        return True
+
+    def _promote_warm(self, function: str) -> None:
+        """Promote warm replicas to absorb parked requests (one per request)."""
+        warm = self._warm[function]
+        while warm and len(self._pending[function]) > self._promoting[function]:
+            self._promote(warm[0], "parked")
+
+    def _promote(self, replica: "FunctionReplica", trigger: str) -> "FunctionReplica":
+        """Take ``replica`` off the warm pool and promote it: the one path
+        every warm promotion goes through (counted and emitted here)."""
+        name = replica.function.name
+        self._warm[name].remove(replica)
         self._promoting[name] += 1
         self.promotions += 1
         self.promotions_by_function[name] += 1
@@ -187,32 +183,10 @@ class Gateway:
                 "gateway",
                 "promote_warm",
                 name,
-                trigger="migrate",
+                trigger=trigger,
                 replica=replica.replica_id,
             )
-        return True
-
-    def _promote_warm(self, function: str) -> None:
-        """Promote warm replicas to absorb parked requests (one per request)."""
-        warm = self._warm[function]
-        in_flight = self._promoting[function]
-        hub = self.engine.hub
-        while warm and len(self._pending[function]) > in_flight:
-            replica = warm.pop(0)
-            replica.promote()
-            in_flight += 1
-            self.promotions += 1
-            self.promotions_by_function[function] += 1
-            if hub.enabled:
-                hub.emit(
-                    self.engine.now,
-                    "gateway",
-                    "promote_warm",
-                    function,
-                    trigger="parked",
-                    replica=replica.replica_id,
-                )
-        self._promoting[function] = in_flight
+        return replica
 
     # -- intake & routing ----------------------------------------------------------
     def submit(self, function: str, done_event=None) -> Request:

@@ -10,19 +10,19 @@ models the pieces the architecture actually exercises:
 * :mod:`repro.k8s.cluster` — the cluster: node inventory and lookups;
 * :mod:`repro.k8s.fastpod` — the FaSTPod CRD controller: replica sets with
   per-replica spatio-temporal resource configs, registering allocations with
-  the scheduler and syncing them to the backend table;
-* :mod:`repro.k8s.deviceplugin` — the NVIDIA device-plugin baseline
-  (exclusive whole-GPU assignment).
+  the scheduler and syncing them to the backend table.
+
+The baseline modes need no allocator of their own: ``timeshare`` and
+``exclusive`` deploys read each GPU's occupancy from the pods its node hosts
+(:meth:`repro.platform.FaSTGShare.deploy`).
 """
 
 from repro.k8s.cluster import Cluster
-from repro.k8s.deviceplugin import DevicePlugin
 from repro.k8s.node import GPUNode
 from repro.k8s.objects import ObjectMeta, Pod, PodPhase, PodSpec
 
 __all__ = [
     "Cluster",
-    "DevicePlugin",
     "FaSTPodController",
     "GPUNode",
     "ObjectMeta",

@@ -12,8 +12,8 @@ client and a FaST backend:
 * ``timeshare`` — KubeShare-like: backend, MPS partition forced to 100%
   (single-token passing emerges because Σ running partitions ≤ 100%);
 * ``racing``    — unmanaged: no MPS client, no backend (full-GPU contexts);
-* ``exclusive`` — device-plugin semantics: as ``racing``, and the device
-  plugin admits at most one pod per GPU.
+* ``exclusive`` — device-plugin semantics: as ``racing``, and the node
+  admits at most one pod per GPU.
 """
 
 from __future__ import annotations
@@ -115,6 +115,12 @@ class GPUNode:
     @property
     def pod_count(self) -> int:
         return len(self.containers)
+
+    @property
+    def quota_in_use(self) -> float:
+        """Σ ``quota_limit`` of the pods this GPU hosts, draining ones
+        included (the timeshare baseline packs against it)."""
+        return sum(c.pod.spec.quota_limit for c in self.containers.values())
 
     def pod_memory_requirement_mb(self, pod: Pod) -> float:
         """Device memory the pod will pin on this node, including the

@@ -28,7 +28,6 @@ import typing as _t
 from repro.k8s.objects import Pod, PodPhase
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.faas.replica import FunctionReplica
     from repro.k8s.cluster import Cluster
     from repro.k8s.fastpod import FaSTPodController
     from repro.scheduler.mra import MaximalRectanglesScheduler
@@ -39,9 +38,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 class ReplicaLifecycle:
     """Promote/demote/evict transitions between GPU and host residency.
 
-    ``placement`` is the MRA scheduler whose rectangles track GPU space;
-    ``None`` (unit tests, manual platforms) skips rectangle accounting and
-    leaves GPU-memory feasibility as the only promotion constraint.
+    ``placement`` is the platform's MRA ledger whose rectangles track GPU
+    space: a demotion frees the pod's rectangle, a promotion re-places it.
     """
 
     def __init__(
@@ -49,7 +47,7 @@ class ReplicaLifecycle:
         engine: "Engine",
         cluster: "Cluster",
         controllers: _t.Mapping[str, "FaSTPodController"],
-        placement: "MaximalRectanglesScheduler | None" = None,
+        placement: "MaximalRectanglesScheduler",
     ):
         self.engine = engine
         self.cluster = cluster
@@ -119,11 +117,10 @@ class ReplicaLifecycle:
         if not node.can_park(weights):
             return None
         process = controller.park(pod_id, weights)
-        if self.placement is not None:
-            try:
-                self.placement.unbind(pod_id)
-            except KeyError:
-                pass
+        try:
+            self.placement.unbind(pod_id)
+        except KeyError:
+            pass
         self.demotions += 1
         self.demotions_by_function[function] += 1
         hub = self.engine.hub
@@ -175,21 +172,20 @@ class ReplicaLifecycle:
         node = self.cluster.node(pod.node_name)
         if not node.fits_memory(pod):
             return None
-        if self.placement is not None:
-            # Route through select_node pinned to the pod's own node: it
-            # defragments the free list on a miss, where a raw bind_at would
-            # "no-fit" space the keep-reclamation policy left unmerged.
-            width = pod.spec.quota_limit * 100.0
-            choice = self.placement.select_node(
-                width,
-                pod.spec.sm_partition,
-                allowed=lambda name: name == pod.node_name,
-            )
-            if choice is None:
-                return None
-            self.placement.bind_at(
-                pod_id, pod.node_name, width, pod.spec.sm_partition, target=choice[1]
-            )
+        # Route through select_node pinned to the pod's own node: it
+        # defragments the free list on a miss, where a raw bind_at would
+        # "no-fit" space the keep-reclamation policy left unmerged.
+        width = pod.spec.quota_limit * 100.0
+        choice = self.placement.select_node(
+            width,
+            pod.spec.sm_partition,
+            allowed=lambda name: name == pod.node_name,
+        )
+        if choice is None:
+            return None
+        self.placement.bind_at(
+            pod_id, pod.node_name, width, pod.spec.sm_partition, target=choice[1]
+        )
         weights = controller.function.swap_weights_mb()
         estimate_s = node.fabric.estimate_s(weights)
         try:
@@ -200,11 +196,7 @@ class ReplicaLifecycle:
                 cost_s=estimate_s,
             )
         except Exception:
-            if self.placement is not None:
-                try:
-                    self.placement.unbind(pod_id)
-                except KeyError:
-                    pass
+            self.placement.unbind(pod_id)
             raise
         replica.swap_demand = demand
         self.promotions += 1

@@ -51,7 +51,7 @@ class DemoteAction:
     swap_in_s: float | None = None
 
     def apply(self, autoscaler: "PredictiveAutoscaler") -> None:
-        lifecycle = autoscaler.lifecycle
+        lifecycle = autoscaler.scheduler.lifecycle
         if lifecycle is None:
             return
         if lifecycle.demote(self.function, self.pod_id) is not None:
@@ -78,7 +78,7 @@ class PromoteAction:
     swap_in_s: float | None = None
 
     def apply(self, autoscaler: "PredictiveAutoscaler") -> None:
-        lifecycle = autoscaler.lifecycle
+        lifecycle = autoscaler.scheduler.lifecycle
         if lifecycle is None:
             return
         pod = lifecycle.promote(self.function, self.pod_id, warm=self.warm)
@@ -102,7 +102,7 @@ class EvictAction:
     idle_s: float | None = None
 
     def apply(self, autoscaler: "PredictiveAutoscaler") -> None:
-        lifecycle = autoscaler.lifecycle
+        lifecycle = autoscaler.scheduler.lifecycle
         if lifecycle is None:
             return
         if lifecycle.evict(self.function, self.pod_id):

@@ -16,7 +16,8 @@ In ``fast`` mode the platform keeps exactly one Maximal Rectangles ledger
 (``platform.placement``, scored by the ``placement`` policy): ``deploy`` and
 the FaST-Scheduler started by :meth:`FaSTGShare.start_autoscaler` place into
 and release from the same object, so neither can over-commit a GPU the
-other filled.
+other filled.  The baseline modes keep no ledger at all: they read each
+GPU's occupancy from the pods its node hosts.
 
 Multi-tenant experiments use the declarative Scenario API instead — one
 JSON-round-trippable spec describing cluster, fleet, workloads, autoscaler
@@ -29,9 +30,9 @@ policy, and measurement windows, evaluated through a single code path::
 
 ==============  ==================================================================
 ``fast``        FaST-GShare: MPS partitions + multi-token backend + MRA placement
-``timeshare``   KubeShare-like: full-SM pods, single-token passing, quota packing
+``timeshare``   KubeShare-like: full-SM pods, single-token passing, first fit on quota
 ``racing``      unmanaged MPS-less contention (pods race for the device)
-``exclusive``   NVIDIA device plugin: one pod per GPU
+``exclusive``   NVIDIA device-plugin semantics: one pod per GPU
 ==============  ==================================================================
 """
 
@@ -50,12 +51,11 @@ from repro.faas.requests import RequestLog
 from repro.faas.slo import violation_ratio
 from repro.faas.workload import ConstantRate, PoissonRate, Workload
 from repro.k8s.cluster import Cluster
-from repro.k8s.deviceplugin import DevicePlugin
 from repro.k8s.fastpod import FaSTPodController
 from repro.profiler.database import ProfileDatabase
-from repro.scheduler.mra import MaximalRectanglesScheduler
-from repro.scheduler.placement_baselines import QuotaPackingScheduler
-from repro.scheduler.scheduler import FaSTScheduler, place
+from repro.scheduler.mra import MaximalRectanglesScheduler, NoFitError
+from repro.scheduler.rectangles import EPS
+from repro.scheduler.scheduler import FaSTScheduler, place, release
 from repro.sim.engine import Engine
 
 
@@ -171,9 +171,6 @@ class FaSTGShare:
         self.placement = MaximalRectanglesScheduler(
             node_names, policy=config.placement, node_factors=self.cluster.speed_factors()
         )
-        # Ledgers of the timeshare / exclusive baselines' manual deploys.
-        self._quota_packer = QuotaPackingScheduler(node_names)
-        self._device_plugin = DevicePlugin(self.cluster)
 
     @classmethod
     def build(
@@ -261,40 +258,24 @@ class FaSTGShare:
             return replica
         if sharing == "fast":
             return place(self.cluster, self.placement, controller, sm, q_req, q_lim)
+        if sharing == "racing":
+            # Pile pods onto the first node unless pinned.
+            return controller.scale_up(self.cluster.node(0), sm, q_req, q_lim)
         if sharing == "timeshare":
-            # KubeShare-style: pack by time quota only (every pod sees all SMs).
-            reservation = (
-                f"pending-{controller.function.name}-{id(controller)}-{controller.replica_count}"
-            )
-            node_name = self._quota_packer.bind(reservation, q_lim)
-            target = self.cluster.node(node_name)
-            replica = controller.scale_up(target, sm, q_req, q_lim)
-            self._quota_packer.unbind(reservation)
-            self._quota_packer.bind(replica.pod.pod_id, q_lim)
-            return replica
-        if sharing == "exclusive":
-            target = self._device_plugin.acquire(f"{controller.function.name}-next")
-            replica = controller.scale_up(target, sm, q_req, q_lim)
-            self._device_plugin.assign(target.name, replica.pod.pod_id)
-            return replica
-        # racing: pile pods onto the first node unless pinned.
-        return controller.scale_up(self.cluster.node(0), sm, q_req, q_lim)
+            # KubeShare-style: first fit by time quota (every pod sees all SMs).
+            free = [n for n in self.cluster.nodes if n.quota_in_use + q_lim <= 1.0 + EPS]
+        else:
+            # Exclusive: a whole GPU per pod.  A draining pod keeps its
+            # container, so its GPU stays taken until the eviction.
+            free = [n for n in self.cluster.nodes if not n.containers]
+        if not free:
+            raise NoFitError(f"{controller.function.name}: no GPU fits a {sharing} pod (q={q_lim})")
+        return controller.scale_up(free[0], sm, q_req, q_lim)
 
-    def scale_down(self, function: str, pod_id: str, drain: bool = True) -> None:
-        """Remove one replica and release its binding in the ledger of the
-        platform's sharing mode (pinned deploys may never have bound one)."""
-        self.controllers[function].scale_down(pod_id, drain=drain)
-        sharing = self.config.sharing
-        if sharing == "exclusive":
-            for node_name, owner in self._device_plugin.assignment().items():
-                if owner == pod_id:
-                    self._device_plugin.release(node_name)
-        elif sharing in ("fast", "timeshare"):
-            ledger = self.placement if sharing == "fast" else self._quota_packer
-            try:
-                ledger.unbind(pod_id)
-            except KeyError:
-                pass
+    def scale_down(self, function: str, pod_id: str, drain: bool = True) -> str | None:
+        """Remove one replica and free its rectangle, if it holds one; returns
+        that node (see :func:`~repro.scheduler.scheduler.release`)."""
+        return release(self.placement, self.controllers[function], pod_id, drain=drain)
 
     # -- auto-scaling ---------------------------------------------------------------
     def start_autoscaler(
@@ -334,31 +315,13 @@ class FaSTGShare:
         from repro.autoscaler.controller import build_autoscaler
 
         self.profile_db = database
-        predictive = build_autoscaler(
+        prewarm_policy, built = build_autoscaler(
             policy,
-            self.engine,
-            self.gateway,
             self.controllers,
             bin_s=self.gateway.rps_bin_s,
             period_s=forecast_period_s,
             forecasters=forecasters,
             prewarm=prewarm,
-        )
-        self.scheduler = FaSTScheduler(
-            self.engine,
-            self.cluster,
-            self.gateway,
-            database,
-            self.controllers,
-            self.placement,
-            interval=interval,
-            headroom=headroom,
-            scale_down_cooldown=scale_down_cooldown,
-            min_replicas=min_replicas,
-            latency_headroom=latency_headroom,
-            down_hysteresis=down_hysteresis,
-            predictive=predictive,
-            min_replicas_by_function=min_replicas_by_function,
         )
         if any(node.host_memory is not None for node in self.cluster.nodes):
             # Memory tier on: one lifecycle object shared by every layer —
@@ -373,8 +336,6 @@ class FaSTGShare:
                 placement=self.placement,
             )
             self.gateway.lifecycle = self.lifecycle
-            self.scheduler.lifecycle = self.lifecycle
-            predictive.lifecycle = self.lifecycle
         if defrag is not None:
             from repro.migrate import Defragmenter, MigrationController
 
@@ -393,7 +354,25 @@ class FaSTGShare:
                 threshold=defrag.threshold,
                 max_moves_per_tick=defrag.max_moves_per_tick,
             )
-            self.scheduler.defragmenter = self.defragmenter
+        self.scheduler = FaSTScheduler(
+            self.engine,
+            self.cluster,
+            self.gateway,
+            database,
+            self.controllers,
+            self.placement,
+            interval=interval,
+            headroom=headroom,
+            scale_down_cooldown=scale_down_cooldown,
+            min_replicas=min_replicas,
+            latency_headroom=latency_headroom,
+            down_hysteresis=down_hysteresis,
+            min_replicas_by_function=min_replicas_by_function,
+            policy=prewarm_policy,
+            forecasters=built,
+            lifecycle=self.lifecycle,
+            defragmenter=self.defragmenter,
+        )
         self.scheduler.start()
         return self.scheduler
 

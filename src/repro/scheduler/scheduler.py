@@ -17,6 +17,11 @@ Every ``interval`` seconds, for each function:
    GPU-memory feasibility, then handed to the FaSTPod controller;
    scale-downs drain their pods and release their rectangles.
 
+The scheduler is built with everything it ticks: the predictive layer it
+constructs from ``policy`` and ``forecasters``, the memory tier's
+``lifecycle`` and the background ``defragmenter`` (each ``None`` when
+disabled).
+
 A short scale-down cooldown after any scale-up prevents flapping on noisy
 predictions (the paper leaves this operational detail unspecified).
 """
@@ -37,11 +42,18 @@ from repro.scheduler.autoscale import (
 from repro.scheduler.mra import MaximalRectanglesScheduler, NoFitError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.autoscaler.controller import PredictiveAutoscaler
+    from repro.autoscaler.forecast import Forecaster
+    from repro.autoscaler.policy import PreWarmPolicy
     from repro.faas.function import FunctionSpec
-    from repro.k8s.cluster import Cluster
     from repro.faas.gateway import Gateway
+    from repro.k8s.cluster import Cluster
+    from repro.memtier.lifecycle import ReplicaLifecycle
+    from repro.migrate.defrag import Defragmenter
     from repro.sim.engine import Engine
+
+#: Scale-downs applied per function and tick: draining several pods at once
+#: dumps their queues onto the survivors and spikes the tail latency.
+MAX_DOWN_PER_TICK = 1
 
 
 def memory_probe(cluster: "Cluster", function: "FunctionSpec") -> _t.Callable[[str], bool]:
@@ -96,14 +108,34 @@ def place(
     choice = placement.select_node(width, sm_partition, allowed=allowed)
     if choice is None:
         raise NoFitError(
-            f"{controller.function.name}: no GPU fits "
-            f"(q={quota_limit}, s={sm_partition})"
+            f"{controller.function.name}: no GPU fits (q={quota_limit}, s={sm_partition})"
         )
     node_name, rect = choice
     node = cluster.node(node_name)
     replica = controller.scale_up(node, sm_partition, quota_request, quota_limit, warm=warm)
     placement.bind_at(replica.pod.pod_id, node_name, width, sm_partition, target=rect)
     return replica
+
+
+def release(
+    placement: MaximalRectanglesScheduler,
+    controller: FaSTPodController,
+    pod_id: str,
+    drain: bool = True,
+) -> str | None:
+    """Scale one replica down and free its rectangle; returns the node it
+    was bound on (``None`` for a pinned pod that never fit, or a baseline
+    mode's pod: neither holds a rectangle).
+
+    The one fast-mode release path, shared by manual scale-downs, the
+    scheduler's drains and the autoscaler's retirements.  The memory tier's
+    park and the migrator's after-drain release keep their own timing.
+    """
+    node = placement.node_of(pod_id)
+    controller.scale_down(pod_id, drain=drain)
+    if node is not None:
+        placement.unbind(pod_id)
+    return node
 
 
 @dataclasses.dataclass(slots=True)
@@ -135,9 +167,11 @@ class FaSTScheduler:
         min_replicas: int = 1,
         latency_headroom: float = 0.6,
         down_hysteresis: float = 0.10,
-        max_down_per_tick: int = 1,
-        predictive: "PredictiveAutoscaler | None" = None,
         min_replicas_by_function: _t.Mapping[str, int] | None = None,
+        policy: "PreWarmPolicy | None" = None,
+        forecasters: _t.Mapping[str, "Forecaster"] | None = None,
+        lifecycle: "ReplicaLifecycle | None" = None,
+        defragmenter: "Defragmenter | None" = None,
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -159,7 +193,6 @@ class FaSTScheduler:
         # park below them during keep-alive scale-to-zero (that is its point).
         self.min_replicas_by_function = dict(min_replicas_by_function or {})
         self.down_hysteresis = down_hysteresis
-        self.max_down_per_tick = max_down_per_tick
         slo_map = {name: c.function.slo_ms for name, c in self.controllers.items()}
         self.scaler = HeuristicScaler.for_cluster(
             database, slo_map, latency_headroom, cluster.speed_factors()
@@ -167,22 +200,20 @@ class FaSTScheduler:
         #: the platform's one MRA ledger, shared with manual deploys, the
         #: memory tier, and the migrator/defragmenter.
         self.placement = placement
-        if predictive is None:
-            # The reactive configuration is the *degenerate* predictive
-            # controller (no forecasters, no policy) — one control path.
-            from repro.autoscaler.controller import PredictiveAutoscaler
-
-            predictive = PredictiveAutoscaler(engine, gateway, self.controllers)
-        self.predictive = predictive
-        self.predictive.bind(self)
         #: memory tier: the replica-lifecycle API (None when disabled).
         #: When set, a scale-up prefers swapping a HOST_RESIDENT pod back in
-        #: over placing and cold-starting a fresh one.
-        self.lifecycle = None
+        #: over placing and cold-starting a fresh one, and the predictive
+        #: layer's memtier actions drive it.
+        self.lifecycle = lifecycle
         #: background defragmenter (:class:`repro.migrate.Defragmenter`),
-        #: wired by the platform when the scenario carries a
-        #: ``cluster.defrag`` block; ticked at the end of every control tick.
-        self.defragmenter = None
+        #: given when the scenario carries a ``cluster.defrag`` block;
+        #: ticked at the end of every control tick.
+        self.defragmenter = defragmenter
+        # The reactive configuration is the *degenerate* predictive
+        # controller (no forecasters, no policy) — one control path.
+        from repro.autoscaler.controller import PredictiveAutoscaler
+
+        self.predictive = PredictiveAutoscaler(self, policy, forecasters)
         self.events: list[SchedulerEvent] = []
         self.replica_series: list[tuple[float, dict[str, int]]] = []
         self._last_scale_up: dict[str, float] = {}
@@ -218,8 +249,14 @@ class FaSTScheduler:
     ):
         """:func:`place` into the shared ledger (returns the replica)."""
         return place(
-            self.cluster, self.placement, controller, sm_partition,
-            quota_request, quota_limit, warm=warm, used_nodes_only=used_nodes_only,
+            self.cluster,
+            self.placement,
+            controller,
+            sm_partition,
+            quota_request,
+            quota_limit,
+            warm=warm,
+            used_nodes_only=used_nodes_only,
         )
 
     def _note(self, event: SchedulerEvent, **extra) -> None:
@@ -307,10 +344,9 @@ class FaSTScheduler:
                 delta = 0.0  # hysteresis: ignore marginal surpluses (noise)
             delta_rps[name] = delta
 
-        # Scale down gradually: draining several pods at once dumps their
-        # queues onto the survivors and spikes the tail latency.
+        # Scale down gradually (see MAX_DOWN_PER_TICK).
         downs_allowed = {
-            name: min(self.max_down_per_tick, max(0, len(pods) - floors[name]))
+            name: min(MAX_DOWN_PER_TICK, max(0, len(pods) - floors[name]))
             for name, pods in self.running.items()
         }
         for action in self.scaler.plan(delta_rps, self.running):
@@ -342,9 +378,14 @@ class FaSTScheduler:
         if warm is not None:
             self._last_scale_up[action.function] = self.engine.now
             self._note(
-                SchedulerEvent(self.engine.now, action.function, "promote",
-                               warm.pod.spec.sm_partition, warm.pod.spec.quota_limit,
-                               warm.pod.node_name),
+                SchedulerEvent(
+                    self.engine.now,
+                    action.function,
+                    "promote",
+                    warm.pod.spec.sm_partition,
+                    warm.pod.spec.quota_limit,
+                    warm.pod.node_name,
+                ),
                 pod=warm.pod.pod_id,
             )
             return
@@ -355,9 +396,14 @@ class FaSTScheduler:
             if pod is not None:
                 self._last_scale_up[action.function] = self.engine.now
                 self._note(
-                    SchedulerEvent(self.engine.now, action.function, "swapin",
-                                   pod.spec.sm_partition, pod.spec.quota_limit,
-                                   pod.node_name),
+                    SchedulerEvent(
+                        self.engine.now,
+                        action.function,
+                        "swapin",
+                        pod.spec.sm_partition,
+                        pod.spec.quota_limit,
+                        pod.node_name,
+                    ),
                     pod=pod.pod_id,
                 )
                 return
@@ -366,23 +412,27 @@ class FaSTScheduler:
             # [Q, Q] matches the profiling convention the throughputs assume.
             replica = self.place_pod(controller, action.sm_partition, action.quota, action.quota)
         except NoFitError:
-            event = SchedulerEvent(self.engine.now, action.function, "nofit",
-                                   action.sm_partition, action.quota, None)
+            event = SchedulerEvent(
+                self.engine.now, action.function, "nofit", action.sm_partition, action.quota, None
+            )
             if self.engine.hub.enabled:
                 self._note(
                     event,
-                    rejects=self._reject_reasons(
-                        controller, action.sm_partition, action.quota
-                    ),
+                    rejects=self._reject_reasons(controller, action.sm_partition, action.quota),
                 )
             else:
                 self._note(event)
             return
         self._last_scale_up[action.function] = self.engine.now
         self._note(
-            SchedulerEvent(self.engine.now, action.function, "up",
-                           action.sm_partition, action.quota,
-                           replica.pod.node_name),
+            SchedulerEvent(
+                self.engine.now,
+                action.function,
+                "up",
+                action.sm_partition,
+                action.quota,
+                replica.pod.node_name,
+            ),
             pod=replica.pod.pod_id,
         )
 
@@ -390,19 +440,15 @@ class FaSTScheduler:
         controller = self.controllers[action.function]
         if action.pod_id not in controller.replicas:
             return  # raced with an earlier removal
-        node = self.placement.node_of(action.pod_id)
-        controller.scale_down(action.pod_id, drain=True)
-        try:
-            self.placement.unbind(action.pod_id)
-        except KeyError:
-            pass
+        node = release(self.placement, controller, action.pod_id)
         self._note(
             SchedulerEvent(self.engine.now, action.function, "down", 0.0, 0.0, node),
             pod=action.pod_id,
         )
 
-    def _throughput_of(self, function: str, sm: float, quota: float,
-                       pod_id: str | None = None) -> float:
+    def _throughput_of(
+        self, function: str, sm: float, quota: float, pod_id: str | None = None
+    ) -> float:
         factor = 1.0
         if pod_id is not None:
             # Profiles are calibrated on the V100; a pod serving from a

@@ -135,17 +135,13 @@ def test_scheduler_builds_degenerate_controller_by_default():
 def test_build_autoscaler_rejects_unknown_policy():
     platform, _ = build(policy="reactive")
     with pytest.raises(ValueError):
-        build_autoscaler(
-            "magic", platform.engine, platform.gateway, platform.controllers
-        )
+        build_autoscaler("magic", platform.controllers)
 
 
 def test_build_autoscaler_oracle_requires_forecasters():
     platform, _ = build(policy="reactive")
     with pytest.raises(ValueError):
-        build_autoscaler(
-            "oracle", platform.engine, platform.gateway, platform.controllers
-        )
+        build_autoscaler("oracle", platform.controllers)
 
 
 def test_oracle_forecasters_accepted():

@@ -1,11 +1,11 @@
-"""Unit tests for the FaSTPod controller and the device plugin."""
+"""Unit tests for the FaSTPod controller."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.faas import FunctionRegistry, FunctionSpec, Gateway
-from repro.k8s import Cluster, DevicePlugin
+from repro.k8s import Cluster
 from repro.k8s.fastpod import FaSTPodController
 from repro.sim import Engine
 
@@ -77,26 +77,3 @@ def test_backend_rows_synced(stack):
     assert entry.sm_partition == 12
     assert entry.quota_request == 0.3
     assert entry.quota_limit == 0.8
-
-
-# ---- device plugin -----------------------------------------------------------
-
-def test_device_plugin_exclusive_assignment(engine: Engine):
-    cluster = Cluster(engine, nodes=2, sharing_mode="exclusive")
-    plugin = DevicePlugin(cluster)
-    n1 = plugin.acquire("pod-a")
-    n2 = plugin.acquire("pod-b")
-    assert {n1.name, n2.name} == {"node0", "node1"}
-    with pytest.raises(RuntimeError, match="no free GPUs"):
-        plugin.acquire("pod-c")
-    plugin.release(n1.name)
-    assert plugin.acquire("pod-c").name == n1.name
-    assert plugin.assignment()[n2.name] == "pod-b"
-
-
-def test_device_plugin_allocatable(engine: Engine):
-    cluster = Cluster(engine, nodes=3, sharing_mode="exclusive")
-    plugin = DevicePlugin(cluster)
-    assert len(plugin.allocatable) == 3
-    plugin.acquire("p")
-    assert len(plugin.allocatable) == 2

@@ -114,6 +114,50 @@ def test_scale_down_releases_capacity():
         platform.deploy("classify", configs=[(100, 1.0)])  # space reclaimed
 
 
+def test_exclusive_deploy_skips_a_gpu_taken_by_a_pinned_pod():
+    platform = FaSTGShare.build(nodes=2, sharing="exclusive", seed=1)
+    platform.register_function("classify", model="resnet50")
+    platform.deploy("classify", configs=[(100, 1.0)], node=0)
+    (replica,) = platform.deploy("classify", configs=[(100, 1.0)])
+    assert replica.pod.node_name == "node1"
+    with pytest.raises(NoFitError):
+        platform.deploy("classify", configs=[(100, 1.0)])
+
+
+def test_timeshare_deploy_counts_pinned_quota():
+    platform = FaSTGShare.build(nodes=2, sharing="timeshare", seed=1)
+    platform.register_function("classify", model="resnet50")
+    platform.deploy("classify", configs=[(100, 0.8)], node=0)
+    (replica,) = platform.deploy("classify", configs=[(100, 0.5)])
+    assert replica.pod.node_name == "node1"
+    assert [node.quota_in_use for node in platform.cluster.nodes] == [0.8, 0.5]
+
+
+def test_exclusive_gpu_stays_taken_until_its_pod_drains():
+    platform = FaSTGShare.build(nodes=2, sharing="exclusive", seed=1)
+    platform.register_function("classify", model="resnet50")
+    (first,) = platform.deploy("classify", configs=[(100, 1.0)])
+    platform.wait_ready("classify")
+    platform.scale_down("classify", first.pod.pod_id, drain=True)
+    (second,) = platform.deploy("classify", configs=[(100, 1.0)])  # node0 still draining
+    assert (first.pod.node_name, second.pod.node_name) == ("node0", "node1")
+    platform.engine.run(until=platform.engine.now + 1.0)
+    (third,) = platform.deploy("classify", configs=[(100, 1.0)])  # evicted: free again
+    assert third.pod.node_name == "node0"
+
+
+def test_fast_scale_down_of_a_pinned_pod_that_never_fit():
+    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=1)
+    platform.register_function("classify", model="resnet50")
+    bound, unbound = platform.deploy("classify", configs=[(100, 1.0)] * 2, node=0)
+    assert platform.placement.node_of(unbound.pod.pod_id) is None
+    assert platform.scale_down("classify", unbound.pod.pod_id, drain=False) is None
+    assert platform.scale_down("classify", bound.pod.pod_id, drain=False) == "node0"
+    platform.engine.run(until=platform.engine.now + 1.0)
+    assert platform.controllers["classify"].replica_count == 0
+    platform.deploy("classify", configs=[(100, 1.0)])  # the rectangle is free again
+
+
 def test_autoscaler_end_to_end_meets_demand():
     platform = FaSTGShare.build(nodes=2, sharing="fast", seed=5)
     platform.register_function("classify", model="resnet50")
