@@ -5,13 +5,13 @@ with a forecasting outer layer driven from the FaST-Scheduler tick:
 
 1. **observe** — feed the gateway's completed arrival bins to every
    per-function forecaster;
-2. **predict** — :meth:`PredictiveAutoscaler.predicted_rps` blends the
-   reactive gateway signal with the forecast (max of both), which the
-   scheduler scales against;
-3. **act** — run the :class:`~repro.autoscaler.policy.PreWarmPolicy`:
-   pre-warm pods are MRA-placed in ``WARM_IDLE`` (memory held, zero quota);
-   expired warm pods retire; per-function min-replica floors open the
-   scale-to-zero path for cold-tail functions.
+2. **plan** — run the :class:`~repro.autoscaler.policy.PreWarmPolicy` over
+   one view per awake function and keep the plan, which is all the
+   scheduler's gap reads: :meth:`PredictiveAutoscaler.predicted_rps` blends
+   the reactive gateway signal with each view's forecast (max of both), and
+   the plan's floors open the scale-to-zero path for cold-tail functions;
+3. **act** — pre-warm pods are MRA-placed in ``WARM_IDLE`` (memory held,
+   zero quota); expired warm pods retire.
 
 The **reactive degenerate** — no forecasters, no policy — is exactly the
 pre-existing behaviour: ``predicted_rps`` passes the gateway signal
@@ -20,15 +20,16 @@ through, ``on_tick`` only ingests observations, and no warm pods exist.
 controller, so there is one control path, not two.
 
 **Sleep.** A tick views only functions with something to decide.  A
-function *sleeps* — no ingest, no view, no capacity snapshot, no gap — when
-its next view provably plans the same as its last: it holds no replica,
-nothing is pending, its parked pods are settled ``HOST_RESIDENT``, the
-policy planned no action for it, left it idle, and its forecast names no
-next activity (the :class:`~repro.autoscaler.forecast.Forecaster` contract
-keeps that so until traffic returns).  It wakes on a new arrival, any change
-to its replicas or parked pods, or the policy's :meth:`wake_at` deadline;
-waking early only costs a view.  A never-invoked function with a quiet
-forecaster starts asleep.  Without a policy nothing goes back to sleep.
+function *sleeps* — no ingest, no view, no capacity snapshot, no gap, and
+so no plan kept for it — when its next view provably plans the same as its
+last: it holds no replica, nothing is pending, its parked pods are settled
+``HOST_RESIDENT``, the policy planned no action for it, left it idle, and
+its forecast names no next activity (the
+:class:`~repro.autoscaler.forecast.Forecaster` contract keeps that so until
+traffic returns).  It wakes on a new arrival, any change to its replicas or
+parked pods, or the policy's :meth:`wake_at` deadline; waking early only
+costs a view.  A never-invoked function with a quiet forecaster starts
+asleep.  Without a policy nothing goes back to sleep.
 
 Waking is pushed, not polled: ``Gateway.submit`` and every replica or
 parked-pod change in the FaSTPod controller add the function to the
@@ -49,6 +50,7 @@ import typing as _t
 from repro.autoscaler.forecast import Forecaster, OracleForecaster
 from repro.autoscaler.policy import (
     FunctionView,
+    PolicyDecision,
     PreWarmAction,
     PreWarmPolicy,
     RetireAction,
@@ -99,8 +101,10 @@ class PredictiveAutoscaler:
         self.events: list[AutoscaleEvent] = []
         self.prewarms = 0
         self.retirements = 0
-        self._floors: dict[str, int] = {}
-        self._idle: set[str] = set()
+        #: This tick's plan, and the forecast rate of each function it viewed:
+        #: all the scheduler's gap reads (empty for the reactive degenerate).
+        self._decision = PolicyDecision(actions=[], min_replicas={})
+        self._rates: dict[str, float | None] = {}
         self._names = sorted(self.controllers)
         #: Sleeping functions: name -> (arrivals, parked pod ids, deadline)
         #: as of falling asleep; any change to the first two, or reaching
@@ -113,8 +117,6 @@ class PredictiveAutoscaler:
         #: Finite sleep deadlines as a heap of (wake_at, name); entries of
         #: functions that have since woken are dropped when they come due.
         self._deadlines: list[tuple[float, str]] = []
-        #: (tick time, forecast rate per viewed function) of the last views.
-        self._view_rates: tuple[float, dict[str, float | None]] = (-math.inf, {})
 
     @property
     def predictive(self) -> bool:
@@ -123,33 +125,25 @@ class PredictiveAutoscaler:
 
     # -- signals the scheduler consumes ---------------------------------------------
     def predicted_rps(self, function: str) -> float:
-        """The load signal for Algorithm 1: reactive blended with forecast."""
-        if function in self._idle:
+        """The load signal for Algorithm 1: the reactive gateway signal
+        blended with the rate this tick's view forecast.  Exact: no on-tick
+        action touches a forecaster or the arrival bins it ingests."""
+        if function in self._decision.idle:
             # Past the keep-alive window: zero the signal outright, or the
             # forecast's exponential residue blocks draining the last pod.
             return 0.0
         base = self.gateway.predicted_rps(function)
-        forecaster = self.forecasters.get(function)
-        if forecaster is None:
-            return base
-        now = self.engine.now
-        viewed_at, rates = self._view_rates
-        if viewed_at == now and function in rates:
-            # This tick's view already asked.  Exact: no on-tick action
-            # touches a forecaster or the arrival bins it ingests.
-            prediction = rates[function]
-        else:
-            prediction = forecaster.predict_rps(now)
+        prediction = self._rates.get(function)
         return base if prediction is None else max(base, prediction)
 
     def min_replicas_for(self, function: str, default: int) -> int:
-        """Per-function floor (scale-to-zero when keep-alive expired)."""
-        return self._floors.get(function, default)
+        """This tick's floor (0 for scale-to-zero when keep-alive expired)."""
+        return self._decision.min_replicas.get(function, default)
 
     def dormant(self, function: str) -> bool:
         """Asleep, and nothing has woken it yet: no new arrival, no change to
         its replicas or parked pods, and its wake deadline not reached.  Its
-        floor and idle state hold, and its gap is exactly 0.  (A policy
+        gap is exactly 0, so the scheduler skips it.  (A policy
         acting on never-invoked functions, which start asleep, must pair
         with a forecaster that is not quiet until observed.)"""
         sleep = self._asleep.get(function)
@@ -202,7 +196,7 @@ class PredictiveAutoscaler:
         if not self.predictive:
             return
         views = [self._view(now, name) for name in names]
-        self._view_rates = (now, {view.function: view.predicted_rps for view in views})
+        self._rates = {view.function: view.predicted_rps for view in views}
         hub = self.engine.hub
         if hub.enabled:
             # Forecast inputs first, chosen actions after: the audit trail
@@ -213,11 +207,7 @@ class PredictiveAutoscaler:
             # drown the stream in zero rows.
             for view in views:
                 if not (
-                    view.serving
-                    or view.warm
-                    or view.parked
-                    or view.pending
-                    or view.predicted_rps
+                    view.serving or view.warm or view.parked or view.pending or view.predicted_rps
                 ):
                     continue
                 inputs = {
@@ -240,13 +230,7 @@ class PredictiveAutoscaler:
                     view.function,
                     **{k: v for k, v in inputs.items() if v is not None},
                 )
-        decision = self.policy.plan(now, views)
-        # Viewed functions get fresh floors and idle state; sleepers keep theirs.
-        for name in names:
-            self._floors.pop(name, None)
-        self._floors.update(decision.min_replicas)
-        self._idle.difference_update(names)
-        self._idle.update(decision.idle)
+        self._decision = decision = self.policy.plan(now, views)
         for action in decision.actions:
             if isinstance(action, PreWarmAction):
                 self._apply_prewarm(action)
@@ -320,12 +304,11 @@ class PredictiveAutoscaler:
         forecaster = self.forecasters.get(name)
         warm_ids = tuple(sorted(r.pod.pod_id for r in controller.warm_replicas()))
         parked_ids: tuple[str, ...] = ()
-        swap_in_s = weight_mb = None
+        swap_in_s = None
         lifecycle = scheduler.lifecycle
         if lifecycle is not None:
             parked_ids = tuple(lifecycle.parked(name))
             swap_in_s = lifecycle.swap_in_estimate_s(name)
-            weight_mb = lifecycle.weights_mb(name)
         return FunctionView(
             function=name,
             serving=controller.serving_count,
@@ -346,7 +329,6 @@ class PredictiveAutoscaler:
             parked=len(parked_ids),
             parked_pod_ids=parked_ids,
             swap_in_s=swap_in_s,
-            weight_mb=weight_mb,
         )
 
     # -- applying actions ------------------------------------------------------------
@@ -436,8 +418,7 @@ def build_autoscaler(
         return prewarm or PreWarmPolicy(), dict(forecasters)
     registration = get_registration(policy)  # raises ValueError when unknown
     built = {
-        name: registration.forecaster_factory(bin_s=bin_s, period_s=period_s)
-        for name in functions
+        name: registration.forecaster_factory(bin_s=bin_s, period_s=period_s) for name in functions
     }
     if forecasters:
         built.update(forecasters)

@@ -67,12 +67,11 @@ class FunctionView:
     idle_deadline: float | None
     active_rate: float | None
     last_arrival: float | None
-    #: memory tier (defaults = tier disabled): HOST_RESIDENT pod count/ids,
-    #: the current swap-in estimate, and the per-pod parked weight size.
+    #: memory tier (defaults = tier disabled): HOST_RESIDENT pod count/ids
+    #: and the current swap-in estimate.
     parked: int = 0
     parked_pod_ids: tuple[str, ...] = ()
     swap_in_s: float | None = None
-    weight_mb: float | None = None
 
 
 @dataclasses.dataclass(slots=True)
@@ -158,6 +157,19 @@ class PreWarmPolicy:
             return view.last_arrival + self.spare_keepalive_s
         return None
 
+    def _idle_state(self, now: float, view: FunctionView) -> tuple[bool, bool]:
+        """(activity soon, idle): whether the next predicted activity falls
+        within the lead time, and whether the keep-alive window is over with
+        nothing pending and no activity soon."""
+        expiry = self._expiry(view)
+        # ">=": forecasters signal "expired right now" by returning the
+        # current time (e.g. idle beyond every recorded gap).
+        expired = expiry is not None and now >= expiry
+        activity_soon = (
+            view.next_active is not None and view.next_active - now <= self.lead_time(view)
+        )
+        return activity_soon, expired and not activity_soon and view.pending == 0
+
     def wake_at(self, view: FunctionView) -> float:
         """When a sleeping function must be viewed again with no event.
 
@@ -182,16 +194,7 @@ class PreWarmPolicy:
         self, now: float, view: FunctionView, floors: dict[str, int], idle_set: set[str]
     ) -> list[PreWarmPlanAction]:
         name = view.function
-        expiry = self._expiry(view)
-        # ">=": forecasters signal "expired right now" by returning the
-        # current time (e.g. idle beyond every recorded gap).
-        expired = expiry is not None and now >= expiry
-        activity_soon = (
-            view.next_active is not None
-            and view.next_active - now <= self.lead_time(view)
-        )
-        idle = expired and not activity_soon and view.pending == 0
-
+        activity_soon, idle = self._idle_state(now, view)
         if self.scale_to_zero and idle:
             # Keep-alive over: scale to zero *serving* pods (zero quota
             # draw), but park a warm **readiness reserve** as re-entry
@@ -273,7 +276,4 @@ class PreWarmPolicy:
         is the just-in-time ``predicted-activity`` rule's job)."""
         if view.pending > 0:
             return True
-        return (
-            view.last_arrival is not None
-            and now - view.last_arrival <= self.spare_keepalive_s
-        )
+        return view.last_arrival is not None and now - view.last_arrival <= self.spare_keepalive_s

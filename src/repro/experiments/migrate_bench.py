@@ -101,9 +101,7 @@ def base_scenario(
             "defragmentation headline scenario."
         ),
         cluster=ClusterSpec(nodes=tuple(nodes)),
-        autoscaler=AutoscalerSpec(
-            placement="spread", min_replicas=0, scale_down_cooldown=4.0
-        ),
+        autoscaler=AutoscalerSpec(placement="spread", scale_down_cooldown=4.0),
         measurement=MeasurementSpec(drain_s=5.0),
         functions=functions,
     )
@@ -116,7 +114,6 @@ def sweep_for_defrag(base: Scenario, threshold: float) -> Sweep:
         base=base,
         axes=(SweepAxis(axis="defrag", values=(None, threshold)),),
         description=(
-            "Background defragmentation on vs off over the fragmented "
-            "spread-placement fleet"
+            "Background defragmentation on vs off over the fragmented spread-placement fleet"
         ),
     )

@@ -71,9 +71,10 @@ class Gateway:
         #: promotions triggered but not yet serving (replica_ready pending).
         self._promoting: dict[str, int] = collections.defaultdict(int)
         self.promotions = 0
-        #: per-function promotion counts (the scheduler treats a promotion
-        #: as a scale-up for cooldown purposes — no immediate drain-back).
-        self.promotions_by_function: dict[str, int] = collections.defaultdict(int)
+        #: Functions with a warm or demand-swap promotion since the scheduler
+        #: last gap-checked them: it treats each as a scale-up for cooldown
+        #: purposes (no immediate drain-back) and takes the function out.
+        self.promoted: set[str] = set()
         #: memory tier: the replica-lifecycle API (None when disabled).
         #: When set, a request parking with no warm spare triggers promotion
         #: of a HOST_RESIDENT pod — scale-from-host instead of a cold start.
@@ -81,7 +82,6 @@ class Gateway:
         #: demand-driven swap promotions in flight, per function.
         self._swapping: dict[str, int] = collections.defaultdict(int)
         self.swap_promotions = 0
-        self.swap_promotions_by_function: dict[str, int] = collections.defaultdict(int)
         self._rr: dict[str, int] = collections.defaultdict(int)
         #: per-function arrival counts in fixed wall-clock bins (RPS signal).
         self._arrival_bins: dict[str, collections.Counter] = collections.defaultdict(
@@ -174,7 +174,7 @@ class Gateway:
         self._warm[name].remove(replica)
         self._promoting[name] += 1
         self.promotions += 1
-        self.promotions_by_function[name] += 1
+        self.promoted.add(name)
         replica.promote()
         hub = self.engine.hub
         if hub.enabled:
@@ -255,12 +255,11 @@ class Gateway:
         in_flight = self._promoting[function] + self._swapping[function]
         hub = self.engine.hub
         while (
-            len(pending) > in_flight
-            and self.lifecycle.promote(function, demand=True) is not None
+            len(pending) > in_flight and self.lifecycle.promote(function, demand=True) is not None
         ):
             self._swapping[function] += 1
             self.swap_promotions += 1
-            self.swap_promotions_by_function[function] += 1
+            self.promoted.add(function)
             in_flight += 1
             for request in pending:
                 request.swap_marked = True

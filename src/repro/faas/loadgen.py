@@ -35,7 +35,6 @@ class OpenLoopGenerator:
         self.function = function
         self.workload = workload
         self.rng = rng if rng is not None else engine.rng.stream(f"loadgen.{function}")
-        self.generated = 0
         self.proc: "Process" = engine.process(self._run(), name=f"loadgen:{function}")
 
     def _run(self):
@@ -45,7 +44,6 @@ class OpenLoopGenerator:
             yield self.engine.timeout(t - last)
             last = t
             self.gateway.submit(self.function)
-            self.generated += 1
         # Park until the nominal end so joiners observe the full horizon.
         remaining = (start + self.workload.duration) - self.engine.now
         if remaining > 0:

@@ -41,7 +41,6 @@ class GPUMetrics:
         self._busy_integral = 0.0
         self._occ_integral = 0.0
         self._window_start = 0.0
-        self._last_elapsed_end = 0.0
         # Mark points let callers measure sub-windows without resetting.
         self._marks: dict[str, tuple[float, float, float]] = {}
 
@@ -54,7 +53,6 @@ class GPUMetrics:
         if n_active > 0:
             self._busy_integral += dt
             self._occ_integral += dt * occupancy_rate
-        self._last_elapsed_end = end
 
     # -- window management ---------------------------------------------------
     def mark(self, name: str, now: float) -> None:

@@ -32,8 +32,7 @@ class MPSClient:
     def __init__(self, server: "MPSServer", owner: str, active_thread_percentage: float):
         if not 0 < active_thread_percentage <= 100:
             raise MPSError(
-                f"CUDA_MPS_ACTIVE_THREAD_PERCENTAGE={active_thread_percentage} "
-                "outside (0, 100]"
+                f"CUDA_MPS_ACTIVE_THREAD_PERCENTAGE={active_thread_percentage} outside (0, 100]"
             )
         self.server = server
         self.owner = owner
@@ -60,16 +59,15 @@ class MPSClient:
 class MPSServer:
     """The per-GPU MPS control daemon.
 
-    ``exclusive_mode`` mirrors ``nvidia-smi -c EXCLUSIVE_PROCESS``: required
-    so all work funnels through the MPS server (the paper's DaemonSet sets
-    this up).  Σ configured percentages may over-subscribe (MPS allows it);
-    the server exposes the oversubscription level for diagnostics — keeping
-    the *running* total within 100% is the FaST Backend's job, not MPS's.
+    The paper's DaemonSet sets ``nvidia-smi -c EXCLUSIVE_PROCESS`` so all
+    work funnels through the MPS server.  Σ configured percentages may
+    over-subscribe (MPS allows it); the server exposes the oversubscription
+    level for diagnostics — keeping the *running* total within 100% is the
+    FaST Backend's job, not MPS's.
     """
 
-    def __init__(self, device: "GPUDevice", exclusive_mode: bool = True):
+    def __init__(self, device: "GPUDevice"):
         self.device = device
-        self.exclusive_mode = exclusive_mode
         self.running = False
         self.clients: list[MPSClient] = []
 
@@ -81,8 +79,7 @@ class MPSServer:
     def stop(self) -> None:
         if self.clients:
             raise MPSError(
-                f"cannot stop MPS on {self.device.name}: "
-                f"{len(self.clients)} clients connected"
+                f"cannot stop MPS on {self.device.name}: {len(self.clients)} clients connected"
             )
         self.running = False
 

@@ -22,7 +22,6 @@ weigh against forecast gaps and SLO headroom.
 
 from __future__ import annotations
 
-import collections
 import typing as _t
 
 from repro.k8s.objects import Pod, PodPhase
@@ -56,9 +55,6 @@ class ReplicaLifecycle:
         self.demotions = 0
         self.promotions = 0
         self.evictions = 0
-        self.demotions_by_function: dict[str, int] = collections.defaultdict(int)
-        self.promotions_by_function: dict[str, int] = collections.defaultdict(int)
-        self.evictions_by_function: dict[str, int] = collections.defaultdict(int)
 
     # -- introspection / cost hooks ------------------------------------------------
     def weights_mb(self, function: str) -> float:
@@ -122,7 +118,6 @@ class ReplicaLifecycle:
         except KeyError:
             pass
         self.demotions += 1
-        self.demotions_by_function[function] += 1
         hub = self.engine.hub
         if hub.enabled:
             hub.emit(
@@ -200,7 +195,6 @@ class ReplicaLifecycle:
             raise
         replica.swap_demand = demand
         self.promotions += 1
-        self.promotions_by_function[function] += 1
         hub = self.engine.hub
         if hub.enabled:
             hub.emit(
@@ -231,7 +225,6 @@ class ReplicaLifecycle:
         node_name = pod.node_name
         controller.evict_parked(pod_id)
         self.evictions += 1
-        self.evictions_by_function[function] += 1
         hub = self.engine.hub
         if hub.enabled:
             hub.emit(

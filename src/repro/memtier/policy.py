@@ -176,10 +176,7 @@ class MemTierPolicy(PreWarmPolicy):
         return view.next_active - now > self.warm_gap_s
 
     def _host_expired(self, now: float, view: FunctionView) -> bool:
-        return (
-            view.last_arrival is not None
-            and now - view.last_arrival > self.host_keepalive_s
-        )
+        return view.last_arrival is not None and now - view.last_arrival > self.host_keepalive_s
 
     def wake_at(self, view: FunctionView) -> float:
         """A sleeper with host copies wakes at the host keep-alive deadline
@@ -199,15 +196,11 @@ class MemTierPolicy(PreWarmPolicy):
         demotes = 0
         promote_budget = view.parked
         demoted_ids: set[str] = set()
-        forecast_gap = (
-            view.next_active - now if view.next_active is not None else None
-        )
+        forecast_gap = view.next_active - now if view.next_active is not None else None
 
         for action in base:
             if (
-                isinstance(action, RetireAction)
-                and hideable
-                and demotes < self.max_demote_per_tick
+                isinstance(action, RetireAction) and hideable and demotes < self.max_demote_per_tick
             ):
                 # Park instead of tearing down: the host copy keeps the next
                 # activation at swap-in cost instead of a full cold start.
@@ -244,15 +237,7 @@ class MemTierPolicy(PreWarmPolicy):
                     continue
             out.append(action)
 
-        # Recompute the base policy's idle determination (same rules).
-        expiry = self._expiry(view)
-        expired = expiry is not None and now >= expiry
-        activity_soon = (
-            view.next_active is not None
-            and view.next_active - now <= self.lead_time(view)
-        )
-        idle = expired and not activity_soon and view.pending == 0
-
+        activity_soon, idle = self._idle_state(now, view)
         if idle and hideable and self._gap_is_long(now, view):
             # Long gap: the warm idle reserve itself parks to host — this is
             # the GPU-seconds win over WARM_IDLE-only keep-alive.
@@ -287,9 +272,7 @@ class MemTierPolicy(PreWarmPolicy):
             idle_s = now - view.last_arrival if view.last_arrival is not None else None
             for pod_id in view.parked_pod_ids:
                 out.append(
-                    EvictAction(
-                        name, pod_id, reason="host-keepalive-expired", idle_s=idle_s
-                    )
+                    EvictAction(name, pod_id, reason="host-keepalive-expired", idle_s=idle_s)
                 )
 
         return out

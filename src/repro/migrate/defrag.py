@@ -48,10 +48,6 @@ class Defragmenter:
         self.threshold = threshold
         self.max_moves_per_tick = max_moves_per_tick
         self.ticks = 0
-        self.plans = 0
-        self.moves = 0
-        #: most recent fragmentation snapshot (gauges for /stats & metrics).
-        self.last_fragmentation: dict[str, _t.Any] = {"cluster": 0.0, "nodes": {}}
 
     def fragmentation_snapshot(self) -> dict[str, _t.Any]:
         return {
@@ -63,7 +59,6 @@ class Defragmenter:
         """One controller tick; returns the migration processes started."""
         self.ticks += 1
         snapshot = self.fragmentation_snapshot()
-        self.last_fragmentation = snapshot
         hub = self.engine.hub
         if hub.enabled:
             hub.emit(
@@ -86,7 +81,6 @@ class Defragmenter:
         )
         if not moves:
             return []
-        self.plans += 1
         started = []
         for move in moves:
             pod = self.cluster.pods.get(move.pod_id)
@@ -96,7 +90,6 @@ class Defragmenter:
                 pod.spec.function_name, move.pod_id, move.dst, target=move.target
             )
             if proc is not None:
-                self.moves += 1
                 started.append(proc)
         return started
 

@@ -154,7 +154,6 @@ class FaSTGShare:
         self.registry = FunctionRegistry()
         self.gateway = Gateway(self.engine, self.registry)
         self.controllers: dict[str, FaSTPodController] = {}
-        self.profile_db: ProfileDatabase | None = None
         self.scheduler: FaSTScheduler | None = None
         #: memory tier: the replica-lifecycle API, wired by
         #: :meth:`start_autoscaler` when the cluster has host memory.
@@ -314,7 +313,6 @@ class FaSTGShare:
         """
         from repro.autoscaler.controller import build_autoscaler
 
-        self.profile_db = database
         prewarm_policy, built = build_autoscaler(
             policy,
             self.controllers,

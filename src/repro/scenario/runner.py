@@ -241,7 +241,6 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
             interval=auto.interval,
             headroom=auto.headroom,
             scale_down_cooldown=auto.scale_down_cooldown,
-            min_replicas=auto.min_replicas,
             latency_headroom=auto.latency_headroom,
             policy=auto.policy,
             forecasters=oracle_forecasters,

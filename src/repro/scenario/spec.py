@@ -280,7 +280,6 @@ class AutoscalerSpec(Spec):
     headroom: float = 1.3
     scale_down_cooldown: float = 8.0
     down_hysteresis: float = 0.1
-    min_replicas: int = 1
     latency_headroom: float = 0.6
     placement: str = "binpack"
     forecast_period_s: float | None = None
@@ -294,15 +293,12 @@ class AutoscalerSpec(Spec):
             raise ScenarioError(f"autoscaler: unknown policy {self.policy!r}; known: {policies}")
         if self.placement not in PLACEMENT_POLICIES:
             raise ScenarioError(
-                f"autoscaler: unknown placement {self.placement!r}; "
-                f"known: {PLACEMENT_POLICIES}"
+                f"autoscaler: unknown placement {self.placement!r}; known: {PLACEMENT_POLICIES}"
             )
         if self.interval <= 0:
             raise ScenarioError("autoscaler: interval must be positive")
         if self.headroom < 1.0:
             raise ScenarioError("autoscaler: headroom must be >= 1")
-        if self.min_replicas < 0:
-            raise ScenarioError("autoscaler: min_replicas must be >= 0")
         if self.oracle_lead_s < 0:
             raise ScenarioError("autoscaler: oracle_lead_s must be >= 0")
 
@@ -396,8 +392,7 @@ class Scenario(Spec):
         <=0.5 s so the short horizon still sees scaling decisions.
         """
         functions = tuple(
-            dataclasses.replace(fn, workload=_quick_workload(fn.workload))
-            for fn in self.functions
+            dataclasses.replace(fn, workload=_quick_workload(fn.workload)) for fn in self.functions
         )
         autoscaler = dataclasses.replace(
             self.autoscaler, interval=min(self.autoscaler.interval, 0.5)

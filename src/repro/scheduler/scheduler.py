@@ -1,21 +1,23 @@
 """The FaST-Scheduler control loop (paper §3.4).
 
-Every ``interval`` seconds, for each function:
+Every ``interval`` seconds, for each awake function:
 
-1. run the predictive autoscaler tick (observe arrivals, pre-warm/retire
-   ``WARM_IDLE`` pods) and read its predicted request load ``R_j`` — the
-   reactive gateway signal blended with the forecast (× a small
-   SLO-headroom factor).  The reactive configuration is the *degenerate*
+1. snapshot the capacity ``Σ T_{j,i}`` of its running and starting pods
+   (throughputs from the profile database; WARM_IDLE pods contribute none),
+   then run the predictive autoscaler tick (observe, plan, pre-warm/retire
+   ``WARM_IDLE`` pods).  The reactive configuration is the *degenerate*
    predictive controller (no forecasters), so there is exactly one path;
-2. compute the processing gap ``ΔRPS_j = R_j − Σ T_{j,i}`` over running and
-   starting pods (throughputs from the profile database); WARM_IDLE pods
-   contribute no capacity;
+2. compute the processing gap ``ΔRPS_j = R_j − Σ T_{j,i}`` from this tick's
+   plan alone: ``R_j`` is the reactive gateway signal blended with the
+   view's forecast (× a small SLO-headroom factor), and the floor is the
+   plan's.  Exact, because no on-tick action changes a serving set;
 3. run the Heuristic Scaling Algorithm;
 4. apply the plan: a scale-up first *promotes* a warm pod if one is parked
-   (no cold start, no new rectangle); otherwise it is placed by the Maximal
-   Rectangles Algorithm (w = quota·100, h = SM partition) subject to node
-   GPU-memory feasibility, then handed to the FaSTPod controller;
-   scale-downs drain their pods and release their rectangles.
+   (no cold start, no new rectangle), then swaps a host-resident one in;
+   otherwise it is placed by the Maximal Rectangles Algorithm (w = quota·100,
+   h = SM partition) subject to node GPU-memory feasibility, then handed to
+   the FaSTPod controller; scale-downs drain their pods and release their
+   rectangles.
 
 The scheduler is built with everything it ticks: the predictive layer it
 constructs from ``policy`` and ``forecasters``, the memory tier's
@@ -23,7 +25,9 @@ constructs from ``policy`` and ``forecasters``, the memory tier's
 disabled).
 
 A short scale-down cooldown after any scale-up prevents flapping on noisy
-predictions (the paper leaves this operational detail unspecified).
+predictions (the paper leaves this operational detail unspecified).  A
+gateway promotion (warm or demand swap) counts as a scale-up at the next
+tick that gap-checks its function (``Gateway.promoted``).
 """
 
 from __future__ import annotations
@@ -179,6 +183,8 @@ class FaSTScheduler:
             raise ValueError("headroom must be >= 1 (it is an SLO safety factor)")
         if min_replicas < 0:
             raise ValueError("min_replicas must be >= 0")
+        if forecasters and policy is None:
+            raise ValueError("forecasters need a pre-warm policy to read them")
         self.engine = engine
         self.cluster = cluster
         self.gateway = gateway
@@ -217,8 +223,6 @@ class FaSTScheduler:
         self.events: list[SchedulerEvent] = []
         self.replica_series: list[tuple[float, dict[str, int]]] = []
         self._last_scale_up: dict[str, float] = {}
-        self._promotions_seen: dict[str, int] = {}
-        self._swaps_seen: dict[str, int] = {}
         #: This tick's serving pods and capacity per awake function.
         self.running: dict[str, list[RunningPod]] = {}
         self.capacity: dict[str, float] = {}
@@ -259,19 +263,19 @@ class FaSTScheduler:
             used_nodes_only=used_nodes_only,
         )
 
-    def _note(self, event: SchedulerEvent, **extra) -> None:
+    def _note(
+        self, action: str, function: str, sm: float, quota: float, node: str | None, **extra
+    ) -> None:
         """Record a scaling decision (and mirror it onto the telemetry hub)."""
-        self.events.append(event)
+        now = self.engine.now
+        self.events.append(SchedulerEvent(now, function, action, sm, quota, node))
         hub = self.engine.hub
         if hub.enabled:
-            payload: dict[str, object] = {
-                "sm": event.sm_partition,
-                "quota": event.quota,
-            }
-            if event.node is not None:
-                payload["node"] = event.node
+            payload: dict[str, object] = {"sm": sm, "quota": quota}
+            if node is not None:
+                payload["node"] = node
             payload.update(extra)
-            hub.emit(event.time, "scheduler", event.action, event.function, **payload)
+            hub.emit(now, "scheduler", action, function, **payload)
 
     def _reject_reasons(
         self, controller: FaSTPodController, sm_partition: float, quota_limit: float
@@ -313,27 +317,25 @@ class FaSTScheduler:
             if name not in asleep
         }
         self.capacity = {n: sum(p.throughput for p in pods) for n, pods in self.running.items()}
-        # Predictive layer next: observe arrivals, pre-warm/retire WARM_IDLE
-        # pods, refresh per-function floors.  Reactive runs = a no-op tick.
+        # Predictive layer next: observe arrivals, plan this tick's floors and
+        # forecasts (all the gap reads), pre-warm/retire WARM_IDLE pods.
+        # Reactive runs = a no-op tick.
         self.predictive.on_tick()
         delta_rps: dict[str, float] = {}
-        floors: dict[str, int] = {}
+        # Scale down gradually (see MAX_DOWN_PER_TICK), never below the floor.
+        downs_allowed: dict[str, int] = {}
+        promoted = self.gateway.promoted
         for name, pods in self.running.items():
-            # Gateway promotions are scale-ups the scheduler didn't make:
-            # honour the cooldown so the next tick doesn't drain them back.
-            promoted = self.gateway.promotions_by_function.get(name, 0)
-            if promoted > self._promotions_seen.get(name, 0):
-                self._promotions_seen[name] = promoted
-                self._last_scale_up[name] = now
-            # Gateway-driven swap-ins are scale-ups too (same cooldown rule).
-            swapped = self.gateway.swap_promotions_by_function.get(name, 0)
-            if swapped > self._swaps_seen.get(name, 0):
-                self._swaps_seen[name] = swapped
+            # Gateway promotions (warm, or a demand swap-in) are scale-ups
+            # the scheduler didn't make: honour the cooldown so this tick
+            # doesn't drain them back.
+            if name in promoted:
+                promoted.discard(name)
                 self._last_scale_up[name] = now
             predicted = self.predictive.predicted_rps(name) * self.headroom
             base_floor = self.min_replicas_by_function.get(name, self.min_replicas)
             floor = self.predictive.min_replicas_for(name, base_floor)
-            floors[name] = floor
+            downs_allowed[name] = min(MAX_DOWN_PER_TICK, max(0, len(pods) - floor))
             capacity = self.capacity[name]
             delta = predicted - capacity
             if delta < 0 and now - self._last_scale_up.get(name, -1e9) < self.scale_down_cooldown:
@@ -344,11 +346,6 @@ class FaSTScheduler:
                 delta = 0.0  # hysteresis: ignore marginal surpluses (noise)
             delta_rps[name] = delta
 
-        # Scale down gradually (see MAX_DOWN_PER_TICK).
-        downs_allowed = {
-            name: min(MAX_DOWN_PER_TICK, max(0, len(pods) - floors[name]))
-            for name, pods in self.running.items()
-        }
         for action in self.scaler.plan(delta_rps, self.running):
             if isinstance(action, ScaleUpAction):
                 self._apply_up(action)
@@ -371,69 +368,34 @@ class FaSTScheduler:
             self._handle = self.engine.schedule(self.interval, self._tick)
 
     def _apply_up(self, action: ScaleUpAction) -> None:
-        controller = self.controllers[action.function]
+        name = action.function
+        pod = None
         # A parked WARM_IDLE pod beats a fresh placement: promotion costs
         # nothing (model resident, rectangle already bound) and serves now.
-        warm = self.gateway.claim_warm(action.function)
+        warm = self.gateway.claim_warm(name)
         if warm is not None:
-            self._last_scale_up[action.function] = self.engine.now
-            self._note(
-                SchedulerEvent(
-                    self.engine.now,
-                    action.function,
-                    "promote",
-                    warm.pod.spec.sm_partition,
-                    warm.pod.spec.quota_limit,
-                    warm.pod.node_name,
-                ),
-                pod=warm.pod.pod_id,
-            )
-            return
-        # Next-best: a HOST_RESIDENT pod — a fabric swap-in instead of a
-        # fresh placement plus full cold start.
-        if self.lifecycle is not None:
-            pod = self.lifecycle.promote(action.function)
-            if pod is not None:
-                self._last_scale_up[action.function] = self.engine.now
-                self._note(
-                    SchedulerEvent(
-                        self.engine.now,
-                        action.function,
-                        "swapin",
-                        pod.spec.sm_partition,
-                        pod.spec.quota_limit,
-                        pod.node_name,
-                    ),
-                    pod=pod.pod_id,
-                )
+            kind, pod = "promote", warm.pod
+        elif self.lifecycle is not None:
+            # Next-best: a HOST_RESIDENT pod — a fabric swap-in instead of a
+            # fresh placement plus full cold start.
+            kind, pod = "swapin", self.lifecycle.promote(name)
+        if pod is None:
+            controller = self.controllers[name]
+            sm, quota = action.sm_partition, action.quota
+            try:
+                # The scaler plans with Q as both request and limit; deploying at
+                # [Q, Q] matches the profiling convention the throughputs assume.
+                pod = self.place_pod(controller, sm, quota, quota).pod
+            except NoFitError:
+                extra = {}
+                if self.engine.hub.enabled:
+                    extra["rejects"] = self._reject_reasons(controller, sm, quota)
+                self._note("nofit", name, sm, quota, None, **extra)
                 return
-        try:
-            # The scaler plans with Q as both request and limit; deploying at
-            # [Q, Q] matches the profiling convention the throughputs assume.
-            replica = self.place_pod(controller, action.sm_partition, action.quota, action.quota)
-        except NoFitError:
-            event = SchedulerEvent(
-                self.engine.now, action.function, "nofit", action.sm_partition, action.quota, None
-            )
-            if self.engine.hub.enabled:
-                self._note(
-                    event,
-                    rejects=self._reject_reasons(controller, action.sm_partition, action.quota),
-                )
-            else:
-                self._note(event)
-            return
-        self._last_scale_up[action.function] = self.engine.now
+            kind = "up"
+        self._last_scale_up[name] = self.engine.now
         self._note(
-            SchedulerEvent(
-                self.engine.now,
-                action.function,
-                "up",
-                action.sm_partition,
-                action.quota,
-                replica.pod.node_name,
-            ),
-            pod=replica.pod.pod_id,
+            kind, name, pod.spec.sm_partition, pod.spec.quota_limit, pod.node_name, pod=pod.pod_id
         )
 
     def _apply_down(self, action: ScaleDownAction) -> None:
@@ -441,10 +403,7 @@ class FaSTScheduler:
         if action.pod_id not in controller.replicas:
             return  # raced with an earlier removal
         node = release(self.placement, controller, action.pod_id)
-        self._note(
-            SchedulerEvent(self.engine.now, action.function, "down", 0.0, 0.0, node),
-            pod=action.pod_id,
-        )
+        self._note("down", action.function, 0.0, 0.0, node, pod=action.pod_id)
 
     def _throughput_of(
         self, function: str, sm: float, quota: float, pod_id: str | None = None

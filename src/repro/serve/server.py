@@ -79,8 +79,7 @@ class ServeConfig:
 class LiveServer:
     """One scenario's control plane behind a wall-clock asyncio gateway."""
 
-    def __init__(self, scenario: Scenario, config: ServeConfig | None = None,
-                 quick: bool = False):
+    def __init__(self, scenario: Scenario, config: ServeConfig | None = None, quick: bool = False):
         if quick:
             scenario = scenario.quick()
         self.scenario = scenario
@@ -100,7 +99,7 @@ class LiveServer:
         self._connections = 0
         self._in_flight = 0
         self._draining = False
-        self._idle = asyncio.Event()
+        self._in_flight_done = asyncio.Event()
         self._done = asyncio.Event()
         self._drain_lock = asyncio.Lock()
         self._taps: set[asyncio.Queue] = set()
@@ -183,9 +182,7 @@ class LiveServer:
         self._broadcast(None)
 
     # -- request handling ---------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         if self._connections >= self.config.max_connections:
             writer.write(json_response(503, {"error": "connection limit reached"}))
             await self._close_writer(writer)
@@ -195,8 +192,12 @@ class LiveServer:
         try:
             try:
                 request = await asyncio.wait_for(read_request(reader), timeout=30.0)
-            except (HttpProtocolError, asyncio.TimeoutError, ConnectionError,
-                    asyncio.IncompleteReadError) as exc:
+            except (
+                HttpProtocolError,
+                asyncio.TimeoutError,
+                ConnectionError,
+                asyncio.IncompleteReadError,
+            ) as exc:
                 writer.write(json_response(400, {"error": f"bad request: {exc}"}))
                 return
             if request is None:
@@ -226,12 +227,16 @@ class LiveServer:
         """Dispatch one request → (status, JSON payload, shutdown-after)."""
         method, path = request.method, request.path.split("?", 1)[0]
         if method == "GET" and path == "/healthz":
-            return 200, {
-                "status": "ok",
-                "scenario": self.scenario.name,
-                "mode": "live",
-                "draining": self._draining,
-            }, False
+            return (
+                200,
+                {
+                    "status": "ok",
+                    "scenario": self.scenario.name,
+                    "mode": "live",
+                    "draining": self._draining,
+                },
+                False,
+            )
         if method == "GET" and path == "/stats":
             return 200, self._stats(), False
         if method == "POST" and path.startswith("/function/"):
@@ -289,10 +294,8 @@ class LiveServer:
         if self._draining:
             return 503, {"error": "draining — no new invocations"}, False
         if name not in self._functions:
-            return 404, {
-                "error": f"unknown function {name!r}",
-                "known": sorted(self._functions),
-            }, False
+            error = {"error": f"unknown function {name!r}", "known": sorted(self._functions)}
+            return 404, error, False
         assert self._plane is not None and self._driver is not None
         engine = self._plane.platform.engine
         gateway = self._plane.platform.gateway
@@ -312,27 +315,33 @@ class LiveServer:
         try:
             submitted = self._driver.call(_submit)
             try:
-                completed = await asyncio.wait_for(
-                    future, timeout=self.config.deadline_s
-                )
+                completed = await asyncio.wait_for(future, timeout=self.config.deadline_s)
             except asyncio.TimeoutError:
-                return 504, {
-                    "error": "deadline exceeded",
+                return (
+                    504,
+                    {
+                        "error": "deadline exceeded",
+                        "function": name,
+                        "request_id": submitted.request_id,
+                        "deadline_s": self.config.deadline_s,
+                    },
+                    False,
+                )
+            return (
+                200,
+                {
                     "function": name,
-                    "request_id": submitted.request_id,
-                    "deadline_s": self.config.deadline_s,
-                }, False
-            return 200, {
-                "function": name,
-                "request_id": completed.request_id,
-                "replica": completed.replica_id,
-                "latency_ms": 1000.0 * completed.latency,
-                "queue_wait_ms": 1000.0 * completed.queue_wait,
-            }, False
+                    "request_id": completed.request_id,
+                    "replica": completed.replica_id,
+                    "latency_ms": 1000.0 * completed.latency,
+                    "queue_wait_ms": 1000.0 * completed.queue_wait,
+                },
+                False,
+            )
         finally:
             self._in_flight -= 1
             if self._draining and self._in_flight == 0:
-                self._idle.set()
+                self._in_flight_done.set()
 
     # -- drain / report ------------------------------------------------------
     async def _drain(self) -> dict:
@@ -341,10 +350,10 @@ class LiveServer:
                 return self._report_payload
             self._draining = True
             if self._in_flight == 0:
-                self._idle.set()
+                self._in_flight_done.set()
             try:
                 await asyncio.wait_for(
-                    self._idle.wait(), timeout=self.config.drain_timeout_s
+                    self._in_flight_done.wait(), timeout=self.config.drain_timeout_s
                 )
             except asyncio.TimeoutError:
                 pass  # forced cut: stragglers fall outside the window
@@ -405,16 +414,13 @@ class LiveServer:
 
     async def _stream_telemetry(self, writer: asyncio.StreamWriter) -> None:
         if not self._observing:
-            writer.write(json_response(409, {
-                "error": "telemetry disabled — serve with --telemetry "
-                "(or measurement.telemetry: true)"
-            }))
+            error = "telemetry disabled — serve with --telemetry (or measurement.telemetry: true)"
+            writer.write(json_response(409, {"error": error}))
             return
         queue: asyncio.Queue = asyncio.Queue(maxsize=4096)
         self._taps.add(queue)
         try:
-            writer.write(response_bytes(200, content_type="application/x-ndjson",
-                                        stream=True))
+            writer.write(response_bytes(200, content_type="application/x-ndjson", stream=True))
             await writer.drain()
             while True:
                 item = await queue.get()

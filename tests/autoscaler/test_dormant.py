@@ -57,7 +57,7 @@ def dormant_view(**overrides) -> FunctionView:
     "policy, view",
     [
         (PreWarmPolicy(), dormant_view()),
-        (MemTierPolicy(), dormant_view(swap_in_s=0.05, weight_mb=100.0)),
+        (MemTierPolicy(), dormant_view(swap_in_s=0.05)),
     ],
 )
 @pytest.mark.parametrize("now", [0.0, 30.0, 900.0])
@@ -153,9 +153,6 @@ def asleep_after_burst(host_keepalive_s: float = 300.0):
     OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(10, 3.0))
     platform.engine.run(until=25.5)
     assert autoscaler.dormant("fn") and not platform.controllers["fn"].replicas
-    # A sleeper keeps the floor and idle state of its last view.
-    assert autoscaler.min_replicas_for("fn", 1) == 0
-    assert autoscaler.predicted_rps("fn") == 0.0
     views = []
     view = autoscaler._view
     autoscaler._view = lambda now, name: views.append(now) or view(now, name)
@@ -287,15 +284,26 @@ def test_histogram_keeps_gaps_sorted_and_conditional_set_unchanged():
 def test_on_tick_actions_never_change_a_serving_set(monkeypatch, scenario):
     """The invariant behind sharing one capacity snapshot per tick: no
     built-in predictive action (prewarm, retire, demote, evict, policy-lead
-    promote) adds or removes a serving pod."""
+    promote) adds or removes a serving pod, or changes the other inputs the
+    gap reads besides this tick's plan: the gateway's load signal and its
+    promotion set."""
     on_tick = PredictiveAutoscaler.on_tick
     checked = []
 
+    def signals(autoscaler):
+        gateway = autoscaler.gateway
+        return {
+            name: (gateway.predicted_rps(name), name in gateway.promoted)
+            for name in autoscaler.scheduler.running
+        }
+
     def guarded(autoscaler):
         before = {n: c.serving_configs() for n, c in autoscaler.controllers.items()}
+        signals_before = signals(autoscaler)
         on_tick(autoscaler)
         after = {n: c.serving_configs() for n, c in autoscaler.controllers.items()}
         assert after == before
+        assert signals(autoscaler) == signals_before
         scheduler = autoscaler.scheduler
         for name, capacity in scheduler.capacity.items():
             rates = [

@@ -74,12 +74,10 @@ def test_oracle_anchor_wakes_functions_asleep_during_deployment(monkeypatch):
                 name="late",
                 model="resnet50",
                 initial_replicas=0,
-                workload=WorkloadSpec(
-                    kind="counts", counts=(0, 0, 6, 6) + (0,) * 20, bin_s=0.5
-                ),
+                workload=WorkloadSpec(kind="counts", counts=(0, 0, 6, 6) + (0,) * 20, bin_s=0.5),
             ),
         ),
-        autoscaler=AutoscalerSpec(policy="oracle", interval=2.0, min_replicas=0),
+        autoscaler=AutoscalerSpec(policy="oracle", interval=2.0),
         measurement=MeasurementSpec(drain_s=2.0, sample_dt=0.5),
     )
     fast = run_scenario(scenario).to_json()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import FaSTGShare
+from repro.autoscaler.forecast import make_forecaster
 from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.workload import ConstantRate
 from repro.models import get_model
@@ -19,17 +20,33 @@ def build(seed=9, nodes=2):
     return platform, db
 
 
+def scheduler_for(platform, db, **kw):
+    return FaSTScheduler(
+        platform.engine,
+        platform.cluster,
+        platform.gateway,
+        db,
+        platform.controllers,
+        platform.placement,
+        **kw,
+    )
+
+
 def test_validation():
     platform, db = build()
     with pytest.raises(ValueError):
-        FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, platform.placement, interval=0)
+        scheduler_for(platform, db, interval=0)
     with pytest.raises(ValueError):
-        FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, platform.placement, headroom=0.9)
+        scheduler_for(platform, db, headroom=0.9)
     with pytest.raises(ValueError):
-        FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, platform.placement, min_replicas=-1)
+        scheduler_for(platform, db, min_replicas=-1)
+
+
+def test_forecasters_without_a_policy_rejected():
+    # Nothing would read them: only a policy's views ask a forecaster.
+    platform, db = build()
+    with pytest.raises(ValueError):
+        scheduler_for(platform, db, forecasters={"fn": make_forecaster("hybrid")})
 
 
 def test_double_start_rejected():
@@ -43,8 +60,7 @@ def test_double_start_rejected():
 def test_scales_up_from_zero_on_load():
     platform, db = build()
     platform.start_autoscaler(db, interval=1.0, min_replicas=0)
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn",
-                      ConstantRate(rps=30, duration=10.0))
+    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(rps=30, duration=10.0))
     platform.engine.run(until=10.0)
     assert platform.controllers["fn"].replica_count >= 1
     ups = [e for e in platform.scheduler.events if e.action == "up"]
@@ -64,8 +80,7 @@ def test_min_replicas_floor_holds_without_load():
 
 def test_scale_down_is_gradual():
     platform, db = build()
-    scheduler = platform.start_autoscaler(db, interval=1.0, min_replicas=1,
-                                          scale_down_cooldown=0.0)
+    scheduler = platform.start_autoscaler(db, interval=1.0, min_replicas=1, scale_down_cooldown=0.0)
     platform.deploy("fn", configs=[(12, 1.0)] * 4)
     platform.wait_ready()
     t0 = platform.engine.now
@@ -81,8 +96,7 @@ def test_nofit_recorded_when_cluster_full():
     # Fill the GPU's rectangle space completely.
     platform.deploy("fn", configs=[(100, 1.0)])
     platform.wait_ready()
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn",
-                      ConstantRate(rps=400, duration=6.0))
+    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(rps=400, duration=6.0))
     platform.engine.run(until=platform.engine.now + 6.0)
     assert any(e.action == "nofit" for e in scheduler.events)
     # The hand-deployed pod sits in the scheduler's ledger: nothing fits.
@@ -98,8 +112,7 @@ def test_manual_deploy_and_scheduler_share_one_ledger(deploy_first):
     if not deploy_first:
         platform.deploy("fn", configs=[(100, 1.0)])
     platform.wait_ready()
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn",
-                      ConstantRate(rps=400, duration=6.0))
+    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(rps=400, duration=6.0))
     end = platform.engine.now + 6.0
     while platform.engine.now < end:
         platform.engine.run(until=platform.engine.now + 0.25)
@@ -127,8 +140,7 @@ def test_replica_series_recorded():
 
 def test_throughput_of_falls_back_to_analytic():
     platform, db = build()
-    scheduler = FaSTScheduler(platform.engine, platform.cluster, platform.gateway,
-                              db, platform.controllers, platform.placement)
+    scheduler = scheduler_for(platform, db)
     # Config outside the profiled grid -> analytic model rate.
     value = scheduler._throughput_of("fn", 33.0, 0.77)
     model = get_model("resnet50")
@@ -137,10 +149,81 @@ def test_throughput_of_falls_back_to_analytic():
 
 def test_place_pod_respects_memory_probe():
     platform, db = build(nodes=2)
-    scheduler = FaSTScheduler(platform.engine, platform.cluster, platform.gateway,
-                              db, platform.controllers, platform.placement)
+    scheduler = scheduler_for(platform, db)
     controller = platform.controllers["fn"]
     # Exhaust node0's memory with ballast so placement must pick node1.
     platform.cluster.node(0).device.memory.allocate("ballast", 15500)
     replica = scheduler.place_pod(controller, 12, 1.0, 1.0)
     assert replica.pod.node_name == "node1"
+
+
+# -- gateway promotions arm the scale-down cooldown ----------------------------------
+def promoted_between_ticks(trigger):
+    """One function at floor 1 (backpressure) or 0 (demand swap), whose
+    gateway promotes a pod at t = 10.2, between the ticks at 10 and 11;
+    returns (platform, scheduler).  The cooldown is 3.5 s."""
+    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=9, host_memory_mb=65536.0)
+    platform.register_function("fn", model="resnet50", model_sharing=True)
+    db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
+    floor = 1 if trigger == "backpressure" else 0
+    scheduler = platform.start_autoscaler(
+        db, interval=1.0, min_replicas=floor, scale_down_cooldown=3.5
+    )
+    controller = platform.controllers["fn"]
+    p_eff = scheduler.scaler.p_eff("fn")
+    config = (p_eff.sm_partition, p_eff.quota, p_eff.quota)
+    if trigger == "backpressure":
+        scheduler.place_pod(controller, *config)
+    warm = scheduler.place_pod(controller, *config, warm=True)
+    platform.engine.run(until=5.0)
+    if trigger == "demand-swap":
+        platform.lifecycle.demote("fn", warm.pod.pod_id)
+    platform.engine.run(until=10.2)
+    assert not platform.gateway.promoted
+    if trigger == "backpressure":
+        # The serving pod's queue reaches the threshold: a warm spare joins.
+        for _ in range(5):
+            platform.gateway.submit("fn")
+        assert platform.gateway.promotions == 1
+    else:
+        # Nothing accepts: the parked request swaps the host copy in.
+        assert platform.lifecycle.parked("fn")
+        platform.gateway.submit("fn")
+        assert platform.gateway.swap_promotions == 1
+    assert platform.gateway.promoted == {"fn"}
+    return platform, scheduler
+
+
+@pytest.mark.parametrize("trigger", ["backpressure", "demand-swap"])
+def test_gateway_promotion_blocks_scale_down_from_the_next_tick(trigger):
+    platform, scheduler = promoted_between_ticks(trigger)
+    platform.engine.run(until=11.5)
+    assert not platform.gateway.promoted  # the tick at 11 took it out...
+    assert scheduler._last_scale_up["fn"] == 11.0  # ...and armed the cooldown
+    platform.engine.run(until=20.5)
+    # The surplus pod drains on the first tick 3.5 s past 11, not past 10.2.
+    downs = [e.time for e in scheduler.events if e.action == "down"]
+    assert downs and downs[0] == 15.0
+
+
+def test_scheduler_warm_claim_rearms_the_cooldown_at_the_next_tick():
+    platform, db = build(nodes=1)
+    scheduler = platform.start_autoscaler(db, interval=1.0, min_replicas=1, scale_down_cooldown=2.5)
+    platform.gateway.promote_load_threshold = 10**6  # no backpressure claims
+    controller = platform.controllers["fn"]
+    p_eff = scheduler.scaler.p_eff("fn")
+    config = (p_eff.sm_partition, p_eff.quota, p_eff.quota)
+    scheduler.place_pod(controller, *config)
+    scheduler.place_pod(controller, *config, warm=True)
+    platform.engine.run(until=10.2)
+    load = ConstantRate(rps=1.5 * p_eff.throughput, duration=1.0)
+    OpenLoopGenerator(platform.engine, platform.gateway, "fn", load)
+    platform.engine.run(until=11.5)
+    # The tick at 11 scaled up by claiming the warm pod through the gateway.
+    assert [(e.time, e.action) for e in scheduler.events] == [(11.0, "promote")]
+    assert platform.gateway.promoted == {"fn"}
+    platform.engine.run(until=12.5)
+    assert scheduler._last_scale_up["fn"] == 12.0  # re-armed by the tick at 12
+    platform.engine.run(until=20.5)
+    downs = [e.time for e in scheduler.events if e.action == "down"]
+    assert downs and downs[0] == 15.0  # 2.5 s past 12, not past 11
