@@ -34,7 +34,7 @@ __all__ = [
 def __getattr__(name: str):
     # Lazy exports: the platform facade pulls in every subsystem; importing it
     # lazily keeps `import repro` cheap and avoids import cycles in substrates.
-    if name in {"FaSTGShare", "PlatformConfig", "RunReport"}:
+    if name in {"FaSTGShare", "RunReport"}:
         from repro import platform as _platform
 
         return getattr(_platform, name)

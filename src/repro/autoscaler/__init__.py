@@ -12,13 +12,16 @@ full cold start.  This subsystem adds the predictive layer on top:
   each model's cold-start profile, per-function min-replica floors, and
   scale-to-zero past the keep-alive tail;
 * :mod:`repro.autoscaler.controller` — the controller the
-  FaST-Scheduler builds from a resolved policy and its forecasters
-  (:func:`build_autoscaler` resolves a policy name) and drives from its
-  tick: pre-warmed pods are MRA-placed in ``WARM_IDLE`` (memory held, zero
-  time quota) and promoted by the gateway the instant demand appears.
+  FaST-Scheduler builds from a resolved policy and its forecasters and
+  drives from its tick: pre-warmed pods are MRA-placed in ``WARM_IDLE``
+  (memory held, zero time quota) and promoted by the gateway the instant
+  demand appears.  :data:`POLICIES` is the one table of policy names
+  (forecaster kind, pre-warm policy factory); :func:`build_autoscaler`
+  resolves a name through it and ``AutoscalerSpec`` validates against it.
 """
 
 from repro.autoscaler.controller import (
+    POLICIES,
     AutoscaleEvent,
     PredictiveAutoscaler,
     build_autoscaler,
@@ -40,20 +43,9 @@ from repro.autoscaler.policy import (
     PreWarmPolicy,
     RetireAction,
 )
-from repro.autoscaler.registry import (
-    CORE_POLICIES,
-    PolicyRegistration,
-    available_policies,
-    register_forecaster,
-    unregister_forecaster,
-)
 
 __all__ = [
-    "CORE_POLICIES",
-    "PolicyRegistration",
-    "available_policies",
-    "register_forecaster",
-    "unregister_forecaster",
+    "POLICIES",
     "AutoscaleEvent",
     "CompositeForecaster",
     "FORECASTER_KINDS",

@@ -43,11 +43,12 @@ events first.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import math
 import typing as _t
 
-from repro.autoscaler.forecast import Forecaster, OracleForecaster
+from repro.autoscaler.forecast import Forecaster, OracleForecaster, make_forecaster
 from repro.autoscaler.policy import (
     FunctionView,
     PolicyDecision,
@@ -384,6 +385,31 @@ class PredictiveAutoscaler:
         self.note_event("retire", action.function, action.reason, pod=action.pod_id)
 
 
+def _memtier_policy() -> PreWarmPolicy:
+    # Imported lazily: repro.memtier.policy imports this package.
+    from repro.memtier.policy import MemTierPolicy
+
+    return MemTierPolicy()
+
+
+#: Every autoscale policy name: (forecaster kind built per function, pre-warm
+#: policy factory).  ``reactive`` builds neither (the degenerate controller);
+#: ``oracle`` takes its forecasters from the caller, built from the trace.
+POLICIES: dict[str, tuple[str | None, _t.Callable[[], PreWarmPolicy] | None]] = {
+    "reactive": (None, None),
+    "oracle": (None, PreWarmPolicy),
+    "ewma": ("ewma", PreWarmPolicy),
+    "histogram": ("histogram", PreWarmPolicy),
+    "hybrid": ("hybrid", PreWarmPolicy),
+    # Swap-aware keep-alive over the host↔GPU memory tier.
+    "memtier": ("hybrid", _memtier_policy),
+    "seasonal": ("seasonal", PreWarmPolicy),
+    # WARM_IDLE-only keep-alive: never scales to zero (the memtier
+    # benchmark's GPU-hungry baseline).
+    "warmidle": ("hybrid", functools.partial(PreWarmPolicy, scale_to_zero=False)),
+}
+
+
 def build_autoscaler(
     policy: str,
     functions: _t.Iterable[str],
@@ -392,47 +418,40 @@ def build_autoscaler(
     forecasters: _t.Mapping[str, Forecaster] | None = None,
     prewarm: PreWarmPolicy | None = None,
 ) -> tuple[PreWarmPolicy | None, dict[str, Forecaster]]:
-    """Resolve a named policy into ``(pre-warm policy, forecasters)`` for
-    the :class:`~repro.scheduler.scheduler.FaSTScheduler` to build its
+    """Resolve a :data:`POLICIES` name into ``(pre-warm policy, forecasters)``
+    for the :class:`~repro.scheduler.scheduler.FaSTScheduler` to build its
     :class:`PredictiveAutoscaler` from.
 
     ``reactive`` resolves to ``(None, {})``: the degenerate pass-through
     controller.  ``oracle`` needs explicit per-function ``forecasters``
     (built from the replayed trace, e.g.
     :class:`~repro.autoscaler.forecast.OracleForecaster`).  Every other name
-    resolves through the public policy registry
-    (:func:`repro.autoscaler.registry.register_forecaster`): one forecaster
-    per function of ``functions`` via the registered factory, paired with
-    the registered pre-warm policy.  ``prewarm`` overrides that policy.
+    builds one forecaster of its kind per function of ``functions``
+    (``forecasters`` replace some), paired with its pre-warm policy.
+    ``prewarm`` overrides that policy.
     """
-    from repro.autoscaler.registry import get_registration
-
-    if policy == "reactive":
+    try:
+        kind, policy_factory = POLICIES[policy]
+    except KeyError:
+        raise ValueError(f"unknown autoscale policy {policy!r}; known: {tuple(POLICIES)}") from None
+    if policy_factory is None:  # reactive
         return None, {}
-    if policy == "oracle":
+    if kind is None:  # oracle
         if not forecasters:
             raise ValueError("oracle policy needs per-function forecasters from the trace")
         missing = [f for f in forecasters.values() if not isinstance(f, Forecaster)]
         if missing:
             raise ValueError(f"non-forecaster entries: {missing}")
-        return prewarm or PreWarmPolicy(), dict(forecasters)
-    registration = get_registration(policy)  # raises ValueError when unknown
-    built = {
-        name: registration.forecaster_factory(bin_s=bin_s, period_s=period_s) for name in functions
-    }
-    if forecasters:
-        built.update(forecasters)
-    if prewarm is not None:
-        prewarm_policy = prewarm
-    elif registration.policy_factory is not None:
-        prewarm_policy = registration.policy_factory()
+        built = {}
     else:
-        prewarm_policy = PreWarmPolicy()
-    return prewarm_policy, built
+        built = {name: make_forecaster(kind, bin_s=bin_s, period_s=period_s) for name in functions}
+    built.update(forecasters or {})
+    return (prewarm if prewarm is not None else policy_factory()), built
 
 
 __all__ = [
     "AutoscaleEvent",
+    "POLICIES",
     "PredictiveAutoscaler",
     "build_autoscaler",
     "OracleForecaster",

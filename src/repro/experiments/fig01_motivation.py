@@ -36,7 +36,7 @@ def _saturate(platform: FaSTGShare, pods: int, duration: float) -> MechanismResu
     report = platform.run_closed_loop("classify", concurrency=max(4, 2 * pods), duration=duration)
     (_, util, occ), = report.node_metrics
     return MechanismResult(
-        mechanism=platform.config.sharing,
+        mechanism=platform.cluster_spec.sharing,
         pods=pods,
         throughput=report.throughput,
         gpu_utilization=util,

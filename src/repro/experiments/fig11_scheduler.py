@@ -84,7 +84,7 @@ def _drive(platform: FaSTGShare, duration: float, load_scale: float) -> Fig11Sid
     window = platform.gateway.log.in_window(t0, engine.now)
     nodes_hosting = {pod.node_name for pod in platform.cluster.pods.values()}
     return Fig11Side(
-        mechanism=platform.config.sharing,
+        mechanism=platform.cluster_spec.sharing,
         node_utilization=[util for _, util, _ in metrics],
         node_occupancy=[occ for _, _, occ in metrics],
         gpus_used=len(nodes_hosting),

@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from repro.faas.slo import violation_ratio, violation_series
-from repro.faas.workload import StepTrace, Workload
+from repro.faas.workload import StepTrace
 from repro.platform import FaSTGShare
 from repro.scenario import (
     AutoscalerSpec,
@@ -47,27 +47,23 @@ class Fig12Result:
     submitted: int
 
 
-def build_scenario(
-    workload: Workload | None = None,
-    slo_ms: float = 69.0,
-    seed: int = 42,
-    quick: bool = False,
-    interval: float = 0.5,
-    headroom: float = 1.4,
-) -> tuple[Scenario, Workload]:
+#: The function's SLO (ms), the tick interval (s) and the SLO headroom
+#: factor the paper's Fig. 12 run uses.
+SLO_MS = 69.0
+INTERVAL = 0.5
+HEADROOM = 1.4
+
+
+def build_scenario(seed: int = 42, quick: bool = False) -> tuple[Scenario, StepTrace]:
     """The declarative form of this figure: one function, a steps workload.
 
-    ``workload`` must be a :class:`StepTrace` (the staircase the paper
-    plots); its steps embed directly into the Scenario spec.
+    The staircase is the paper's (:meth:`StepTrace.fig12_trace`), or a
+    40 s one with ``quick``; its steps embed directly into the Scenario spec.
     """
-    if workload is None:
-        workload = StepTrace.fig12_trace() if not quick else StepTrace(
-            [(10, 10), (10, 40), (10, 70), (10, 30)]
-        )
-    if not isinstance(workload, StepTrace):
-        raise ValueError(
-            "fig12 drives a stepped trace; pass a StepTrace (or None for the default)"
-        )
+    if quick:
+        workload = StepTrace([(10, 10), (10, 40), (10, 70), (10, 30)])
+    else:
+        workload = StepTrace.fig12_trace()
     scenario = Scenario(
         name="fig12-autoscaling",
         seed=seed,
@@ -77,7 +73,7 @@ def build_scenario(
             ScenarioFunction(
                 name="resnet",
                 model="resnet50",
-                slo_ms=slo_ms,
+                slo_ms=SLO_MS,
                 model_sharing=True,
                 workload=WorkloadSpec(
                     kind="steps",
@@ -88,8 +84,8 @@ def build_scenario(
         ),
         autoscaler=AutoscalerSpec(
             policy="reactive",
-            interval=interval,
-            headroom=headroom,
+            interval=INTERVAL,
+            headroom=HEADROOM,
             scale_down_cooldown=10.0,
             # Marginal surpluses must not trigger scale-down: removing a pod
             # pushes the survivors into queueing territory the 69 ms SLO
@@ -101,17 +97,8 @@ def build_scenario(
     return scenario, workload
 
 
-def run(
-    workload: Workload | None = None,
-    slo_ms: float = 69.0,
-    seed: int = 42,
-    quick: bool = False,
-    interval: float = 0.5,
-    headroom: float = 1.4,
-) -> Fig12Result:
-    scenario, workload = build_scenario(
-        workload, slo_ms=slo_ms, seed=seed, quick=quick, interval=interval, headroom=headroom
-    )
+def run(seed: int = 42, quick: bool = False) -> Fig12Result:
+    scenario, workload = build_scenario(seed=seed, quick=quick)
     report = FaSTGShare.run_scenario(scenario)
 
     horizon = workload.duration
@@ -122,7 +109,7 @@ def run(
         request.arrival -= report.t0
     times, completed_rps = log.completions_per_second(horizon)
     offered = np.array([workload.rps_at(t - 0.5) for t in times])
-    violation_t, violation_r = violation_series(log, slo_ms, horizon)
+    violation_t, violation_r = violation_series(log, SLO_MS, horizon)
 
     series = [(t, sum(counts.values())) for t, counts in report.replica_series]
     replica_counts = np.zeros(len(times))
@@ -136,9 +123,9 @@ def run(
         replica_counts=replica_counts,
         violation_times=violation_t,
         violation_ratios=violation_r,
-        overall_violation_ratio=violation_ratio(log, slo_ms),
+        overall_violation_ratio=violation_ratio(log, SLO_MS),
         max_replicas=int(replica_counts.max()),
-        slo_ms=slo_ms,
+        slo_ms=SLO_MS,
         completed=len(log),
         submitted=report.function("resnet").run.submitted,
     )

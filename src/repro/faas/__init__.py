@@ -31,7 +31,7 @@ from repro.faas.traces import (
     synthesize_trace,
     synthesize_trace_set,
 )
-from repro.faas.workload import ConstantRate, PoissonRate, ReplayTrace, StepTrace, Workload
+from repro.faas.workload import ConstantRate, PoissonRate, StepTrace, Workload
 
 __all__ = [
     "ClosedLoopClient",
@@ -43,7 +43,6 @@ __all__ = [
     "Gateway",
     "OpenLoopGenerator",
     "PoissonRate",
-    "ReplayTrace",
     "Request",
     "RequestLog",
     "StepTrace",

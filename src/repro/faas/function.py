@@ -1,8 +1,8 @@
 """Function specifications and the FaaS function registry.
 
 A FaSTFunc (paper §3.2) wraps the user's model code/image; here the spec
-binds a function name to a model profile, its latency SLO, and whether its
-pods use model sharing.
+binds a function name to a model profile, its latency SLO, whether its
+pods use model sharing, and the replica floor the FaST-Scheduler defends.
 """
 
 from __future__ import annotations
@@ -24,6 +24,14 @@ class FunctionSpec:
     #: bytes that park in host RAM and transit the fabric on swap-in.
     #: ``None`` uses the model profile's ``weights_mb``.
     weight_mb: float | None = None
+    #: The reactive floor the FaST-Scheduler never drains below (predictive
+    #: policies may still park below it during keep-alive scale-to-zero —
+    #: that is their point).
+    min_replicas: int = 1
+
+    def __post_init__(self) -> None:
+        if self.min_replicas < 0:
+            raise ValueError(f"function {self.name!r}: min_replicas must be >= 0")
 
     @classmethod
     def from_model(
@@ -33,6 +41,7 @@ class FunctionSpec:
         slo_ms: float | None = None,
         use_model_sharing: bool = False,
         weight_mb: float | None = None,
+        min_replicas: int = 1,
     ) -> "FunctionSpec":
         model = get_model(model_name)
         return cls(
@@ -41,6 +50,7 @@ class FunctionSpec:
             slo_ms=slo_ms if slo_ms is not None else model.slo_ms,
             use_model_sharing=use_model_sharing,
             weight_mb=weight_mb,
+            min_replicas=min_replicas,
         )
 
     def pod_gpu_mem_mb(self) -> float:

@@ -148,38 +148,3 @@ class StepTrace(Workload):
                 (30, 25),
             ]
         )
-
-
-class ReplayTrace(Workload):
-    """Replay recorded arrival timestamps (production-trace experiments).
-
-    ``times`` are absolute arrival offsets in seconds from the start; they
-    are validated sorted and non-negative.  ``rps_at`` reports the empirical
-    rate over a sliding window for plotting.
-    """
-
-    def __init__(self, times: _t.Sequence[float], window: float = 1.0):
-        arr = np.asarray(list(times), dtype=float)
-        if arr.size == 0:
-            raise ValueError("need at least one arrival")
-        if (arr < 0).any():
-            raise ValueError("arrival times must be non-negative")
-        if (np.diff(arr) < 0).any():
-            raise ValueError("arrival times must be sorted")
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.times = arr
-        self.window = window
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1])
-
-    def rps_at(self, t: float) -> float:
-        lo = np.searchsorted(self.times, t - self.window / 2, side="left")
-        hi = np.searchsorted(self.times, t + self.window / 2, side="right")
-        return float(hi - lo) / self.window
-
-    def arrival_times(self, rng: np.random.Generator) -> _t.Iterator[float]:
-        # Deterministic by definition; rng accepted for interface parity.
-        yield from (float(t) for t in self.times)

@@ -12,6 +12,13 @@ API::
     report = platform.run_workload("classify", rps=120, duration=60)
     print(report.summary())
 
+Every setting has one home.  The platform is built from a
+:class:`~repro.scenario.spec.ClusterSpec` (``build``'s keywords besides
+``seed`` and ``placement`` only forward into it, so hand-built platforms get
+its validation too); :meth:`FaSTGShare.start_autoscaler` takes an
+:class:`~repro.scenario.spec.AutoscalerSpec` whole; and each function
+carries its own replica floor (``register_function(min_replicas=)``).
+
 In ``fast`` mode the platform keeps exactly one Maximal Rectangles ledger
 (``platform.placement``, scored by the ``placement`` policy): ``deploy`` and
 the FaST-Scheduler started by :meth:`FaSTGShare.start_autoscaler` place into
@@ -53,34 +60,11 @@ from repro.faas.workload import ConstantRate, PoissonRate, Workload
 from repro.k8s.cluster import Cluster
 from repro.k8s.fastpod import FaSTPodController
 from repro.profiler.database import ProfileDatabase
+from repro.scenario.spec import AutoscalerSpec, ClusterSpec
 from repro.scheduler.mra import MaximalRectanglesScheduler, NoFitError
 from repro.scheduler.rectangles import EPS
 from repro.scheduler.scheduler import FaSTScheduler, place, release
 from repro.sim.engine import Engine
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class PlatformConfig:
-    """Construction parameters of one platform instance.
-
-    ``nodes`` is an integer (homogeneous ``gpu`` nodes) or a tuple of
-    per-node GPU type names for a heterogeneous cluster, e.g.
-    ``("V100", "A100", "T4")``.
-    """
-
-    nodes: int | tuple[str, ...] = 1
-    gpu: str = "V100"
-    sharing: str = "fast"
-    window: float = 0.1
-    seed: int = 42
-    #: Host-RAM budget per node for ``HOST_RESIDENT`` pods; ``None``
-    #: disables the memory tier entirely (the pre-existing behaviour).
-    host_memory_mb: float | None = None
-    #: Host↔GPU transfer-fabric bandwidth per node (gigabytes/s).
-    fabric_gbps: float = 16.0
-    #: MRA node-scoring policy of the platform's placement ledger
-    #: (:data:`repro.scheduler.mra.PLACEMENT_POLICIES`).
-    placement: str = "binpack"
 
 
 @dataclasses.dataclass(slots=True)
@@ -139,17 +123,19 @@ class RunReport:
 class FaSTGShare:
     """The assembled platform (see module docstring)."""
 
-    def __init__(self, config: PlatformConfig):
-        self.config = config
-        self.engine = Engine(seed=config.seed)
+    def __init__(self, cluster: ClusterSpec, seed: int = 42, placement: str = "binpack"):
+        """``placement`` is the MRA node-scoring policy of the platform's
+        ledger (:data:`repro.scheduler.mra.PLACEMENT_POLICIES`)."""
+        self.cluster_spec = cluster
+        self.engine = Engine(seed=seed)
         self.cluster = Cluster(
             self.engine,
-            nodes=config.nodes,
-            gpu=config.gpu,
-            sharing_mode=config.sharing,
-            window=config.window,
-            host_memory_mb=config.host_memory_mb,
-            fabric_gbps=config.fabric_gbps,
+            nodes=cluster.nodes,
+            gpu=cluster.gpu,
+            sharing_mode=cluster.sharing,
+            window=cluster.window,
+            host_memory_mb=cluster.host_memory_mb,
+            fabric_gbps=cluster.fabric_gbps,
         )
         self.registry = FunctionRegistry()
         self.gateway = Gateway(self.engine, self.registry)
@@ -159,8 +145,8 @@ class FaSTGShare:
         #: :meth:`start_autoscaler` when the cluster has host memory.
         self.lifecycle = None
         #: live migration: the migration primitive and its background
-        #: defragmenter, wired by :meth:`start_autoscaler` when a
-        #: ``defrag`` config is given (both None otherwise).
+        #: defragmenter, wired by :meth:`start_autoscaler` when the cluster
+        #: spec carries a ``defrag`` block (both None otherwise).
         self.migrator = None
         self.defragmenter = None
         node_names = [n.name for n in self.cluster.nodes]
@@ -168,35 +154,17 @@ class FaSTGShare:
         #: deploys, the FaST-Scheduler, the memory tier and the migrator
         #: all place into (and release from) this object.
         self.placement = MaximalRectanglesScheduler(
-            node_names, policy=config.placement, node_factors=self.cluster.speed_factors()
+            node_names, policy=placement, node_factors=self.cluster.speed_factors()
         )
 
     @classmethod
-    def build(
-        cls,
-        nodes: int | _t.Sequence[str] = 1,
-        gpu: str = "V100",
-        sharing: str = "fast",
-        window: float = 0.1,
-        seed: int = 42,
-        host_memory_mb: float | None = None,
-        fabric_gbps: float = 16.0,
-        placement: str = "binpack",
-    ) -> "FaSTGShare":
-        if not isinstance(nodes, int):
-            nodes = tuple(nodes)
-        return cls(
-            PlatformConfig(
-                nodes=nodes,
-                gpu=gpu,
-                sharing=sharing,
-                window=window,
-                seed=seed,
-                host_memory_mb=host_memory_mb,
-                fabric_gbps=fabric_gbps,
-                placement=placement,
-            )
-        )
+    def build(cls, seed: int = 42, placement: str = "binpack", **cluster) -> "FaSTGShare":
+        """A platform over ``ClusterSpec(**cluster)``; ``nodes`` may be any
+        sequence of GPU type names."""
+        nodes = cluster.get("nodes")
+        if nodes is not None and not isinstance(nodes, int):
+            cluster["nodes"] = tuple(nodes)
+        return cls(ClusterSpec(**cluster), seed=seed, placement=placement)
 
     # -- function management ------------------------------------------------------
     def register_function(
@@ -206,9 +174,15 @@ class FaSTGShare:
         slo_ms: float | None = None,
         model_sharing: bool = False,
         weight_mb: float | None = None,
+        min_replicas: int = 1,
     ) -> FunctionSpec:
         spec = FunctionSpec.from_model(
-            name, model, slo_ms, use_model_sharing=model_sharing, weight_mb=weight_mb
+            name,
+            model,
+            slo_ms,
+            use_model_sharing=model_sharing,
+            weight_mb=weight_mb,
+            min_replicas=min_replicas,
         )
         self.registry.register(spec)
         self.controllers[name] = FaSTPodController(self.engine, self.cluster, self.gateway, spec)
@@ -245,7 +219,7 @@ class FaSTGShare:
         q_lim: float,
         node: int | str | None,
     ) -> FunctionReplica:
-        sharing = self.config.sharing
+        sharing = self.cluster_spec.sharing
         if node is not None:
             target = self.cluster.node(node)
             replica = controller.scale_up(target, sm, q_req, q_lim)
@@ -280,44 +254,37 @@ class FaSTGShare:
     def start_autoscaler(
         self,
         database: ProfileDatabase,
-        interval: float = 2.0,
-        headroom: float = 1.10,
-        scale_down_cooldown: float = 6.0,
-        min_replicas: int = 1,
-        latency_headroom: float = 0.6,
-        policy: str = "reactive",
+        settings: AutoscalerSpec = AutoscalerSpec(),
+        *,
         forecasters: _t.Mapping[str, _t.Any] | None = None,
         prewarm: _t.Any | None = None,
-        forecast_period_s: float | None = None,
-        down_hysteresis: float = 0.10,
-        min_replicas_by_function: _t.Mapping[str, int] | None = None,
-        defrag: _t.Any | None = None,
     ) -> FaSTScheduler:
         """Attach and start the FaST-Scheduler over the given profile DB.
 
-        ``policy`` selects the autoscaling mode, one of
-        :func:`~repro.autoscaler.registry.available_policies`:
-        ``reactive`` is the paper's Algorithm 1 alone (the degenerate
-        no-forecast configuration of the predictive controller); the
-        predictive kinds (``ewma``/``seasonal``/``histogram``/``hybrid``)
-        add per-function forecasting, WARM_IDLE pre-warming, keep-alive
-        windows, and scale-to-zero; ``oracle`` requires explicit
-        trace-built ``forecasters``.  ``prewarm`` overrides the default
-        :class:`~repro.autoscaler.policy.PreWarmPolicy`.
+        ``settings.policy`` selects the autoscaling mode, one of
+        :data:`~repro.autoscaler.controller.POLICIES`: ``reactive`` is the
+        paper's Algorithm 1 alone (the degenerate no-forecast configuration
+        of the predictive controller); the predictive kinds
+        (``ewma``/``seasonal``/``histogram``/``hybrid``) add per-function
+        forecasting, WARM_IDLE pre-warming, keep-alive windows, and
+        scale-to-zero; ``oracle`` requires explicit trace-built
+        ``forecasters``.  ``prewarm`` overrides the policy's
+        :class:`~repro.autoscaler.policy.PreWarmPolicy`.  ``settings``'
+        ``enabled``, ``placement`` and ``oracle_lead_s`` belong to whoever
+        builds the platform and the oracles; the scheduler does not read them.
 
-        ``defrag`` (anything exposing ``threshold`` and
-        ``max_moves_per_tick``, e.g. a :class:`repro.scenario.spec.DefragSpec`)
-        additionally wires the live-migration controller and its background
-        defragmenter into the scheduler tick; with ``None`` (the default)
-        neither exists and no migration code runs.
+        A ``defrag`` block on the platform's cluster spec additionally wires
+        the live-migration controller and its background defragmenter into
+        the scheduler tick; without one neither exists and no migration code
+        runs.
         """
         from repro.autoscaler.controller import build_autoscaler
 
         prewarm_policy, built = build_autoscaler(
-            policy,
+            settings.policy,
             self.controllers,
             bin_s=self.gateway.rps_bin_s,
-            period_s=forecast_period_s,
+            period_s=settings.forecast_period_s,
             forecasters=forecasters,
             prewarm=prewarm,
         )
@@ -334,6 +301,7 @@ class FaSTGShare:
                 placement=self.placement,
             )
             self.gateway.lifecycle = self.lifecycle
+        defrag = self.cluster_spec.defrag
         if defrag is not None:
             from repro.migrate import Defragmenter, MigrationController
 
@@ -359,13 +327,7 @@ class FaSTGShare:
             database,
             self.controllers,
             self.placement,
-            interval=interval,
-            headroom=headroom,
-            scale_down_cooldown=scale_down_cooldown,
-            min_replicas=min_replicas,
-            latency_headroom=latency_headroom,
-            down_hysteresis=down_hysteresis,
-            min_replicas_by_function=min_replicas_by_function,
+            settings,
             policy=prewarm_policy,
             forecasters=built,
             lifecycle=self.lifecycle,

@@ -91,16 +91,8 @@ def build_platform(scenario: Scenario) -> "FaSTGShare":
     """Construct the platform and register the scenario's fleet (in order)."""
     from repro.platform import FaSTGShare
 
-    cluster = scenario.cluster
-    platform = FaSTGShare.build(
-        nodes=cluster.nodes,
-        gpu=cluster.gpu,
-        sharing=cluster.sharing,
-        window=cluster.window,
-        seed=scenario.seed,
-        host_memory_mb=cluster.host_memory_mb,
-        fabric_gbps=cluster.fabric_gbps,
-        placement=scenario.autoscaler.placement,
+    platform = FaSTGShare(
+        scenario.cluster, seed=scenario.seed, placement=scenario.autoscaler.placement
     )
     for fn in scenario.functions:
         platform.register_function(
@@ -109,6 +101,7 @@ def build_platform(scenario: Scenario) -> "FaSTGShare":
             slo_ms=fn.slo_ms,
             model_sharing=fn.model_sharing,
             weight_mb=fn.weight_mb,
+            min_replicas=fn.min_replicas,
         )
     return platform
 
@@ -236,19 +229,7 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
         )
         if auto.policy == "oracle":
             oracle_forecasters = _oracle_forecasters(scenario, traces)
-        scheduler = platform.start_autoscaler(
-            database,
-            interval=auto.interval,
-            headroom=auto.headroom,
-            scale_down_cooldown=auto.scale_down_cooldown,
-            latency_headroom=auto.latency_headroom,
-            policy=auto.policy,
-            forecasters=oracle_forecasters,
-            forecast_period_s=auto.forecast_period_s,
-            down_hysteresis=auto.down_hysteresis,
-            min_replicas_by_function={fn.name: fn.min_replicas for fn in scenario.functions},
-            defrag=scenario.cluster.defrag,
-        )
+        scheduler = platform.start_autoscaler(database, auto, forecasters=oracle_forecasters)
         # Initial pods at each function's efficient SLO-feasible point,
         # placed through the scheduler so the policy owns every rectangle.
         for fn in scenario.functions:
@@ -277,7 +258,7 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
 
 def placement_state(platform: "FaSTGShare") -> tuple[int, dict[str, float]]:
     """(GPUs in use, per-node utilized allocation area) for one sample tick."""
-    if platform.config.sharing == "fast":
+    if platform.cluster_spec.sharing == "fast":
         ledger = platform.placement
         return ledger.gpus_in_use(), ledger.utilized_area_by_node()
     hosts = {pod.node_name for pod in platform.cluster.pods.values() if pod.node_name}

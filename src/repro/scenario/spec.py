@@ -13,6 +13,11 @@ through the *same* code path::
     report = FaSTGShare.run_scenario(scenario)
     print(report.summary())
 
+The spec classes are also the platform's settings, each with one home:
+``FaSTGShare(cluster, seed, placement)`` is built from a :class:`ClusterSpec`
+and ``FaSTGShare.start_autoscaler`` takes an :class:`AutoscalerSpec` whole,
+so hand-built platforms get the same defaults and validation as scenarios.
+
 Validation is strict: unknown fields, unknown shapes/policies/GPU types, and
 out-of-range values raise :class:`ScenarioError` with the offending path
 (``functions[1].workload: unknown field(s) 'shapee'``) — a typo'd spec can
@@ -28,7 +33,7 @@ import dataclasses
 import json
 import typing as _t
 
-from repro.autoscaler.registry import available_policies
+from repro.autoscaler.controller import POLICIES
 from repro.faas.traces import TRACE_SHAPES
 from repro.gpu.specs import GPU_CATALOG
 from repro.k8s.node import SHARING_MODES
@@ -139,10 +144,10 @@ class ScenarioFunction(Spec):
     """One tenant: a function, its model/SLO, and its offered workload.
 
     ``slo_ms=None`` takes the model's calibrated SLO.  ``min_replicas`` is
-    the reactive floor the autoscaler defends for this function (predictive
-    policies may park below it during keep-alive scale-to-zero — that is
-    their point); ``initial_replicas`` pods are deployed warm before the
-    measured window opens (default: ``max(1, min_replicas)``).
+    the function's replica floor (it becomes
+    :attr:`~repro.faas.function.FunctionSpec.min_replicas`);
+    ``initial_replicas`` pods are deployed warm before the measured window
+    opens (default: ``max(1, min_replicas)``).
     """
 
     name: str
@@ -208,6 +213,9 @@ class DefragSpec(Spec):
 class ClusterSpec(Spec):
     """The serving cluster: per-node GPU types (or N homogeneous nodes).
 
+    The platform is built from this object (``FaSTGShare(cluster, ...)``;
+    ``FaSTGShare.build(**kw)`` forwards its cluster keywords here).
+
     ``host_memory_mb`` enables the host↔GPU memory tier: that much host RAM
     per node is available for ``HOST_RESIDENT`` pods (weights parked off the
     GPU; see :mod:`repro.memtier`).  ``fabric_gbps`` is each node's host↔GPU
@@ -259,19 +267,21 @@ class ClusterSpec(Spec):
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class AutoscalerSpec(Spec):
-    """The control plane: autoscaling policy + pre-warm/placement knobs.
+    """The control plane: the FaST-Scheduler's one set of settings.
 
-    ``policy`` is any name in
-    :func:`~repro.autoscaler.registry.available_policies` — the built-ins
-    plus anything registered via
-    :func:`~repro.autoscaler.register_forecaster` (``oracle`` builds
-    per-function trace oracles from each workload's resolved counts, lead
-    ``oracle_lead_s``); ``placement`` is one of
-    :data:`~repro.scheduler.mra.PLACEMENT_POLICIES` and scores the
-    platform's one placement ledger, so it also steers a static ``fast``
-    deployment.  ``enabled=False`` runs a
-    static deployment (each function's ``initial_replicas`` pods, no control
-    loop) — the form the non-``fast`` sharing baselines use.
+    ``FaSTGShare.start_autoscaler`` takes this object whole, so these are
+    the only defaults and the only validation of each setting.  ``policy``
+    is a :data:`~repro.autoscaler.controller.POLICIES` name (``oracle``
+    builds per-function trace oracles from each workload's resolved counts,
+    lead ``oracle_lead_s``).  ``interval`` is the tick period, ``headroom``
+    the SLO safety factor on the predicted load, ``scale_down_cooldown`` the
+    seconds after a scale-up during which nothing drains, and
+    ``down_hysteresis`` the capacity surplus fraction ignored as noise.
+    ``placement`` is one of :data:`~repro.scheduler.mra.PLACEMENT_POLICIES`
+    and scores the platform's one placement ledger, so it also steers a
+    static ``fast`` deployment.  ``enabled=False`` runs a static deployment
+    (each function's ``initial_replicas`` pods, no control loop) — the form
+    the non-``fast`` sharing baselines use.
     """
 
     enabled: bool = True
@@ -286,11 +296,10 @@ class AutoscalerSpec(Spec):
     oracle_lead_s: float = 4.0
 
     def __post_init__(self) -> None:
-        # Read the registry at validation time, so policies registered via
-        # repro.autoscaler.register_forecaster are valid scenario policies.
-        policies = available_policies()
-        if self.policy not in policies:
-            raise ScenarioError(f"autoscaler: unknown policy {self.policy!r}; known: {policies}")
+        if self.policy not in POLICIES:
+            raise ScenarioError(
+                f"autoscaler: unknown policy {self.policy!r}; known: {tuple(POLICIES)}"
+            )
         if self.placement not in PLACEMENT_POLICIES:
             raise ScenarioError(
                 f"autoscaler: unknown placement {self.placement!r}; known: {PLACEMENT_POLICIES}"

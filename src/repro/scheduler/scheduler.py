@@ -1,6 +1,6 @@
 """The FaST-Scheduler control loop (paper §3.4).
 
-Every ``interval`` seconds, for each awake function:
+Every ``settings.interval`` seconds, for each awake function:
 
 1. snapshot the capacity ``Σ T_{j,i}`` of its running and starting pods
    (throughputs from the profile database; WARM_IDLE pods contribute none),
@@ -10,7 +10,8 @@ Every ``interval`` seconds, for each awake function:
 2. compute the processing gap ``ΔRPS_j = R_j − Σ T_{j,i}`` from this tick's
    plan alone: ``R_j`` is the reactive gateway signal blended with the
    view's forecast (× a small SLO-headroom factor), and the floor is the
-   plan's.  Exact, because no on-tick action changes a serving set;
+   plan's (the function's own ``min_replicas`` unless the plan lowers it).
+   Exact, because no on-tick action changes a serving set;
 3. run the Heuristic Scaling Algorithm;
 4. apply the plan: a scale-up first *promotes* a warm pod if one is parked
    (no cold start, no new rectangle), then swaps a host-resident one in;
@@ -19,7 +20,9 @@ Every ``interval`` seconds, for each awake function:
    the FaSTPod controller; scale-downs drain their pods and release their
    rectangles.
 
-The scheduler is built with everything it ticks: the predictive layer it
+The scheduler is built with everything it ticks: its settings (an
+:class:`~repro.scenario.spec.AutoscalerSpec`, the one home of every
+control-plane default and its validation), the predictive layer it
 constructs from ``policy`` and ``forecasters``, the memory tier's
 ``lifecycle`` and the background ``defragmenter`` (each ``None`` when
 disabled).
@@ -53,6 +56,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.k8s.cluster import Cluster
     from repro.memtier.lifecycle import ReplicaLifecycle
     from repro.migrate.defrag import Defragmenter
+    from repro.scenario.spec import AutoscalerSpec
     from repro.sim.engine import Engine
 
 #: Scale-downs applied per function and tick: draining several pods at once
@@ -165,24 +169,12 @@ class FaSTScheduler:
         database: ProfileDatabase,
         controllers: _t.Mapping[str, FaSTPodController],
         placement: MaximalRectanglesScheduler,
-        interval: float = 2.0,
-        headroom: float = 1.10,
-        scale_down_cooldown: float = 6.0,
-        min_replicas: int = 1,
-        latency_headroom: float = 0.6,
-        down_hysteresis: float = 0.10,
-        min_replicas_by_function: _t.Mapping[str, int] | None = None,
+        settings: "AutoscalerSpec",
         policy: "PreWarmPolicy | None" = None,
         forecasters: _t.Mapping[str, "Forecaster"] | None = None,
         lifecycle: "ReplicaLifecycle | None" = None,
         defragmenter: "Defragmenter | None" = None,
     ):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if headroom < 1.0:
-            raise ValueError("headroom must be >= 1 (it is an SLO safety factor)")
-        if min_replicas < 0:
-            raise ValueError("min_replicas must be >= 0")
         if forecasters and policy is None:
             raise ValueError("forecasters need a pre-warm policy to read them")
         self.engine = engine
@@ -190,18 +182,10 @@ class FaSTScheduler:
         self.gateway = gateway
         self.database = database
         self.controllers = dict(controllers)
-        self.interval = interval
-        self.headroom = headroom
-        self.scale_down_cooldown = scale_down_cooldown
-        self.min_replicas = min_replicas
-        # Per-function reactive floors (the declarative Scenario min_replicas);
-        # they override the global default, and the predictive policy may still
-        # park below them during keep-alive scale-to-zero (that is its point).
-        self.min_replicas_by_function = dict(min_replicas_by_function or {})
-        self.down_hysteresis = down_hysteresis
+        self.settings = settings
         slo_map = {name: c.function.slo_ms for name, c in self.controllers.items()}
         self.scaler = HeuristicScaler.for_cluster(
-            database, slo_map, latency_headroom, cluster.speed_factors()
+            database, slo_map, settings.latency_headroom, cluster.speed_factors()
         )
         #: the platform's one MRA ledger, shared with manual deploys, the
         #: memory tier, and the migrator/defragmenter.
@@ -234,7 +218,7 @@ class FaSTScheduler:
         if self._running:
             raise RuntimeError("scheduler already started")
         self._running = True
-        self._handle = self.engine.schedule(self.interval, self._tick)
+        self._handle = self.engine.schedule(self.settings.interval, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -302,6 +286,7 @@ class FaSTScheduler:
     # -- the control loop -----------------------------------------------------------
     def _tick(self) -> None:
         now = self.engine.now
+        settings = self.settings
         # One capacity snapshot per tick, shared with the predictive views.
         # Exact because no on-tick action changes a serving set: prewarm,
         # retire, demote and evict touch warm or parked pods only, and the
@@ -325,6 +310,7 @@ class FaSTScheduler:
         # Scale down gradually (see MAX_DOWN_PER_TICK), never below the floor.
         downs_allowed: dict[str, int] = {}
         promoted = self.gateway.promoted
+        cooldown = settings.scale_down_cooldown
         for name, pods in self.running.items():
             # Gateway promotions (warm, or a demand swap-in) are scale-ups
             # the scheduler didn't make: honour the cooldown so this tick
@@ -332,17 +318,18 @@ class FaSTScheduler:
             if name in promoted:
                 promoted.discard(name)
                 self._last_scale_up[name] = now
-            predicted = self.predictive.predicted_rps(name) * self.headroom
-            base_floor = self.min_replicas_by_function.get(name, self.min_replicas)
-            floor = self.predictive.min_replicas_for(name, base_floor)
+            predicted = self.predictive.predicted_rps(name) * settings.headroom
+            floor = self.predictive.min_replicas_for(
+                name, self.controllers[name].function.min_replicas
+            )
             downs_allowed[name] = min(MAX_DOWN_PER_TICK, max(0, len(pods) - floor))
             capacity = self.capacity[name]
             delta = predicted - capacity
-            if delta < 0 and now - self._last_scale_up.get(name, -1e9) < self.scale_down_cooldown:
+            if delta < 0 and now - self._last_scale_up.get(name, -1e9) < cooldown:
                 delta = 0.0  # cooldown: suppress scale-down right after scale-up
             if delta < 0 and len(pods) <= floor:
                 delta = 0.0  # keep at least the floor's warm instances
-            if delta < 0 and -delta <= self.down_hysteresis * max(capacity, 1e-9):
+            if delta < 0 and -delta <= settings.down_hysteresis * max(capacity, 1e-9):
                 delta = 0.0  # hysteresis: ignore marginal surpluses (noise)
             delta_rps[name] = delta
 
@@ -365,7 +352,7 @@ class FaSTScheduler:
             (now, {name: c.replica_count for name, c in self.controllers.items()})
         )
         if self._running:
-            self._handle = self.engine.schedule(self.interval, self._tick)
+            self._handle = self.engine.schedule(settings.interval, self._tick)
 
     def _apply_up(self, action: ScaleUpAction) -> None:
         name = action.function

@@ -2,26 +2,33 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import FaSTGShare
 from repro.autoscaler.controller import build_autoscaler
 from repro.autoscaler.forecast import OracleForecaster
-from repro.autoscaler.registry import available_policies
 from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.traces import FunctionTrace
 from repro.faas.workload import ConstantRate
 from repro.k8s.objects import PodPhase
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
+from repro.scenario import AutoscalerSpec
+
+#: The scheduler settings these tests were written against.
+SETTINGS = AutoscalerSpec(interval=2.0, headroom=1.10, scale_down_cooldown=6.0)
 
 
-def build(policy="hybrid", nodes=2, seed=9, min_replicas=0, **kw):
+def build(policy="hybrid", nodes=2, seed=9, min_replicas=0):
     platform = FaSTGShare.build(nodes=nodes, sharing="fast", seed=seed)
-    platform.register_function("fn", model="resnet50", model_sharing=True)
+    platform.register_function(
+        "fn", model="resnet50", model_sharing=True, min_replicas=min_replicas
+    )
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
     scheduler = platform.start_autoscaler(
-        db, interval=1.0, min_replicas=min_replicas, policy=policy, **kw
+        db, dataclasses.replace(SETTINGS, interval=1.0, policy=policy)
     )
     return platform, scheduler
 
@@ -125,7 +132,7 @@ def test_scheduler_builds_degenerate_controller_by_default():
 
     scheduler = FaSTScheduler(
         platform.engine, platform.cluster, platform.gateway, db, platform.controllers,
-        platform.placement,
+        platform.placement, SETTINGS,
     )
     assert scheduler.predictive is not None
     assert scheduler.predictive.scheduler is scheduler
@@ -150,7 +157,8 @@ def test_oracle_forecasters_accepted():
     platform.register_function("fn", model="resnet50")
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
     scheduler = platform.start_autoscaler(
-        db, policy="oracle", forecasters={"fn": OracleForecaster(trace)}
+        db,
+        dataclasses.replace(SETTINGS, policy="oracle"),
+        forecasters={"fn": OracleForecaster(trace)},
     )
     assert scheduler.predictive.predictive
-    assert set(available_policies()) >= {"reactive", "hybrid", "oracle"}

@@ -24,7 +24,7 @@ from repro.faas.workload import ConstantRate
 from repro.memtier.policy import MemTierPolicy
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
-from repro.scenario import load_scenario
+from repro.scenario import AutoscalerSpec, load_scenario
 from repro.scenario.runner import run_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[2] / "examples" / "scenarios"
@@ -69,14 +69,17 @@ def test_dormant_view_plans_nothing(policy, view, now):
 
 
 # -- the dormancy test on a live control plane ---------------------------------------
+def settings(policy):
+    """1 s ticks and the scheduler settings these tests were written against."""
+    return AutoscalerSpec(policy=policy, interval=1.0, headroom=1.10, scale_down_cooldown=6.0)
+
+
 def build(policy="hybrid", forecasters=None):
     platform = FaSTGShare.build(nodes=1, sharing="fast", seed=5)
     for name in ("busy", "idle"):
-        platform.register_function(name, model="resnet50")
+        platform.register_function(name, model="resnet50", min_replicas=0)
     db = ProfileDatabase.analytic({n: get_model("resnet50") for n in ("busy", "idle")})
-    scheduler = platform.start_autoscaler(
-        db, interval=1.0, min_replicas=0, policy=policy, forecasters=forecasters
-    )
+    scheduler = platform.start_autoscaler(db, settings(policy), forecasters=forecasters)
     return platform, scheduler
 
 
@@ -140,14 +143,10 @@ def asleep_after_burst(host_keepalive_s: float = 300.0):
     returns (platform, scheduler, views) with ``views`` recording every tick
     time the function is viewed from 25.5 s on."""
     platform = FaSTGShare.build(nodes=1, sharing="fast", seed=5, host_memory_mb=65536.0)
-    platform.register_function("fn", model="resnet50")
+    platform.register_function("fn", model="resnet50", min_replicas=0)
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
     scheduler = platform.start_autoscaler(
-        db,
-        interval=1.0,
-        min_replicas=0,
-        policy="memtier",
-        prewarm=MemTierPolicy(host_keepalive_s=host_keepalive_s),
+        db, settings("memtier"), prewarm=MemTierPolicy(host_keepalive_s=host_keepalive_s)
     )
     autoscaler = scheduler.predictive
     OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(10, 3.0))

@@ -1,96 +1,43 @@
-"""The public forecaster/policy registry (repro.autoscaler.registry)."""
+"""The one table of autoscale policy names (repro.autoscaler.controller.POLICIES)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.autoscaler.controller import POLICIES, build_autoscaler
 from repro.autoscaler.forecast import FORECASTER_KINDS
-from repro.autoscaler.registry import (
-    CORE_POLICIES,
-    available_policies,
-    get_registration,
-    register_forecaster,
-    unregister_forecaster,
-)
 
 
 def test_builtins_are_registered():
-    names = available_policies()
     for kind in FORECASTER_KINDS:
-        assert kind in names
-    for core in CORE_POLICIES:
-        assert core in names
-    assert "warmidle" in names
-    assert "memtier" in names
-
-
-def test_register_and_unregister_roundtrip():
-    factory = lambda bin_s=1.0, period_s=None: None  # noqa: E731
-    try:
-        registration = register_forecaster("test-policy", factory)
-        assert registration.name == "test-policy"
-        assert "test-policy" in available_policies()
-        assert get_registration("test-policy").forecaster_factory is factory
-    finally:
-        unregister_forecaster("test-policy")
-    assert "test-policy" not in available_policies()
-
-
-def test_duplicate_registration_needs_replace():
-    factory = lambda bin_s=1.0, period_s=None: None  # noqa: E731
-    try:
-        register_forecaster("test-dup", factory)
-        with pytest.raises(ValueError, match="already registered"):
-            register_forecaster("test-dup", factory)
-        register_forecaster("test-dup", factory, replace=True)  # explicit override ok
-    finally:
-        unregister_forecaster("test-dup")
-
-
-def test_core_policies_cannot_be_shadowed():
-    factory = lambda bin_s=1.0, period_s=None: None  # noqa: E731
-    for core in CORE_POLICIES:
-        with pytest.raises(ValueError, match="core policy"):
-            register_forecaster(core, factory)
-        with pytest.raises(ValueError, match="core policy"):
-            unregister_forecaster(core)
-
-
-def test_invalid_registrations_rejected():
-    factory = lambda bin_s=1.0, period_s=None: None  # noqa: E731
-    with pytest.raises(ValueError):
-        register_forecaster("", factory)
-    with pytest.raises(TypeError):
-        register_forecaster("test-bad", "not-callable")  # type: ignore[arg-type]
-    with pytest.raises(TypeError):
-        register_forecaster("test-bad", factory, policy_factory="nope")  # type: ignore[arg-type]
-    assert "test-bad" not in available_policies()
+        assert kind in POLICIES
+    for name in ("reactive", "oracle", "warmidle", "memtier"):
+        assert name in POLICIES
+    assert build_autoscaler("reactive", ["fn"]) == (None, {})
+    for name in POLICIES.keys() - {"reactive", "oracle"}:
+        policy, forecasters = build_autoscaler(name, ["fn"], period_s=60.0)
+        assert policy is not None and set(forecasters) == {"fn"}
 
 
 def test_unknown_policy_error_lists_known_names():
-    with pytest.raises(ValueError, match="unknown autoscale policy"):
-        get_registration("no-such-policy")
+    with pytest.raises(ValueError, match="unknown autoscale policy") as excinfo:
+        build_autoscaler("no-such-policy", ["fn"])
+    for name in POLICIES:
+        assert repr(name) in str(excinfo.value)
 
 
 def test_memtier_registration_builds_memtier_policy():
     from repro.memtier.policy import MemTierPolicy
 
-    registration = get_registration("memtier")
-    assert registration.policy_factory is not None
-    assert isinstance(registration.policy_factory(), MemTierPolicy)
+    policy, _ = build_autoscaler("memtier", ["fn"])
+    assert isinstance(policy, MemTierPolicy)
 
 
 def test_scenario_validation_reads_registry():
-    """A registered name is immediately valid in Scenario specs."""
     from repro.scenario import ScenarioError
     from repro.scenario.spec import AutoscalerSpec
 
-    factory = lambda bin_s=1.0, period_s=None: None  # noqa: E731
-    try:
-        register_forecaster("test-scenario-policy", factory)
-        spec = AutoscalerSpec(policy="test-scenario-policy")  # validates in init
-        assert spec.policy == "test-scenario-policy"
-    finally:
-        unregister_forecaster("test-scenario-policy")
-    with pytest.raises(ScenarioError):
-        AutoscalerSpec(policy="test-scenario-policy")
+    for name in POLICIES:
+        assert AutoscalerSpec(policy=name).policy == name
+    with pytest.raises(ScenarioError, match="unknown policy"):
+        AutoscalerSpec(policy="no-such-policy")

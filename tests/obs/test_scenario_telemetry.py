@@ -126,7 +126,9 @@ def test_scheduler_nofit_events_carry_per_node_reject_reasons():
     platform.engine.hub.enabled = True
     platform.register_function("fn", model="resnet50", model_sharing=True)
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
-    platform.start_autoscaler(db, interval=1.0)
+    platform.start_autoscaler(
+        db, AutoscalerSpec(interval=1.0, headroom=1.10, scale_down_cooldown=6.0)
+    )
     platform.deploy("fn", configs=[(100, 1.0)])  # fill the only GPU
     platform.wait_ready()
     OpenLoopGenerator(

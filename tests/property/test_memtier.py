@@ -27,6 +27,7 @@ from repro.k8s.objects import PodPhase
 from repro.memtier.fabric import TransferFabric
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
+from repro.scenario import AutoscalerSpec
 from repro.sim import Engine
 
 # ---------------------------------------------------------------------------
@@ -134,16 +135,14 @@ def run_memtier_scenario(seed: int, steps, warm_gap_s: float, keepalive_s: float
     platform = FaSTGShare.build(
         nodes=2, sharing="fast", seed=seed, host_memory_mb=32768.0, fabric_gbps=16.0
     )
-    platform.register_function("fn-a", model="resnet50", model_sharing=True)
-    platform.register_function("fn-b", model="bert", model_sharing=True)
+    platform.register_function("fn-a", model="resnet50", model_sharing=True, min_replicas=0)
+    platform.register_function("fn-b", model="bert", model_sharing=True, min_replicas=0)
     db = ProfileDatabase.analytic(
         {"fn-a": get_model("resnet50"), "fn-b": get_model("bert")}
     )
     scheduler = platform.start_autoscaler(
         db,
-        interval=1.0,
-        min_replicas=0,
-        policy="memtier",
+        AutoscalerSpec(policy="memtier", interval=1.0, headroom=1.10, scale_down_cooldown=6.0),
         prewarm=MemTierPolicy(
             warm_gap_s=warm_gap_s,
             host_keepalive_s=keepalive_s,

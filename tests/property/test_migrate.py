@@ -27,7 +27,7 @@ from repro.k8s.objects import ALLOWED_TRANSITIONS, PodPhase
 from repro.migrate import MigrationController
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
-from repro.scenario.spec import DefragSpec, ScenarioError
+from repro.scenario.spec import AutoscalerSpec, DefragSpec, ScenarioError
 from repro.scheduler.mra import MaximalRectanglesScheduler
 from repro.sweep.spec import SweepAxis, apply_axis
 
@@ -214,7 +214,9 @@ def _platform_with_migrator(nodes: int = 2, seed: int = 9):
     platform = FaSTGShare.build(nodes=nodes, sharing="fast", seed=seed)
     platform.register_function("fn", model="resnet50")
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
-    platform.start_autoscaler(db, interval=1.0, min_replicas=1)
+    platform.start_autoscaler(
+        db, AutoscalerSpec(interval=1.0, headroom=1.10, scale_down_cooldown=6.0)
+    )
     migrator = MigrationController(
         platform.engine,
         platform.cluster,
@@ -293,18 +295,19 @@ def test_defragmenter_migrates_without_overcommit_or_request_loss():
     rectangles never overlap, and allocated area never exceeds capacity —
     i.e. make-before-break never over-commits.  And every submitted request
     completes: handoffs lose nothing."""
-    platform = FaSTGShare.build(nodes=3, sharing="fast", seed=13, placement="spread")
+    platform = FaSTGShare.build(
+        nodes=3,
+        sharing="fast",
+        seed=13,
+        placement="spread",
+        defrag=DefragSpec(threshold=0.3, max_moves_per_tick=2),
+    )
     names = [f"fn{i}" for i in range(4)]
     for name in names:
-        platform.register_function(name, model="resnet50")
+        platform.register_function(name, model="resnet50", min_replicas=0)
     db = ProfileDatabase.analytic({name: get_model("resnet50") for name in names})
     platform.start_autoscaler(
-        db,
-        interval=1.0,
-        min_replicas=0,
-        policy="hybrid",
-        scale_down_cooldown=3.0,
-        defrag=DefragSpec(threshold=0.3, max_moves_per_tick=2),
+        db, AutoscalerSpec(policy="hybrid", interval=1.0, headroom=1.10, scale_down_cooldown=3.0)
     )
     assert platform.migrator is not None and platform.defragmenter is not None
 

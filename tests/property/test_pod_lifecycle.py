@@ -151,17 +151,16 @@ def test_platform_lifecycle_histories_are_legal_walks(seed):
     from repro.memtier.policy import MemTierPolicy
     from repro.models import get_model
     from repro.profiler import ProfileDatabase
+    from repro.scenario import AutoscalerSpec
 
     platform = FaSTGShare.build(
         nodes=2, sharing="fast", seed=seed, host_memory_mb=32768.0
     )
-    platform.register_function("fn", model="resnet50", model_sharing=True)
+    platform.register_function("fn", model="resnet50", model_sharing=True, min_replicas=0)
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
     platform.start_autoscaler(
         db,
-        interval=1.0,
-        min_replicas=0,
-        policy="memtier",
+        AutoscalerSpec(policy="memtier", interval=1.0, headroom=1.10, scale_down_cooldown=6.0),
         prewarm=MemTierPolicy(warm_gap_s=2.0, host_keepalive_s=10.0,
                               spare_keepalive_s=3.0),
     )

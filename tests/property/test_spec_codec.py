@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.autoscaler.registry import available_policies
+from repro.autoscaler.controller import POLICIES
 from repro.faas.traces import TRACE_SHAPES
 from repro.gpu.specs import GPU_CATALOG
 from repro.models import MODEL_ZOO
@@ -56,7 +56,7 @@ FIELD_VALUES: dict[tuple[type, str], st.SearchStrategy] = {
     (ScenarioFunction, "model"): st.sampled_from(sorted(MODEL_ZOO)),
     (ClusterSpec, "gpu"): st.sampled_from(GPUS),
     (ClusterSpec, "sharing"): st.sampled_from(SHARING_MODES),
-    (AutoscalerSpec, "policy"): st.sampled_from(available_policies()),
+    (AutoscalerSpec, "policy"): st.sampled_from(tuple(POLICIES)),
     (AutoscalerSpec, "placement"): st.sampled_from(PLACEMENT_POLICIES),
     (AutoscalerSpec, "headroom"): floats(1.0, 4.0),
     (DefragSpec, "threshold"): floats(0.01, 0.99),
@@ -145,7 +145,7 @@ SPECS: dict[type, st.SearchStrategy] = {
 #: Sweep axes with the values each takes.
 AXIS_VALUES = {
     "placement": st.sampled_from(PLACEMENT_POLICIES),
-    "autoscaler": st.sampled_from(available_policies()),
+    "autoscaler": st.sampled_from(tuple(POLICIES)),
     "nodes": st.integers(1, 8) | GPU_LISTS,
     "fleet_size": st.integers(1, 4),
     "workload_scale": floats(0.1, 10.0),

@@ -20,6 +20,7 @@ from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.workload import StepTrace
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
+from repro.scenario import AutoscalerSpec
 
 
 def run_scenario(seed: int, steps, spares: int, threshold: int):
@@ -29,15 +30,13 @@ def run_scenario(seed: int, steps, spares: int, threshold: int):
     """
     platform = FaSTGShare.build(nodes=2, sharing="fast", seed=seed)
     platform.gateway.promote_load_threshold = threshold
-    platform.register_function("fn", model="resnet50", model_sharing=True)
+    platform.register_function("fn", model="resnet50", model_sharing=True, min_replicas=0)
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
     from repro.autoscaler.policy import PreWarmPolicy
 
     scheduler = platform.start_autoscaler(
         db,
-        interval=1.0,
-        min_replicas=0,
-        policy="hybrid",
+        AutoscalerSpec(policy="hybrid", interval=1.0, headroom=1.10, scale_down_cooldown=6.0),
         prewarm=PreWarmPolicy(spares=spares),
     )
     workload = StepTrace(steps, poisson=True)

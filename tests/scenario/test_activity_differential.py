@@ -16,9 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.autoscaler.controller import PredictiveAutoscaler
-from repro.autoscaler.forecast import make_forecaster
-from repro.autoscaler.registry import register_forecaster, unregister_forecaster
+from repro.autoscaler.controller import POLICIES, PredictiveAutoscaler
 from repro.faas import requests
 from repro.k8s import objects
 from repro.manager import FaSTBackend
@@ -123,25 +121,14 @@ def test_report_identical_with_every_function_awake_and_every_gpu_dirty(monkeypa
         assert {name for _, name in views} == {fn.name for fn in scenario.functions}
 
 
-@pytest.fixture
-def short_host_keepalive():
+def test_deadline_wake_reports_identically(monkeypatch):
     """longtail_swap under memtier with a 30 s host keep-alive: quick runs
     then cross the evict deadline, which only a timed wake can reach."""
-    register_forecaster(
-        "test-short-host",
-        functools.partial(make_forecaster, "hybrid"),
-        policy_factory=lambda: MemTierPolicy(host_keepalive_s=30.0),
-    )
-    yield
-    unregister_forecaster("test-short-host")
-
-
-def test_deadline_wake_reports_identically(monkeypatch, short_host_keepalive):
+    kind, _ = POLICIES["memtier"]
+    short_host = functools.partial(MemTierPolicy, host_keepalive_s=30.0)
+    monkeypatch.setitem(POLICIES, "memtier", (kind, short_host))
     scenario = load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json"))
-    scenario = dataclasses.replace(
-        scenario,
-        autoscaler=dataclasses.replace(scenario.autoscaler, policy="test-short-host"),
-    )
+    assert scenario.autoscaler.policy == "memtier"
     fast = run_scenario(scenario, quick=True)
     assert fast.host_evictions > 0
     force_awake_and_dirty(monkeypatch)

@@ -10,17 +10,26 @@ from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.workload import ConstantRate
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
+from repro.scenario import AutoscalerSpec, ScenarioError
 from repro.scheduler.scheduler import FaSTScheduler
 
 
-def build(seed=9, nodes=2):
+def settings(**kw):
+    """The settings these tests were written against (2 s ticks, 1.10
+    headroom, 6 s cooldown, 10% hysteresis), with ``kw`` on top."""
+    return AutoscalerSpec(**{"interval": 2.0, "headroom": 1.10, "scale_down_cooldown": 6.0, **kw})
+
+
+def build(seed=9, nodes=2, min_replicas=1):
     platform = FaSTGShare.build(nodes=nodes, sharing="fast", seed=seed)
-    platform.register_function("fn", model="resnet50", model_sharing=True)
+    platform.register_function(
+        "fn", model="resnet50", model_sharing=True, min_replicas=min_replicas
+    )
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
     return platform, db
 
 
-def scheduler_for(platform, db, **kw):
+def scheduler_for(platform, db, forecasters=None):
     return FaSTScheduler(
         platform.engine,
         platform.cluster,
@@ -28,18 +37,19 @@ def scheduler_for(platform, db, **kw):
         db,
         platform.controllers,
         platform.placement,
-        **kw,
+        settings(),
+        forecasters=forecasters,
     )
 
 
 def test_validation():
-    platform, db = build()
-    with pytest.raises(ValueError):
-        scheduler_for(platform, db, interval=0)
-    with pytest.raises(ValueError):
-        scheduler_for(platform, db, headroom=0.9)
-    with pytest.raises(ValueError):
-        scheduler_for(platform, db, min_replicas=-1)
+    with pytest.raises(ScenarioError, match="interval"):
+        settings(interval=0)
+    with pytest.raises(ScenarioError, match="headroom"):
+        settings(headroom=0.9)
+    platform, _ = build()
+    with pytest.raises(ValueError, match="min_replicas"):
+        platform.register_function("other", model="resnet50", min_replicas=-1)
 
 
 def test_forecasters_without_a_policy_rejected():
@@ -51,15 +61,15 @@ def test_forecasters_without_a_policy_rejected():
 
 def test_double_start_rejected():
     platform, db = build()
-    scheduler = platform.start_autoscaler(db)
+    scheduler = platform.start_autoscaler(db, settings())
     with pytest.raises(RuntimeError):
         scheduler.start()
     scheduler.stop()
 
 
 def test_scales_up_from_zero_on_load():
-    platform, db = build()
-    platform.start_autoscaler(db, interval=1.0, min_replicas=0)
+    platform, db = build(min_replicas=0)
+    platform.start_autoscaler(db, settings(interval=1.0))
     OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(rps=30, duration=10.0))
     platform.engine.run(until=10.0)
     assert platform.controllers["fn"].replica_count >= 1
@@ -70,7 +80,7 @@ def test_scales_up_from_zero_on_load():
 
 def test_min_replicas_floor_holds_without_load():
     platform, db = build()
-    platform.start_autoscaler(db, interval=1.0, min_replicas=1)
+    platform.start_autoscaler(db, settings(interval=1.0))
     platform.deploy("fn", configs=[(12, 1.0)] * 3)
     platform.wait_ready()
     platform.engine.run(until=platform.engine.now + 30.0)
@@ -80,7 +90,7 @@ def test_min_replicas_floor_holds_without_load():
 
 def test_scale_down_is_gradual():
     platform, db = build()
-    scheduler = platform.start_autoscaler(db, interval=1.0, min_replicas=1, scale_down_cooldown=0.0)
+    scheduler = platform.start_autoscaler(db, settings(interval=1.0, scale_down_cooldown=0.0))
     platform.deploy("fn", configs=[(12, 1.0)] * 4)
     platform.wait_ready()
     t0 = platform.engine.now
@@ -92,7 +102,7 @@ def test_scale_down_is_gradual():
 
 def test_nofit_recorded_when_cluster_full():
     platform, db = build(nodes=1)
-    scheduler = platform.start_autoscaler(db, interval=1.0)
+    scheduler = platform.start_autoscaler(db, settings(interval=1.0))
     # Fill the GPU's rectangle space completely.
     platform.deploy("fn", configs=[(100, 1.0)])
     platform.wait_ready()
@@ -108,7 +118,7 @@ def test_manual_deploy_and_scheduler_share_one_ledger(deploy_first):
     platform, db = build(nodes=1)
     if deploy_first:
         platform.deploy("fn", configs=[(100, 1.0)])
-    scheduler = platform.start_autoscaler(db, interval=1.0)
+    scheduler = platform.start_autoscaler(db, settings(interval=1.0))
     if not deploy_first:
         platform.deploy("fn", configs=[(100, 1.0)])
     platform.wait_ready()
@@ -130,7 +140,7 @@ def test_manual_deploy_and_scheduler_share_one_ledger(deploy_first):
 
 def test_replica_series_recorded():
     platform, db = build()
-    scheduler = platform.start_autoscaler(db, interval=1.0)
+    scheduler = platform.start_autoscaler(db, settings(interval=1.0))
     platform.deploy("fn", configs=[(12, 1.0)])
     platform.engine.run(until=5.0)
     assert len(scheduler.replica_series) >= 4
@@ -163,12 +173,10 @@ def promoted_between_ticks(trigger):
     gateway promotes a pod at t = 10.2, between the ticks at 10 and 11;
     returns (platform, scheduler).  The cooldown is 3.5 s."""
     platform = FaSTGShare.build(nodes=1, sharing="fast", seed=9, host_memory_mb=65536.0)
-    platform.register_function("fn", model="resnet50", model_sharing=True)
-    db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
     floor = 1 if trigger == "backpressure" else 0
-    scheduler = platform.start_autoscaler(
-        db, interval=1.0, min_replicas=floor, scale_down_cooldown=3.5
-    )
+    platform.register_function("fn", model="resnet50", model_sharing=True, min_replicas=floor)
+    db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
+    scheduler = platform.start_autoscaler(db, settings(interval=1.0, scale_down_cooldown=3.5))
     controller = platform.controllers["fn"]
     p_eff = scheduler.scaler.p_eff("fn")
     config = (p_eff.sm_partition, p_eff.quota, p_eff.quota)
@@ -208,7 +216,7 @@ def test_gateway_promotion_blocks_scale_down_from_the_next_tick(trigger):
 
 def test_scheduler_warm_claim_rearms_the_cooldown_at_the_next_tick():
     platform, db = build(nodes=1)
-    scheduler = platform.start_autoscaler(db, interval=1.0, min_replicas=1, scale_down_cooldown=2.5)
+    scheduler = platform.start_autoscaler(db, settings(interval=1.0, scale_down_cooldown=2.5))
     platform.gateway.promote_load_threshold = 10**6  # no backpressure claims
     controller = platform.controllers["fn"]
     p_eff = scheduler.scaler.p_eff("fn")

@@ -8,6 +8,7 @@ from repro import FaSTGShare
 from repro.faas.workload import StepTrace
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
+from repro.scenario import AutoscalerSpec
 from repro.scheduler.mra import NoFitError
 
 
@@ -162,7 +163,9 @@ def test_autoscaler_end_to_end_meets_demand():
     platform = FaSTGShare.build(nodes=2, sharing="fast", seed=5)
     platform.register_function("classify", model="resnet50")
     db = ProfileDatabase.analytic({"classify": get_model("resnet50")})
-    platform.start_autoscaler(db, interval=1.0, headroom=1.15)
+    platform.start_autoscaler(
+        db, AutoscalerSpec(interval=1.0, headroom=1.15, scale_down_cooldown=6.0)
+    )
     # No replicas initially: the scheduler must scale from zero.
     trace = StepTrace([(20, 30), (20, 80), (20, 30)], poisson=False)
     report = platform.run_workload("classify", workload=trace, warm_start=False)
@@ -200,7 +203,7 @@ def test_gpu_type_scales_served_throughput():
 
 def test_heterogeneous_build_accepts_node_list():
     platform = FaSTGShare.build(nodes=("V100", "T4"), sharing="fast", seed=1)
-    assert platform.config.nodes == ("V100", "T4")
+    assert platform.cluster_spec.nodes == ("V100", "T4")
     assert [n.spec.name for n in platform.cluster.nodes] == ["V100", "T4"]
 
 
