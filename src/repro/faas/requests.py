@@ -61,6 +61,13 @@ class Request:
         queue wait minus the cold-start- and swap-attributable pending time."""
         return max(0.0, self.queue_wait - self.cold_wait - self.swap_wait)
 
+    def in_window(self, t0: float, t1: float) -> bool:
+        """Arrived at or after ``t0`` and completed before ``t1``: the one
+        measured-window rule.  A window counts as submitted exactly the
+        arrivals at or after its start, so a request that arrived before it
+        is never counted as completed in it."""
+        return self.end is not None and t0 <= self.arrival and self.end < t1
+
 
 class RequestLog:
     """Completed-request analytics for one run."""
@@ -86,9 +93,10 @@ class RequestLog:
         return view
 
     def in_window(self, t0: float, t1: float) -> "RequestLog":
-        """Requests completed within [t0, t1)."""
+        """Requests that arrived and completed within [t0, t1)
+        (:meth:`Request.in_window`)."""
         view = RequestLog()
-        view.completed = [r for r in self.completed if r.end is not None and t0 <= r.end < t1]
+        view.completed = [r for r in self.completed if r.in_window(t0, t1)]
         return view
 
     # -- analytics ----------------------------------------------------------------

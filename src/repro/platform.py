@@ -424,13 +424,13 @@ class FaSTGShare:
         node_metrics: list[tuple[str, float, float]],
     ) -> dict[str, RunReport]:
         """A :class:`RunReport` per function of ``submitted`` (its arrivals
-        in the window) over the requests completed in ``[t0, t1)``: one pass
-        groups the log by function; ``node_metrics`` is read once by the
-        caller and shared."""
+        in the window) over the requests that arrived and completed in
+        ``[t0, t1)`` (:meth:`~repro.faas.requests.Request.in_window`): one
+        pass groups the log by function; ``node_metrics`` is read once by
+        the caller and shared."""
         windows = {function: RequestLog() for function in submitted}
         for request in self.gateway.log.completed:
-            end = request.end
-            if end is not None and t0 <= end < t1:
+            if request.in_window(t0, t1):
                 window = windows.get(request.function)
                 if window is not None:
                     window.completed.append(request)

@@ -72,9 +72,7 @@ def effective_violation_ratio(metrics: _t.Mapping[str, _t.Any]) -> float:
     if not submitted:
         return 0.0
     completed = metrics["completed"]
-    # With a warm-up window, completed counts pre-window arrivals too while
-    # submitted does not, so completed can exceed submitted.
-    never_served = max(submitted - completed, 0)
+    never_served = submitted - completed
     return (metrics["slo_violation_ratio"] * completed + never_served) / submitted
 
 

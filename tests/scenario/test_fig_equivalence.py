@@ -6,7 +6,9 @@ per-policy metrics.  Originally captured before fig12/fig14/fig15 were
 rerouted through ``FaSTGShare.run_scenario`` and the declarative ``Sweep``
 API, they were re-captured when the figures' defaults flipped to honour the
 measurement warm-up (the measure-from-``t=0`` path was verified
-bit-identical against the pre-flip pins before re-capturing).  The figures
+bit-identical against the pre-flip pins before re-capturing), and their
+window-dependent values refreshed again when the window stopped counting
+completions of requests that arrived before it.  The figures
 now return their bench SweepReport directly; every pinned metric must equal
 the matching cell metric — any drift means a refactor changed behaviour,
 not just structure.
