@@ -63,9 +63,9 @@ class Request:
 
     def in_window(self, t0: float, t1: float) -> bool:
         """Arrived at or after ``t0`` and completed before ``t1``: the one
-        measured-window rule.  A window counts as submitted exactly the
-        arrivals at or after its start, so a request that arrived before it
-        is never counted as completed in it."""
+        measured-window rule.  A window's submitted count leaves out the
+        requests that arrived before it opened, so its completed count must
+        leave them out too."""
         return self.end is not None and t0 <= self.arrival and self.end < t1
 
 

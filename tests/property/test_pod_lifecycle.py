@@ -153,19 +153,15 @@ def test_platform_lifecycle_histories_are_legal_walks(seed):
     from repro.profiler import ProfileDatabase
     from repro.scenario import AutoscalerSpec
 
-    platform = FaSTGShare.build(
-        nodes=2, sharing="fast", seed=seed, host_memory_mb=32768.0
-    )
+    platform = FaSTGShare.build(nodes=2, sharing="fast", seed=seed, host_memory_mb=32768.0)
     platform.register_function("fn", model="resnet50", model_sharing=True, min_replicas=0)
     db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
     platform.start_autoscaler(
         db,
         AutoscalerSpec(policy="memtier", interval=1.0, headroom=1.10, scale_down_cooldown=6.0),
-        prewarm=MemTierPolicy(warm_gap_s=2.0, host_keepalive_s=10.0,
-                              spare_keepalive_s=3.0),
+        prewarm=MemTierPolicy(warm_gap_s=2.0, host_keepalive_s=10.0, spare_keepalive_s=3.0),
     )
-    workload = StepTrace([(4.0, 25.0), (6.0, 0.0), (4.0, 25.0), (8.0, 0.0)],
-                         poisson=True)
+    workload = StepTrace([(4.0, 25.0), (6.0, 0.0), (4.0, 25.0), (8.0, 0.0)], poisson=True)
     OpenLoopGenerator(platform.engine, platform.gateway, "fn", workload)
 
     seen: dict[str, Pod] = {}
