@@ -31,6 +31,29 @@ def test_engine_event_throughput(benchmark):
     assert result > 0
 
 
+def _process_sleep_churn() -> int:
+    """50 processes looping on bare-delay sleeps: 10,000 wakes, some due at
+    the same instant (deferred through the lane), most alone (resumed
+    inline)."""
+    engine = Engine()
+    done = 0
+
+    def sleeper(delay: float):
+        nonlocal done
+        for _ in range(200):
+            yield delay
+        done += 1
+
+    for index in range(50):
+        engine.process(sleeper(0.001 * (1 + index % 7)))
+    engine.run()
+    return done
+
+
+def test_process_sleep_throughput(benchmark):
+    assert benchmark(_process_sleep_churn) == 50
+
+
 def _device_churn() -> int:
     engine = Engine()
     device = GPUDevice(engine, gpu_spec("V100"))

@@ -41,13 +41,13 @@ class OpenLoopGenerator:
         start = self.engine.now
         last = 0.0
         for t in self.workload.arrival_times(self.rng):
-            yield self.engine.timeout(t - last)
+            yield t - last
             last = t
             self.gateway.submit(self.function)
         # Park until the nominal end so joiners observe the full horizon.
         remaining = (start + self.workload.duration) - self.engine.now
         if remaining > 0:
-            yield self.engine.timeout(remaining)
+            yield remaining
 
 
 class ClosedLoopClient:

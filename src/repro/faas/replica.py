@@ -149,7 +149,7 @@ class FunctionReplica:
             elif self.container.store_lib is not None:
                 yield from self.container.store_lib.load_shared(model)
             else:
-                yield self.engine.timeout(model.load_time_s)
+                yield model.load_time_s
             if self._warm_start:
                 # Park warm: model resident, memory held, no gateway
                 # registration and no token traffic until promotion.
@@ -176,7 +176,7 @@ class FunctionReplica:
                 )
             self.gateway.replica_ready(self)
             while True:
-                request = _t.cast(Request, (yield self.queue.get()))
+                request: Request = yield self.queue.get()
                 self.in_flight = request
                 request.start = self.engine.now
                 request.replica_id = self.replica_id
@@ -189,10 +189,7 @@ class FunctionReplica:
                         rid=request.request_id,
                         replica=self.replica_id,
                     )
-                plan = model.make_plan(
-                    self.partition, self.rng,
-                    gpu_factor=getattr(self.container, "speed_factor", 1.0),
-                )
+                plan = model.make_plan(self.partition, self.rng, self.container.speed_factor)
                 yield from self.container.hook.run_plan(plan)
                 request.end = self.engine.now
                 self.in_flight = None
@@ -216,11 +213,11 @@ class FunctionReplica:
         self.gateway.replica_gone(self)
         self.gateway.reroute(self.queue.drain())
         while self.in_flight is not None:
-            yield self.engine.timeout(0.005)
+            yield 0.005
         self.ready = False
         if self._proc.is_alive:
             self._proc.interrupt("scale-down")
-            yield self.engine.timeout(0.0)  # let the interrupt unwind
+            yield 0.0  # let the interrupt unwind
 
     def kill(self) -> None:
         """Immediate termination (tests / failure injection)."""

@@ -114,7 +114,7 @@ class FaSTPodController:
                 yield from replica.drain_and_stop()
             else:
                 replica.kill()
-                yield self.engine.timeout(0.0)
+                yield 0.0
             node = self.cluster.node(replica.pod.node_name)
             node.evict(replica.pod)
             self.cluster.forget_pod(pod_id)
@@ -145,7 +145,7 @@ class FaSTPodController:
 
         def demote():
             replica.kill()
-            yield self.engine.timeout(0.0)  # let the interrupt unwind
+            yield 0.0  # let the interrupt unwind
             node = self.cluster.node(replica.pod.node_name)
             node.park(replica.pod, weights_mb)
 

@@ -14,6 +14,11 @@ facade with the same protocol:
 
 Without a backend (the racing and device-plugin baselines) the same hook
 launches straight to the driver: no token, no charge, no release.
+
+:meth:`CudaHookLibrary.run_plan` is the one generator frame of a request:
+the token check, the launch and the charge run inline in it, and host gaps
+are bare delays (see :mod:`repro.sim.process`), so a request's bursts and
+gaps build no event beyond each burst's completion and each token grant.
 """
 
 from __future__ import annotations
@@ -55,59 +60,44 @@ class CudaHookLibrary:
         self.token_wait_seconds = 0.0
         self.bursts_executed = 0
 
-    # -- token management ----------------------------------------------------
-    def _ensure_token(self, backend: FaSTBackend):
-        """(generator) Block until the pod holds a valid token."""
-        if self._token is not None:
-            if self._token.valid:
-                return
-            # Consumed token: return it (frees our SM share) before asking again.
-            backend.release_token(self.pod_id)
-            self._token = None
-        wait_start = self.engine.now
-        grant = backend.request_token(self.pod_id)
-        token = yield grant
-        self.token_wait_seconds += self.engine.now - wait_start
-        self._token = token
-
     def release(self) -> None:
         """Return the token (end of request / teardown)."""
         if self._token is not None:
-            _t.cast(FaSTBackend, self.backend).release_token(self.pod_id)
+            self.backend.release_token(self.pod_id)  # type: ignore[union-attr]
             self._token = None
 
     # -- intercepted execution ---------------------------------------------------
-    def run_burst(self, duration: float, sm_activity: float):
-        """(generator) Token-gated launch + timed sync of one kernel burst.
-
-        Returns the measured GPU residency (wall-clock seconds the burst was
-        resident, i.e. what the quota is charged with).
-        """
-        backend = self.backend
-        if backend is not None:
-            yield from self._ensure_token(backend)
-        done = self.driver.launch_burst(self.ctx, duration, sm_activity)
-        # CUDA timing event inserted before the synchronisation API:
-        residency = yield done
-        if backend is not None:
-            backend.charge(self.pod_id, _t.cast(float, residency))
-        self.bursts_executed += 1
-        return residency
-
     def run_plan(self, plan: InferencePlan):
-        """(generator) Execute a full inference plan, honouring host gaps.
+        """(generator) Execute a full inference plan, honouring host gaps;
+        returns the summed GPU residency the bursts were charged with.
 
         The token is held across host gaps *within* a request (the process
         stays scheduled on the GPU) and released at the end.
         """
+        backend = self.backend
+        launch = self.driver.launch_burst
+        pod_id = self.pod_id
         if plan.pre_gap > 0:
-            yield self.engine.timeout(plan.pre_gap)
+            yield plan.pre_gap
         gpu_residency = 0.0
-        sm_activity = plan.sm_activity
         for duration, gap in plan.steps():
-            residency = yield from self.run_burst(duration, sm_activity)
+            if backend is not None:
+                token = self._token
+                if token is None or not token.valid:
+                    if token is not None:
+                        # Consumed token: return it (frees our SM share) first.
+                        backend.release_token(pod_id)
+                        self._token = None
+                    wait_start = self.engine.now
+                    self._token = yield backend.request_token(pod_id)
+                    self.token_wait_seconds += self.engine.now - wait_start
+            # CUDA timing event inserted before the synchronisation API:
+            residency = yield launch(self.ctx, duration, plan.sm_activity)
+            if backend is not None:
+                backend.charge(pod_id, residency)
+            self.bursts_executed += 1
             gpu_residency += residency
             if gap > 0:
-                yield self.engine.timeout(gap)
+                yield gap
         self.release()
         return gpu_residency

@@ -207,7 +207,7 @@ class MigrationController:
             if dst_replica.pod.phase in (PodPhase.TERMINATING, PodPhase.TERMINATED):
                 yield from self._abort(controller, record, src_serving)
                 return
-            yield engine.timeout(_POLL_S)
+            yield _POLL_S
         if src_serving and dst_replica.warm_idle:
             # Promote the specific destination (handing new arrivals over);
             # a False return means a parked request already claimed it.
@@ -276,4 +276,4 @@ class MigrationController:
                 src_node=record.src_node,
                 dst_node=record.dst_node,
             )
-        yield self.engine.timeout(0.0)
+        yield 0.0

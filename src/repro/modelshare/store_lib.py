@@ -59,12 +59,12 @@ class ModelStoreLib:
                     except ModelShareError:
                         continue
                 if model.shared_load_time_s > 0:
-                    yield self.engine.timeout(model.shared_load_time_s)
+                    yield model.shared_load_time_s
                 break
             # First instance: full host→device weight transfer, then publish.
             try:
                 if model.load_time_s > 0:
-                    yield self.engine.timeout(model.load_time_s)
+                    yield model.load_time_s
             except Interrupt:
                 # Killed mid-STORE (scale-down/eviction): release the
                 # half-written record so waiters can redo the STORE.

@@ -372,9 +372,10 @@ class FaSTGShare:
             self.wait_ready(function)
         t0 = self.engine.now
         self.cluster.reset_metrics()
+        submitted_before = self.gateway.submitted[function]
         OpenLoopGenerator(self.engine, self.gateway, function, workload)
         self.engine.run(until=t0 + workload.duration)
-        return self._report_one(function, t0, self.gateway.submitted[function])
+        return self._report_one(function, t0, self.gateway.submitted[function] - submitted_before)
 
     def run_closed_loop(
         self,

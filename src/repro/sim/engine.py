@@ -20,17 +20,16 @@ future heap" fires exactly the order a single heap would.
 
 Inline tail resumes
 -------------------
-A process waiting on a :class:`~repro.sim.events.Timeout` is normally
-resumed through a zero-delay lane entry, like every other wakeup.  When the
-timeout fires from :meth:`Engine.run`, its only subscriber is that process,
-the lane is empty and no heap entry is due at ``now`` (:meth:`Engine._at_tail`),
-the deferred resume would be the very next dispatch: the lane holds nothing
-ahead of it, no heap entry at ``now`` would go first, and the fire callback
-does nothing after settling its one subscriber.  So the process resumes
-inline, inside the fire callback, and the firing order is identical.  Plain
-:class:`~repro.sim.events.Event` settles keep deferring, because they happen
-in the middle of a callback whose remaining work must run first; so do
-timeouts with two or more subscribers and timeouts fired by :meth:`step`.
+A process wakes from a sleep (a bare delay it yielded, see
+:mod:`repro.sim.process`) through its own heap entry, and normally resumes
+through a zero-delay lane entry, like every other wakeup.  When the wake
+fires from :meth:`Engine.run` while the lane is empty and no heap entry is
+due at ``now`` (:meth:`Engine._at_tail`), the deferred resume would be the
+very next dispatch: the lane holds nothing ahead of it, no heap entry at
+``now`` would go first, and the wake does nothing after it.  So the process
+resumes inline, inside the wake, and the firing order is identical.  Event
+settles keep deferring, because they happen in the middle of a callback
+whose remaining work must run first; so do wakes fired by :meth:`step`.
 A consequence the FaST Backend relies on: a process body never runs while a
 heap entry due at ``now`` is still queued.
 
@@ -185,16 +184,14 @@ class Engine:
             if math.isnan(time):
                 raise SimulationError("cannot schedule at NaN time")
             raise ScheduleInPastError(f"cannot schedule at t={time:.9f} < now={now:.9f}")
-        lane = self._lane
-        heap = self._heap
-        queued = len(lane) + len(heap)
-        if self._dead * 2 > queued and queued >= _COMPACT_MIN_SIZE:
+        dead = self._dead
+        if dead and dead * 2 > len(self._lane) + len(self._heap) >= _COMPACT_MIN_SIZE:
             self._compact()
         handle = Handle(self, time, callback, args)
         if time == now:
-            lane.append(handle)
+            self._lane.append(handle)
         else:
-            heapq.heappush(heap, (time, next(self._seq), handle))
+            heapq.heappush(self._heap, (time, next(self._seq), handle))
         if self.on_schedule is not None:
             self.on_schedule(time)
         if self.trace:

@@ -31,10 +31,6 @@ class Event:
 
     __slots__ = ("engine", "_state", "_value", "_callbacks", "name")
 
-    #: Set only on a firing :class:`Timeout` whose one subscriber may resume
-    #: inline (see :mod:`repro.sim.engine`); plain events always defer.
-    _tail = False
-
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
         self.name = name
@@ -46,15 +42,15 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has settled (successfully or not)."""
-        return self._state != PENDING
+        return self._state is not PENDING
 
     @property
     def ok(self) -> bool:
-        return self._state == SUCCEEDED
+        return self._state is SUCCEEDED
 
     @property
     def failed(self) -> bool:
-        return self._state == FAILED
+        return self._state is FAILED
 
     @property
     def value(self) -> object:
@@ -68,7 +64,7 @@ class Event:
         If the event already settled the callback runs immediately; this makes
         "wait on maybe-already-done" race-free for schedulers.
         """
-        if self.triggered:
+        if self._state is not PENDING:
             callback(self)
         else:
             self._callbacks.append(callback)
@@ -76,7 +72,7 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: object = None) -> "Event":
         """Settle the event successfully, waking all subscribers."""
-        if self.triggered:
+        if self._state is not PENDING:
             raise EventAlreadyTriggeredError(f"event {self.name or id(self)} already settled")
         self._state = SUCCEEDED
         self._value = value
@@ -85,7 +81,7 @@ class Event:
 
     def fail(self, exception: BaseException) -> "Event":
         """Settle the event exceptionally; subscribers re-raise ``exception``."""
-        if self.triggered:
+        if self._state is not PENDING:
             raise EventAlreadyTriggeredError(f"event {self.name or id(self)} already settled")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
@@ -106,21 +102,16 @@ class Event:
 class Timeout(Event):
     """An event that succeeds automatically ``delay`` time units from now."""
 
-    __slots__ = ("delay", "_tail")
+    __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: object = None, name: str = ""):
         super().__init__(engine, name or f"timeout({delay:g})")
         self.delay = float(delay)
-        self._tail = False
         engine.schedule(self.delay, self._fire, value)
 
     def _fire(self, value: object) -> None:
-        if not self.triggered:  # may have been force-settled by a test
-            # A sole waiting process may resume inline when nothing else is
-            # due now; the flag lives only while this settle dispatches.
-            self._tail = len(self._callbacks) == 1 and self.engine._at_tail()
+        if self._state is PENDING:  # may have been force-settled by a test
             self.succeed(value)
-            self._tail = False
 
 
 class _Composite(Event):
@@ -151,14 +142,14 @@ class AllOf(_Composite):
         super().__init__(engine, events, f"all_of({len(events)})")
 
     def _child_settled(self, event: Event) -> None:
-        if self.triggered:
+        if self._state is not PENDING:
             return
-        if event.failed:
-            self.fail(_t.cast(BaseException, event.value))
+        if event._state is FAILED:
+            self.fail(event._value)  # type: ignore[arg-type]
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([e.value for e in self.events])
+            self.succeed([e._value for e in self.events])
 
 
 class AnyOf(_Composite):
@@ -170,9 +161,9 @@ class AnyOf(_Composite):
         super().__init__(engine, events, f"any_of({len(events)})")
 
     def _child_settled(self, event: Event) -> None:
-        if self.triggered:
+        if self._state is not PENDING:
             return
-        if event.failed:
-            self.fail(_t.cast(BaseException, event.value))
+        if event._state is FAILED:
+            self.fail(event._value)  # type: ignore[arg-type]
         else:
-            self.succeed(event.value)
+            self.succeed(event._value)

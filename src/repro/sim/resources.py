@@ -6,7 +6,7 @@ import collections
 import typing as _t
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -37,7 +37,7 @@ class Store:
         """Enqueue ``item``, waking the oldest waiting getter if any."""
         while self._getters:
             getter = self._getters.popleft()
-            if not getter.triggered:  # skip abandoned getters
+            if getter._state is PENDING:  # skip abandoned getters
                 getter.succeed(item)
                 return
         if len(self._items) >= self.capacity:
@@ -109,7 +109,7 @@ class Gate:
         self._open = True
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
-            if not waiter.triggered:
+            if waiter._state is PENDING:
                 waiter.succeed()
 
     def close(self) -> None:

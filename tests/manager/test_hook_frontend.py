@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpu import CudaDriver, GPUDevice, MPSServer
+from repro.gpu import CudaDriver, GPUDevice, InferencePlan, MPSServer
 from repro.manager import FaSTBackend, FaSTFrontend
 from repro.models import get_model
 from repro.sim import Engine
@@ -22,9 +22,22 @@ def stack(engine: Engine, v100: GPUDevice):
 def make_frontend(stack, pod_id="pod-a", sm=24, q_req=0.5, q_lim=0.5, mem=500):
     engine, _, driver, mps, backend = stack
     return FaSTFrontend(
-        engine, pod_id, backend, driver, mps,
-        sm_partition=sm, quota_request=q_req, quota_limit=q_lim, gpu_mem_mb=mem,
+        engine,
+        pod_id,
+        backend,
+        driver,
+        mps,
+        sm_partition=sm,
+        quota_request=q_req,
+        quota_limit=q_lim,
+        gpu_mem_mb=mem,
     )
+
+
+def bursts(duration: float, count: int = 1) -> InferencePlan:
+    """``count`` bursts of ``duration`` at 5% activity, with no host gaps:
+    the token is held from one burst to the next."""
+    return InferencePlan([duration] * count, 0.05, [0.0] * count)
 
 
 def test_frontend_wires_everything(stack):
@@ -46,13 +59,13 @@ def test_frontend_close_releases_everything(stack):
     frontend.close()  # idempotent
 
 
-def test_run_burst_executes_and_charges(stack):
+def test_one_burst_plan_executes_and_charges(stack):
     engine, device, driver, mps, backend = stack
     frontend = make_frontend(stack, q_req=1.0, q_lim=1.0)
     results = []
 
     def task():
-        residency = yield from frontend.hook.run_burst(0.02, 0.05)
+        residency = yield from frontend.hook.run_plan(bursts(0.02))
         results.append(residency)
 
     engine.process(task())
@@ -66,12 +79,8 @@ def test_quota_throttles_throughput(stack):
     """A pod with 30% quota executes ~30% of GPU time in the long run."""
     engine, device, driver, mps, backend = stack
     frontend = make_frontend(stack, q_req=0.3, q_lim=0.3)
-
-    def task():
-        while True:
-            yield from frontend.hook.run_burst(0.01, 0.05)
-
-    engine.process(task())
+    # More bursts than fit in the horizon even at full quota.
+    engine.process(frontend.hook.run_plan(bursts(0.01, 600)))
     engine.run(until=5.0)
     used = backend.entries["pod-a"].total_gpu_seconds
     assert used / 5.0 == pytest.approx(0.3, rel=0.15)
@@ -80,12 +89,7 @@ def test_quota_throttles_throughput(stack):
 def test_full_quota_pod_is_unthrottled(stack):
     engine, device, driver, mps, backend = stack
     frontend = make_frontend(stack, q_req=1.0, q_lim=1.0)
-
-    def task():
-        while True:
-            yield from frontend.hook.run_burst(0.01, 0.05)
-
-    engine.process(task())
+    engine.process(frontend.hook.run_plan(bursts(0.01, 300)))
     engine.run(until=2.0)
     used = backend.entries["pod-a"].total_gpu_seconds
     assert used / 2.0 == pytest.approx(1.0, rel=0.02)
@@ -120,7 +124,7 @@ def test_two_pods_share_spatially_without_interference(stack):
     done = {}
 
     def task(frontend, key):
-        yield from frontend.hook.run_burst(0.05, 0.05)
+        yield from frontend.hook.run_plan(bursts(0.05))
         done[key] = engine.now
 
     engine.process(task(f1, "p1"))
@@ -135,12 +139,8 @@ def test_token_wait_accounted(stack):
     f1 = make_frontend(stack, pod_id="p1", sm=100, q_req=1.0, q_lim=1.0)
     f2 = make_frontend(stack, pod_id="p2", sm=100, q_req=1.0, q_lim=1.0)
 
-    def task(frontend):
-        yield from frontend.hook.run_burst(0.05, 0.05)
-        frontend.hook.release()
-
-    engine.process(task(f1))
-    engine.process(task(f2))
+    engine.process(f1.hook.run_plan(bursts(0.05)))  # releases at the end
+    engine.process(f2.hook.run_plan(bursts(0.05)))
     engine.run(until=1.0)
     # Second pod had to wait for the first's 100% SM token.
     waits = f1.hook.token_wait_seconds + f2.hook.token_wait_seconds

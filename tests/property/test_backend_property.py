@@ -5,7 +5,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.gpu import CudaDriver, GPUDevice, MPSServer, gpu_spec
+from repro.gpu import CudaDriver, GPUDevice, InferencePlan, MPSServer, gpu_spec
 from repro.manager import FaSTBackend, FaSTFrontend
 from repro.sim import Engine
 
@@ -19,6 +19,14 @@ def pod_configs(draw):
     return partition, quota_request, quota_limit, burst
 
 
+def hammer(burst: float, horizon: float) -> InferencePlan:
+    """An always-busy pod: back-to-back bursts of ``burst`` seconds with no
+    host gaps (so the token is held across bursts), more than fit in
+    ``horizon``."""
+    count = round(horizon / burst) + 1
+    return InferencePlan([burst] * count, 0.01, [0.0] * count)
+
+
 @given(st.lists(pod_configs(), min_size=1, max_size=6))
 @settings(max_examples=25, deadline=None)
 def test_sm_limit_and_quota_limits_hold_under_contention(configs):
@@ -30,6 +38,7 @@ def test_sm_limit_and_quota_limits_hold_under_contention(configs):
     mps = MPSServer(device)
     mps.start()
     backend = FaSTBackend(engine, window=0.05)
+    horizon = 2.0
 
     peak_running = 0.0
     original_acquire = backend.adapter.acquire
@@ -50,13 +59,8 @@ def test_sm_limit_and_quota_limits_hold_under_contention(configs):
         )
         frontends.append((frontend, burst))
 
-        def hammer(f=frontend, b=burst):
-            while True:
-                yield from f.hook.run_burst(b, 0.01)
+        engine.process(frontend.hook.run_plan(hammer(burst, horizon)))
 
-        engine.process(hammer())
-
-    horizon = 2.0
     engine.run(until=horizon)
 
     assert peak_running <= 100.0 + 1e-6
@@ -86,6 +90,7 @@ def test_guaranteed_shares_met_when_feasible(configs):
     mps = MPSServer(device)
     mps.start()
     backend = FaSTBackend(engine, window=0.05)
+    horizon = 2.0
 
     for i, (partition, q_req, q_lim, burst) in enumerate(configs):
         frontend = FaSTFrontend(
@@ -94,13 +99,8 @@ def test_guaranteed_shares_met_when_feasible(configs):
             gpu_mem_mb=10.0,
         )
 
-        def hammer(f=frontend, b=burst):
-            while True:
-                yield from f.hook.run_burst(b, 0.01)
+        engine.process(frontend.hook.run_plan(hammer(burst, horizon)))
 
-        engine.process(hammer())
-
-    horizon = 2.0
     engine.run(until=horizon)
     for i, (partition, q_req, _q_lim, burst) in enumerate(configs):
         share = backend.entries[f"pod{i}"].total_gpu_seconds / horizon

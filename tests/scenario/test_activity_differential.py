@@ -32,7 +32,7 @@ from repro.scenario import (
 )
 from repro.scenario.runner import run_scenario
 from repro.scheduler import GPURectangleList
-from repro.sim import Engine
+from repro.sim import Engine, Event
 from repro.sweep import load_sweep
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
@@ -207,3 +207,22 @@ def test_idle_work_counter_pins(monkeypatch):
     counting(PredictiveAutoscaler, "dormant", "dormant")
     run_scenario(load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json")), quick=True)
     assert counts == {"rolls": 360, "schedules": 7756, "dormant": 34}
+
+
+def test_request_path_work_counter_pins(monkeypatch):
+    """Work-counter pins on quick mixed_fleet, the request-heavy scenario:
+    engine schedules (33,226, the same as when every host gap and arrival
+    wait built a ``Timeout``) and ``Event`` constructions, Timeouts and
+    processes included (22,181 when they did; a process sleeping on a bare
+    delay builds none).  A change that moves one explains the new count."""
+    counts = {"schedules": 0, "events": 0}
+    for cls, name, key in ((Engine, "schedule_at", "schedules"), (Event, "__init__", "events")):
+        method = getattr(cls, name)
+
+        def counted(*args, _method=method, _key=key, **kwargs):
+            counts[_key] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    run_scenario(load_scenario(str(EXAMPLES / "scenarios" / "mixed_fleet.json")), quick=True)
+    assert counts == {"schedules": 33226, "events": 11095}

@@ -5,13 +5,14 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import math
 import random
 
 import pytest
 
 from repro.serve import EngineDriver
 from repro.sim import Engine, SimClock, WallClock
-from repro.sim.errors import Interrupt
+from repro.sim.errors import Interrupt, ScheduleInPastError, SimulationError
 from repro.sim.events import AnyOf, Timeout
 from repro.sim.process import Process
 
@@ -99,10 +100,11 @@ def _randomized_firing_log(engine, seed: int, processes: bool = False) -> list[t
     """Drive a randomized schedule/cancel/stop workload; return the firing
     order, with the clock after every ``run``/``step`` boundary.
 
-    ``processes`` adds coroutine processes that wait on timeouts — alone,
-    shared with other waiters directly or through ``AnyOf``, already fired,
-    or joined processes — spawn children, and take interrupts thrown into
-    them from callbacks."""
+    ``processes`` adds coroutine processes that sleep on bare delays (zero
+    or positive), wait on timeouts — alone, shared with other waiters
+    directly or through ``AnyOf``, already fired — or join processes, spawn
+    children, and take interrupts thrown into them from callbacks, mid-sleep
+    included (logged as ``!z``)."""
     rng = random.Random(seed)
     log: list[tuple[float, str]] = []
     handles = []
@@ -116,16 +118,19 @@ def _randomized_firing_log(engine, seed: int, processes: bool = False) -> list[t
         log.append((engine.now, f"{tag}^"))
         for step in range(rng.randint(1, 5)):
             choice = rng.random()
+            sleeping = choice < 0.3
             try:
-                if choice < 0.45:
+                if sleeping:
+                    yield delay()
+                elif choice < 0.55:
                     timeout = Timeout(engine, delay())
                     shared.append(timeout)
                     yield timeout
-                elif choice < 0.65:
+                elif choice < 0.7:
                     timeout = Timeout(engine, delay())
                     shared.append(timeout)
                     yield AnyOf(engine, [timeout, Timeout(engine, delay())])
-                elif choice < 0.85 and shared:
+                elif choice < 0.88 and shared:
                     # Often still pending (a second subscriber), sometimes
                     # already fired (resumes at once, deferred).
                     yield shared[rng.randrange(len(shared))]
@@ -134,7 +139,7 @@ def _randomized_firing_log(engine, seed: int, processes: bool = False) -> list[t
                 else:
                     yield Timeout(engine, delay())
             except Interrupt:
-                log.append((engine.now, f"{tag}!{step}"))
+                log.append((engine.now, f"{tag}!{'z' if sleeping else ''}{step}"))
                 if rng.random() < 0.3:
                     raise
             log.append((engine.now, f"{tag}.{step}"))
@@ -152,8 +157,9 @@ def _randomized_firing_log(engine, seed: int, processes: bool = False) -> list[t
         if processes:
             if rng.random() < 0.2:
                 spawn(f"{tag}p")
-            if live and rng.random() < 0.1:
-                live[rng.randrange(len(live))].interrupt(tag)
+            alive = [process for process in live if process.is_alive]
+            if alive and rng.random() < 0.2:
+                alive[rng.randrange(len(alive))].interrupt(tag)
         # Callbacks re-schedule and cancel mid-run, like real subsystems do:
         # zero-delay follow-ups (process resumes, event settles) as well as
         # future timers.  Expected children per firing stay below one.
@@ -206,17 +212,88 @@ def test_simclock_reproduces_default_engine_semantics(seed: int):
 
 @pytest.mark.parametrize("seed", [0, 7, 1234, 99])
 def test_inline_tail_resumes_keep_the_firing_order(seed: int):
-    """Processes resumed inline when a timeout fires as the last thing due
-    (see ``repro.sim.engine``) run exactly where the always-deferring
-    reference resumes them."""
+    """Processes resumed inline when a sleep's wake fires as the last thing
+    due (see ``repro.sim.engine``) run exactly where the always-deferring
+    reference resumes them, and an interrupt thrown mid-sleep lands where
+    it does there."""
     reference_engine = _ReferenceEngine()
     reference = _randomized_firing_log(reference_engine, seed, processes=True)
     engine = _CountingEngine(seed)
     assert _randomized_firing_log(engine, seed, processes=True) == reference
     tags = [tag for _, tag in reference]
     assert sum(".0" in tag for tag in tags) > 50  # processes resumed ...
-    assert any("!" in tag for tag in tags)  # ... and were interrupted
+    assert any("!" in tag for tag in tags)  # ... and were interrupted,
+    assert any("!z" in tag for tag in tags)  # ... some mid-sleep
     assert engine.schedules < reference_engine.schedules  # some resumed inline
+
+
+def _finished(body) -> Process:
+    engine = Engine()
+    process = engine.process(body(engine))
+    engine.run()
+    return process
+
+
+@pytest.mark.parametrize("sleep", [True, False], ids=["bare-delay", "timeout"])
+def test_negative_delay_fails_the_process(sleep: bool):
+    def body(engine):
+        yield -0.5 if sleep else engine.timeout(-0.5)
+
+    process = _finished(body)
+    assert process.failed and isinstance(process.value, ScheduleInPastError)
+
+
+def test_nan_delay_fails_the_process():
+    def body(engine):
+        yield math.nan
+
+    process = _finished(body)
+    assert process.failed and type(process.value) is SimulationError
+
+
+def test_bad_delay_is_raised_at_the_yield():
+    def body(engine):
+        try:
+            yield -1.0
+        except ScheduleInPastError:
+            pass
+        yield 0.25
+        return engine.now
+
+    process = _finished(body)
+    assert process.ok and process.value == 0.25
+
+
+@pytest.mark.parametrize("target", ["soon", 3, None])
+def test_non_number_yield_fails_with_type_error(target):
+    def body(engine):
+        yield target
+
+    process = _finished(body)
+    assert process.failed and isinstance(process.value, TypeError)
+    assert "an Event (Timeout, Store.get(), ...) or a delay" in str(process.value)
+
+
+def test_interrupted_sleep_cancels_nothing_and_its_wake_goes_stale():
+    """An interrupt mid-sleep leaves the wake queued (no cancel, so the heap
+    sequence is the one a Timeout's would be) and the wake resumes nothing."""
+    engine = Engine()
+    log = []
+
+    def body():
+        try:
+            yield 5.0
+        except Interrupt:
+            log.append(("interrupted", engine.now))
+        yield 1.0
+        log.append(("woke", engine.now))
+
+    process = engine.process(body())
+    engine.schedule(2.0, process.interrupt)
+    engine.run()
+    assert log == [("interrupted", 2.0), ("woke", 3.0)]
+    assert engine._dead == 0
+    assert engine.now == 5.0  # the stale wake still fired, as a Timeout would
 
 
 def test_default_engine_clock_is_sim_and_tracks_now():

@@ -65,6 +65,19 @@ def test_run_workload_reports_throughput():
     assert "classify" in report.summary()
 
 
+def test_run_workload_counts_only_its_own_window():
+    """A second window on one platform reports its own arrivals, not the
+    function's cumulative count."""
+    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=3)
+    platform.register_function("classify", model="resnet50")
+    platform.deploy("classify", configs=[(24, 1.0)] * 2)
+    first = platform.run_workload("classify", rps=20, duration=5.0, poisson=False)
+    second = platform.run_workload("classify", rps=20, duration=5.0, poisson=False)
+    for report in (first, second):
+        assert report.submitted == pytest.approx(100, abs=1)
+        assert 0 < report.completed <= report.submitted
+
+
 def test_run_closed_loop_saturates():
     platform = FaSTGShare.build(nodes=1, sharing="fast", seed=3)
     platform.register_function("classify", model="resnet50")
