@@ -2,13 +2,13 @@
 
 A process wraps a generator that ``yield``\\ s either an
 :class:`~repro.sim.events.Event` or a bare non-negative ``float`` delay in
-seconds.  On an event the process sleeps
-until it settles, then resumes with its value (or the exception, re-raised
-at the yield point).  A delay is a sleep that builds no event: the process
-schedules its own wake ``delay`` seconds on and resumes with ``None``, in the
-heap slot a :class:`~repro.sim.events.Timeout` would have taken.  A negative
-delay raises :class:`ScheduleInPastError` and a NaN :class:`SimulationError`
-at the yield, as :meth:`~repro.sim.engine.Engine.timeout` would.
+seconds.  On an event the process sleeps until it settles, then resumes
+with its value (or the exception, re-raised at the yield point).  A delay
+is a sleep that builds no event: the process schedules its own wake
+``delay`` seconds on and resumes with ``None``, in the heap slot a
+:class:`~repro.sim.events.Timeout` would have taken.  A negative delay
+raises :class:`ScheduleInPastError` and a NaN :class:`SimulationError` at
+the yield, as :meth:`~repro.sim.engine.Engine.timeout` would.
 
 A :class:`Process` is itself an :class:`Event`: it succeeds with the
 generator's return value, or fails with any uncaught exception, so processes
