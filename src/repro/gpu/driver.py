@@ -24,7 +24,7 @@ import typing as _t
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernels import KernelBurst
 from repro.gpu.mps import MPSClient
-from repro.sim.events import PENDING, AllOf, Event
+from repro.sim.events import AllOf, Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -111,14 +111,14 @@ class CudaDriver:
         ctx._check_alive()
         demand = ctx.sm_demand
         done = self.device.submit(KernelBurst(duration, demand, min(sm_activity, demand / 100.0)))
-        ctx.outstanding = [e for e in ctx.outstanding if e._state is PENDING]
+        ctx.outstanding = [e for e in ctx.outstanding if not e.triggered]
         ctx.outstanding.append(done)
         return done
 
     def synchronize(self, ctx: CudaContext) -> "Event":
         """cuCtxSynchronize: event settling when all outstanding bursts finish."""
         ctx._check_alive()
-        pending = [e for e in ctx.outstanding if e._state is PENDING]
+        pending = [e for e in ctx.outstanding if not e.triggered]
         ctx.outstanding = pending
         if not pending:
             done = self.engine.event("sync.noop")

@@ -41,8 +41,8 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         self._interrupts: list[Interrupt] = []
-        #: The token of the current sleep's wake; an interrupt bumps it,
-        #: which makes a wake still queued stale.
+        #: The current sleep's token: every sleep takes a fresh one and an
+        #: interrupt bumps it, so a queued wake of an abandoned sleep is stale.
         self._sleep_token = 0
         # Start on the next engine step (at the current time) so that the
         # spawner can finish wiring up state before the process body runs.
@@ -62,15 +62,16 @@ class Process(Event):
         if self._state is not PENDING:
             return
         self._interrupts.append(Interrupt(cause))
-        self._sleep_token += 1
-        waiting, self._waiting_on = self._waiting_on, None
+        self._waiting_on, self._sleep_token = None, self._sleep_token + 1
         # Deliver on the engine loop, never re-entrantly.
-        self.engine.schedule(0.0, self._deliver_interrupt, waiting)
+        self.engine.schedule(0.0, self._deliver_interrupt)
 
     # -- engine plumbing -------------------------------------------------------
-    def _deliver_interrupt(self, stale_target: Event | None) -> None:
+    def _deliver_interrupt(self) -> None:
         if self._state is not PENDING or not self._interrupts:
             return
+        # The throw abandons the current wait, even one begun after interrupt().
+        self._waiting_on, self._sleep_token = None, self._sleep_token + 1
         self._step(self._generator.throw, self._interrupts.pop(0))
 
     def _resume(self, event: Event | None) -> None:
@@ -132,6 +133,7 @@ class Process(Event):
                 return
             target = float(target)
         if target >= 0.0:
+            self._sleep_token += 1
             self.engine.schedule(target, self._wake, self._sleep_token)
         elif target < 0.0:
             self._step(self._generator.throw, ScheduleInPastError(f"negative delay {target!r}"))

@@ -296,6 +296,81 @@ def test_interrupted_sleep_cancels_nothing_and_its_wake_goes_stale():
     assert engine.now == 5.0  # the stale wake still fired, as a Timeout would
 
 
+def _resume_times(sleep, script) -> list[tuple[str, float]]:
+    """Run the interrupt ``script`` on a process whose waits are
+    ``sleep(engine, delay)``; return when each wait ended and how."""
+    engine = Engine()
+    log: list[tuple[str, float]] = []
+    gate = engine.event("gate")
+
+    def waits():
+        for delay in (5.0, 1.0, gate, 10.0, 3.0):
+            try:
+                yield delay if delay is gate else sleep(engine, delay)
+                log.append(("woke", engine.now))
+            except Interrupt:
+                log.append(("interrupted", engine.now))
+
+    process = engine.process(waits())
+    script(engine, process)
+    engine.schedule(30.0, gate.succeed)
+    engine.run()
+    return log
+
+
+def _interrupt_before_first_step(engine, process):
+    process.interrupt()
+
+
+def _two_pending_interrupts(engine, process):
+    engine.schedule(2.0, process.interrupt)
+    engine.schedule(2.0, process.interrupt)
+
+
+def _interrupt_mid_sleep(engine, process):
+    engine.schedule(35.0, process.interrupt)  # cuts the 10.0 sleep after the gate
+
+
+_INTERRUPT_SCRIPTS = [
+    _interrupt_before_first_step,
+    _two_pending_interrupts,
+    _interrupt_mid_sleep,
+]
+
+
+@pytest.mark.parametrize("script", _INTERRUPT_SCRIPTS, ids=lambda s: s.__name__.strip("_"))
+def test_interrupted_sleeps_resume_when_timeouts_would(script):
+    """A sleep cut short by an interrupt, however the interrupt and the next
+    sleeps interleave, never wakes a later wait: bare delays resume at the
+    times the same script with Timeouts does."""
+    bare = _resume_times(lambda engine, delay: delay, script)
+    timed = _resume_times(lambda engine, delay: engine.timeout(delay), script)
+    assert bare == timed
+    assert any(kind == "interrupted" for kind, _ in timed)
+
+
+def test_interrupt_abandons_a_timeout_for_a_bare_sleep():
+    """An interrupt delivered on a Timeout started after the interrupt was
+    raised abandons it, so the Timeout cannot end the bare sleep after it."""
+    engine = Engine()
+    log = []
+
+    def body():
+        try:
+            yield engine.timeout(5.0)
+        except Interrupt:
+            log.append(("interrupted", engine.now))
+        yield 1.0
+        log.append(("woke", engine.now))
+        yield 10.0
+        log.append(("woke", engine.now))
+
+    process = engine.process(body())
+    process.interrupt()
+    engine.run()
+    assert log == [("interrupted", 0.0), ("woke", 1.0), ("woke", 11.0)]
+
+
 def test_default_engine_clock_is_sim_and_tracks_now():
     engine = Engine()
     assert isinstance(engine.clock, SimClock)
