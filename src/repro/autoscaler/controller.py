@@ -21,15 +21,27 @@ controller, so there is one control path, not two.
 
 **Sleep.** A tick views only functions with something to decide.  A
 function *sleeps* — no ingest, no view, no capacity snapshot, no gap, and
-so no plan kept for it — when its next view provably plans the same as its
-last: it holds no replica, nothing is pending, its parked pods are settled
-``HOST_RESIDENT``, the policy planned no action for it, left it idle, and
-its forecast names no next activity (the
-:class:`~repro.autoscaler.forecast.Forecaster` contract keeps that so until
-traffic returns).  It wakes on a new arrival, any change to its replicas or
-parked pods, or the policy's :meth:`wake_at` deadline; waking early only
-costs a view.  A never-invoked function with a quiet forecaster starts
-asleep.  Without a policy nothing goes back to sleep.
+so no plan kept for it — when its next view provably plans the same as this
+one and its gap provably stays closed.  That holds when nothing is pending,
+its parked pods are settled ``HOST_RESIDENT``, the policy applied no action
+for it (a pre-warm the no-fit back-off dropped counts as none), the bin of
+its last arrival is already ingested, and it holds no more serving pods
+than its floor with no demand above their capacity.  Without arrivals the
+gateway signal and the forecast rate then only fall, so the gap stays shut.
+The view's other inputs hold still too, so it sleeps until the earliest
+instant that could change the plan:
+
+* the forecaster's next answer change
+  (:meth:`~repro.autoscaler.forecast.Forecaster.quiet_until`);
+* the policy's time tests (:meth:`~repro.autoscaler.policy.PreWarmPolicy.wake_at`):
+  the keep-alive expiry, the end of the spare window, the predicted
+  activity coming within the lead time, memtier's host keep-alive;
+* the end of the pre-warm no-fit back-off, if that dropped a pre-warm.
+
+It wakes earlier on a new arrival or any change to its replicas, parked
+pods or promotions; waking early only costs a view.  A never-invoked
+function with a quiet forecaster starts asleep.  Without a policy nothing
+goes back to sleep.
 
 Waking is pushed, not polled: ``Gateway.submit`` and every replica or
 parked-pod change in the FaSTPod controller add the function to the
@@ -57,8 +69,7 @@ from repro.autoscaler.policy import (
     RetireAction,
 )
 from repro.k8s.objects import PodPhase
-from repro.scheduler.mra import NoFitError
-from repro.scheduler.scheduler import release
+from repro.scheduler.scheduler import place_first, release
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.scheduler.scheduler import FaSTScheduler
@@ -66,6 +77,12 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 #: Seconds a function's pre-warms pause after one found no GPU, so a full
 #: cluster is not re-searched every tick.
 NOFIT_BACKOFF_S = 5.0
+
+#: How much earlier than its deadline a sleeper wakes.  A deadline is a sum
+#: or difference (``last + spare``) that the plan's own test computes the
+#: other way round (``now - last <= spare``), so either can round past the
+#: other; waking a nanosecond early costs at most one view.
+WAKE_EARLY_S = 1e-9
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -107,11 +124,11 @@ class PredictiveAutoscaler:
         self._decision = PolicyDecision(actions=[], min_replicas={})
         self._rates: dict[str, float | None] = {}
         self._names = sorted(self.controllers)
-        #: Sleeping functions: name -> (arrivals, parked pod ids, deadline)
-        #: as of falling asleep; any change to the first two, or reaching
-        #: the deadline, wakes the function.
-        self._asleep: dict[str, tuple[int, frozenset[str], float]] = {
-            name: (0, frozenset(), math.inf)
+        #: Sleeping functions: name -> (arrivals, replica ids, parked pod
+        #: ids, deadline) as of falling asleep; any change to the first
+        #: three, or reaching the deadline, wakes the function.
+        self._asleep: dict[str, tuple[int, frozenset[str], frozenset[str], float]] = {
+            name: (0, frozenset(), frozenset(), math.inf)
             for name in self._names
             if name not in self.forecasters or self.forecasters[name].quiet_until_observed
         }
@@ -143,20 +160,22 @@ class PredictiveAutoscaler:
 
     def dormant(self, function: str) -> bool:
         """Asleep, and nothing has woken it yet: no new arrival, no change to
-        its replicas or parked pods, and its wake deadline not reached.  Its
-        gap is exactly 0, so the scheduler skips it.  (A policy
-        acting on never-invoked functions, which start asleep, must pair
-        with a forecaster that is not quiet until observed.)"""
+        its replicas or parked pods, no promotion, and its wake deadline not
+        reached.  Its gap stays closed, so the scheduler skips it.  (A
+        policy acting on never-invoked functions, which start asleep, must
+        pair with a forecaster that is not quiet until observed.)"""
         sleep = self._asleep.get(function)
         if sleep is None:
             return False
-        arrivals, parked, wake_at = sleep
+        arrivals, replicas, parked, wake_at = sleep
         controller = self.controllers[function]
+        gateway = self.gateway
         return (
             self.engine.now < wake_at
-            and not controller.replicas
-            and self.gateway.submitted.get(function, 0) == arrivals
+            and gateway.submitted.get(function, 0) == arrivals
+            and controller.replicas.keys() == replicas
             and controller.parked.keys() == parked
+            and function not in gateway.promoted
         )
 
     def wake(self) -> _t.Container[str]:
@@ -170,7 +189,8 @@ class PredictiveAutoscaler:
 
     def _candidates(self, now: float) -> list[str]:
         """The functions that may have woken since the last :meth:`wake`:
-        touched (an arrival, a replica or parked-pod change) or due."""
+        touched (an arrival, a replica or parked-pod change, a promotion)
+        or due."""
         touched = self.gateway.touched
         names = list(touched)
         touched.clear()
@@ -232,41 +252,68 @@ class PredictiveAutoscaler:
                     **{k: v for k, v in inputs.items() if v is not None},
                 )
         self._decision = decision = self.policy.plan(now, views)
+        acted: set[str] = set()
+        backed_off: set[str] = set()
         for action in decision.actions:
             if isinstance(action, PreWarmAction):
-                self._apply_prewarm(action)
-            elif isinstance(action, RetireAction):
+                if self._apply_prewarm(action):
+                    acted.add(action.function)
+                else:
+                    backed_off.add(action.function)
+                continue
+            if isinstance(action, RetireAction):
                 self._apply_retire(action)
             else:
                 # Extension point: policies may emit actions that know how
                 # to apply themselves (the memory tier's demote/promote/
                 # evict go through here without this module knowing them).
                 action.apply(self)
-        acted = {action.function for action in decision.actions}
+            acted.add(action.function)
         for view in views:
-            if view.function in decision.idle and view.function not in acted:
-                self._sleep_if_quiescent(view)
+            if view.function not in acted:
+                self._sleep_if_steady(now, view, view.function in backed_off)
 
-    def _sleep_if_quiescent(self, view: FunctionView) -> None:
-        """Put an idle function the policy left alone to sleep (see the
-        module docstring).  No replica means no warm pod to retire, demote
-        or reserve and no serving pod to drain; a parked pod must have
-        finished demoting, because its phase change would wake nothing."""
-        controller = self.controllers[view.function]
-        if (
-            view.next_active is None
-            and view.pending == 0
-            and not controller.replicas
-            and all(pod.phase is PodPhase.HOST_RESIDENT for pod in controller.parked.values())
-        ):
-            wake_at = self.policy.wake_at(view)
-            self._asleep[view.function] = (
-                self.gateway.submitted.get(view.function, 0),
-                frozenset(controller.parked),
-                wake_at,
-            )
-            if wake_at < math.inf:
-                heapq.heappush(self._deadlines, (wake_at, view.function))
+    def _sleep_if_steady(self, now: float, view: FunctionView, backed_off: bool) -> None:
+        """Put a function the tick left alone to sleep when its next view
+        provably plans the same (see the module docstring).  A parked pod
+        must have finished demoting, because its phase change wakes
+        nothing; ``backed_off`` says the back-off dropped its pre-warms."""
+        if view.pending:
+            return
+        name = view.function
+        controller = self.controllers[name]
+        if not all(pod.phase is PodPhase.HOST_RESIDENT for pod in controller.parked.values()):
+            return
+        gateway = self.gateway
+        last = view.last_arrival
+        if last is not None and math.floor(last / gateway.rps_bin_s) >= now // gateway.rps_bin_s:
+            return  # the last arrival's bin is not ingested yet
+        # The gap stays closed: at most the floor's serving pods, so a
+        # surplus drains nothing, and no demand above their capacity.
+        scheduler = self.scheduler
+        floor = self.min_replicas_for(name, controller.function.min_replicas)
+        if len(scheduler.running[name]) > floor:
+            return
+        demand = self.predicted_rps(name) * scheduler.settings.headroom
+        if demand - scheduler.capacity[name] >= scheduler.scaler.epsilon_rps:
+            return
+        wake_at = self.policy.wake_at(now, view)
+        forecaster = self.forecasters.get(name)
+        if forecaster is not None:
+            wake_at = min(wake_at, forecaster.quiet_until(now))
+        if backed_off:
+            wake_at = min(wake_at, self._nofit_until[name])
+        wake_at -= WAKE_EARLY_S
+        if wake_at <= now:
+            return  # no promise past this tick
+        self._asleep[name] = (
+            gateway.submitted.get(name, 0),
+            frozenset(controller.replicas),
+            frozenset(controller.parked),
+            wake_at,
+        )
+        if wake_at < math.inf:
+            heapq.heappush(self._deadlines, (wake_at, name))
 
     def note_event(self, action: str, function: str, reason: str, **payload: object) -> None:
         """Record an applied decision (extension-action bookkeeping hook).
@@ -302,8 +349,14 @@ class PredictiveAutoscaler:
         cold_start = (
             spec.model.shared_load_time_s if spec.use_model_sharing else spec.model.load_time_s
         )
+        # One pass over the replicas: the warm ones, and the rest serve.
+        replicas = controller.replicas
+        warm_ids = sorted(r.pod.pod_id for r in replicas.values() if r.warm_pending)
         forecaster = self.forecasters.get(name)
-        warm_ids = tuple(sorted(r.pod.pod_id for r in controller.warm_replicas()))
+        if forecaster is not None:
+            predicted, next_active, idle_deadline, active_rate = forecaster.forecast(now)
+        else:
+            predicted = next_active = idle_deadline = active_rate = None
         parked_ids: tuple[str, ...] = ()
         swap_in_s = None
         lifecycle = scheduler.lifecycle
@@ -312,9 +365,9 @@ class PredictiveAutoscaler:
             swap_in_s = lifecycle.swap_in_estimate_s(name)
         return FunctionView(
             function=name,
-            serving=controller.serving_count,
-            warm=controller.warm_count,
-            warm_pod_ids=warm_ids,
+            serving=len(replicas) - len(warm_ids),
+            warm=len(warm_ids),
+            warm_pod_ids=tuple(warm_ids),
             capacity_rps=scheduler.capacity[name],
             pod_rps=p_eff.throughput,
             sm_partition=p_eff.sm_partition,
@@ -322,10 +375,10 @@ class PredictiveAutoscaler:
             cold_start_s=cold_start,
             slo_ms=spec.slo_ms,
             pending=self.gateway.pending_count(name),
-            predicted_rps=forecaster.predict_rps(now) if forecaster else None,
-            next_active=forecaster.next_active_time(now) if forecaster else None,
-            idle_deadline=forecaster.idle_deadline(now) if forecaster else None,
-            active_rate=forecaster.active_rate() if forecaster else None,
+            predicted_rps=predicted,
+            next_active=next_active,
+            idle_deadline=idle_deadline,
+            active_rate=active_rate,
             last_arrival=self.gateway.last_arrival.get(name),
             parked=len(parked_ids),
             parked_pod_ids=parked_ids,
@@ -333,27 +386,38 @@ class PredictiveAutoscaler:
         )
 
     # -- applying actions ------------------------------------------------------------
-    def _apply_prewarm(self, action: PreWarmAction) -> None:
+    def _apply_prewarm(self, action: PreWarmAction) -> bool:
+        """Place one pre-warm at the first config that fits; False when the
+        no-fit back-off dropped it unattempted."""
         now = self.engine.now
         if now < self._nofit_until.get(action.function, -1e9):
-            return  # recent no-fit: don't hammer the placement every tick
-        controller = self.controllers[action.function]
+            return False  # recent no-fit: don't hammer the placement every tick
         # Opportunistic spares ride along on provisioned GPUs only; the
         # high-value pre-warms (keep-alive reserves, predicted clumps) are
         # allowed to power up an idle GPU — that cost is the point.
-        ride_along = action.reason == "spare-pool"
-        for sm, quota in self._prewarm_configs(action):
-            try:
-                self.scheduler.place_pod(
-                    controller, sm, quota, quota, warm=True, used_nodes_only=ride_along
-                )
-            except NoFitError:
-                continue
+        scheduler = self.scheduler
+        replica = place_first(
+            scheduler.cluster,
+            scheduler.placement,
+            self.controllers[action.function],
+            self._prewarm_configs(action),
+            warm=True,
+            used_nodes_only=action.reason == "spare-pool",
+        )
+        if replica is None:
+            self._nofit_until[action.function] = now + NOFIT_BACKOFF_S
+            self.note_event("prewarm-nofit", action.function, action.reason)
+        else:
             self.prewarms += 1
-            self.note_event("prewarm", action.function, action.reason, sm=sm, quota=quota)
-            return
-        self._nofit_until[action.function] = now + NOFIT_BACKOFF_S
-        self.note_event("prewarm-nofit", action.function, action.reason)
+            spec = replica.pod.spec
+            self.note_event(
+                "prewarm",
+                action.function,
+                action.reason,
+                sm=spec.sm_partition,
+                quota=spec.quota_limit,
+            )
+        return True
 
     def _prewarm_configs(self, action: PreWarmAction) -> list[tuple[float, float]]:
         """Candidate (sm, quota) configs for one pre-warm, best first.

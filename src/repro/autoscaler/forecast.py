@@ -2,7 +2,8 @@
 
 Every forecaster consumes the gateway's per-second arrival bins (pull-based:
 the controller feeds complete bins each scheduler tick) and answers four
-questions the pre-warm policy plans from:
+questions the pre-warm policy plans from (all four in one
+:meth:`Forecaster.forecast` call):
 
 * :meth:`Forecaster.predict_rps` — expected arrival rate over the near
   horizon (``None`` = no opinion; the reactive gateway signal is used);
@@ -49,9 +50,11 @@ class Forecaster(abc.ABC):
     Quiescence contract, which the controller's sleep rule relies on: once
     :meth:`next_active_time` returns ``None``, it returns ``None`` for every
     later ``now`` until a non-empty bin is observed.  Over that stretch
-    :meth:`idle_deadline` keeps its verdict: ``None`` stays ``None``, and a
-    deadline at or before ``now`` stays passed.  Empty bins may move
-    :meth:`predict_rps`, never these two answers.
+    :meth:`idle_deadline` keeps its verdict (``None`` stays ``None``, and a
+    deadline at or before ``now`` stays passed) and empty bins never raise
+    :meth:`predict_rps` above an earlier answer (``None`` counts as 0).
+    :meth:`quiet_until` extends the promise to forecasts that do name a
+    next activity.
     """
 
     #: Predicts no activity before observing a non-empty bin, so a never-invoked
@@ -91,6 +94,33 @@ class Forecaster(abc.ABC):
     def active_rate(self) -> float | None:
         """Expected arrival rate while the function is active."""
         return None
+
+    def forecast(self, now: float) -> tuple[float | None, float | None, float | None, float | None]:
+        """``(predict_rps, next_active_time, idle_deadline, active_rate)``
+        at ``now``, in one call."""
+        return (
+            self.predict_rps(now),
+            self.next_active_time(now),
+            self.idle_deadline(now),
+            self.active_rate(),
+        )
+
+    def quiet_until(self, now: float) -> float:
+        """Until when (exclusive) the answers hold with no non-empty bin
+        observed: :meth:`next_active_time` and :meth:`idle_deadline` answer
+        as at ``now`` (a passed deadline stays passed, whatever its value)
+        and :meth:`predict_rps` does not rise.  At or before ``now`` means
+        no promise.
+
+        The default promises only what the quiescence contract does: forever
+        once nothing is predicted and the deadline is passed or unknown,
+        else nothing.
+        """
+        if self.next_active_time(now) is None:
+            deadline = self.idle_deadline(now)
+            if deadline is None or deadline <= now:
+                return math.inf
+        return now
 
 
 class HoltEWMA(Forecaster):
@@ -274,28 +304,42 @@ class HybridHistogram(Forecaster):
         return self.gaps[bisect.bisect_right(self.gaps, elapsed) :]
 
     def next_active_time(self, now: float) -> float | None:
-        if self.last_active_time is None or len(self.gaps) < self.min_samples:
-            return None
-        elapsed = max(0.0, now - self.last_active_time)
-        candidates = self._conditional_gaps(elapsed)
-        if not candidates:
-            return None  # idle beyond all history: prediction withdrawn
-        return self.last_active_time + self._percentile(candidates, self.head_pct)
+        return self.forecast(now)[1]
 
     def idle_deadline(self, now: float) -> float | None:
-        if self.last_active_time is None or len(self.gaps) < self.min_samples:
-            return None
-        elapsed = max(0.0, now - self.last_active_time)
-        candidates = self._conditional_gaps(elapsed)
-        if not candidates:
-            # Idle longer than every recorded gap: the keep-alive window is
-            # over, scale to zero now.
-            return now
-        keepalive = max(self._percentile(candidates, self.tail_pct), self.min_keepalive_s)
-        return self.last_active_time + keepalive
+        return self.forecast(now)[2]
 
     def active_rate(self) -> float | None:
         return self._active_ewma
+
+    def forecast(self, now: float) -> tuple[float | None, float | None, float | None, float | None]:
+        # Both timing answers read one conditional gap set.
+        if self.last_active_time is None or len(self.gaps) < self.min_samples:
+            return None, None, None, self._active_ewma
+        candidates = self._conditional_gaps(max(0.0, now - self.last_active_time))
+        if not candidates:
+            # Idle longer than every recorded gap: prediction withdrawn, and
+            # the keep-alive window is over (scale to zero now).
+            return None, None, now, self._active_ewma
+        keepalive = max(self._percentile(candidates, self.tail_pct), self.min_keepalive_s)
+        return (
+            None,
+            self.last_active_time + self._percentile(candidates, self.head_pct),
+            self.last_active_time + keepalive,
+            self._active_ewma,
+        )
+
+    def quiet_until(self, now: float) -> float:
+        """The answers change only when the idle time passes the next
+        recorded gap above it, which drops that gap from the conditional
+        set; with no gap above it (or too few samples) they never do."""
+        if self.last_active_time is None or len(self.gaps) < self.min_samples:
+            return math.inf
+        elapsed = max(0.0, now - self.last_active_time)
+        index = bisect.bisect_right(self.gaps, elapsed)
+        if index == len(self.gaps):
+            return math.inf
+        return self.last_active_time + self.gaps[index]
 
 
 class OracleForecaster(Forecaster):
@@ -368,21 +412,39 @@ class CompositeForecaster(Forecaster):
         for part in self.parts:
             part.observe(bin_index, count)
 
-    def _combine(self, values: _t.Iterable[float | None], pick) -> float | None:
-        known = [v for v in values if v is not None]
-        return pick(known) if known else None
-
     def predict_rps(self, now: float) -> float | None:
-        return self._combine((p.predict_rps(now) for p in self.parts), max)
+        return self.forecast(now)[0]
 
     def next_active_time(self, now: float) -> float | None:
-        return self._combine((p.next_active_time(now) for p in self.parts), min)
+        return self.forecast(now)[1]
 
     def idle_deadline(self, now: float) -> float | None:
-        return self._combine((p.idle_deadline(now) for p in self.parts), max)
+        return self.forecast(now)[2]
 
     def active_rate(self) -> float | None:
-        return self._combine((p.active_rate() for p in self.parts), max)
+        # The only answer that does not depend on the time.
+        return _extreme((part.active_rate() for part in self.parts), max)
+
+    def forecast(self, now: float) -> tuple[float | None, float | None, float | None, float | None]:
+        # One forecast per part, combined answer by answer: the highest
+        # rate, the earliest activity, the latest deadline.
+        answers = [part.forecast(now) for part in self.parts]
+        return (
+            _extreme((a[0] for a in answers), max),
+            _extreme((a[1] for a in answers), min),
+            _extreme((a[2] for a in answers), max),
+            _extreme((a[3] for a in answers), max),
+        )
+
+    def quiet_until(self, now: float) -> float:
+        """Every part's answers hold until the earliest part's change."""
+        return min(part.quiet_until(now) for part in self.parts)
+
+
+def _extreme(values: _t.Iterable[float | None], pick) -> float | None:
+    """``pick`` (max or min) of the known values; None when none is."""
+    known = [v for v in values if v is not None]
+    return pick(known) if known else None
 
 
 def make_forecaster(

@@ -170,16 +170,31 @@ class PreWarmPolicy:
         )
         return activity_soon, expired and not activity_soon and view.pending == 0
 
-    def wake_at(self, view: FunctionView) -> float:
-        """When a sleeping function must be viewed again with no event.
+    def wake_at(self, now: float, view: FunctionView) -> float:
+        """The earliest instant the plan for ``view`` may change while its
+        inputs hold (no arrival, no replica or parked-pod change, the
+        forecast answers unchanged) and only the clock moves; at or before
+        ``now`` for no promise.
 
-        A sleeper holds no replica, has nothing pending and no predicted
-        activity, and was idle at its last view.  Until traffic returns its
-        expiry stays passed and ``next_active`` stays None, so the idle
-        branch keeps planning nothing, floor 0 and idle: no deadline.  A
-        subclass with time-driven rules for such a function overrides this.
+        Those inputs fixed, the plan changes only when one of its time tests
+        flips: the keep-alive expiry passes, the next predicted activity
+        comes within the lead time, or (while not idle) the spare window
+        closes.  A test that has already flipped stays flipped, so it is no
+        deadline.  A subclass with more time-driven rules extends this.
         """
-        return math.inf
+        deadline = math.inf
+        expiry = self._expiry(view)
+        if expiry is not None and now < expiry:
+            deadline = expiry
+        if view.next_active is not None:
+            lead = self.lead_time(view)
+            if view.next_active - now > lead:
+                deadline = min(deadline, view.next_active - lead)
+        _, idle = self._idle_state(now, view)
+        last = view.last_arrival
+        if not idle and last is not None and now - last <= self.spare_keepalive_s:
+            deadline = min(deadline, last + self.spare_keepalive_s)
+        return deadline
 
     # -- the per-tick plan --------------------------------------------------------
     def plan(self, now: float, views: _t.Sequence[FunctionView]) -> PolicyDecision:

@@ -90,8 +90,9 @@ class Gateway:
         #: most recent arrival time per function (keep-alive signal).
         self.last_arrival: dict[str, float] = {}
         self.submitted: dict[str, int] = collections.defaultdict(int)
-        #: Functions with an arrival or a replica/parked-pod change since
-        #: the autoscaler last looked (it drains the set to wake sleepers).
+        #: Functions with an arrival, a replica/parked-pod change or a warm
+        #: promotion since the autoscaler last looked (it drains the set to
+        #: wake sleepers).
         self.touched: set[str] = set()
 
     # -- replica membership (called by the FaSTPod controller / replicas) -------
@@ -175,6 +176,7 @@ class Gateway:
         self._promoting[name] += 1
         self.promotions += 1
         self.promoted.add(name)
+        self.touched.add(name)
         replica.promote()
         hub = self.engine.hub
         if hub.enabled:

@@ -155,7 +155,8 @@ class GPUDevice:
             raise RuntimeError("clock went backwards")
         dt = now - self._last_update
         if dt > 0.0 and self._active:
-            speed = self.current_speed
+            demand = self._demand_sum
+            speed = 1.0 if demand <= 100.0 else 100.0 / demand
             self.metrics.integrate(
                 self._last_update, now, len(self._active), self._activity_sum * speed
             )
@@ -190,8 +191,12 @@ class GPUDevice:
             self._timer.cancel()
             self._timer = None
         if heap:
-            eta = (heap[0][0] - self._virtual) / self.current_speed
-            self._timer = self.engine.schedule(eta, self._on_timer)
+            demand = self._demand_sum
+            speed = 1.0 if demand <= 100.0 else 100.0 / demand
+            engine = self.engine
+            self._timer = engine.schedule_at(
+                engine.now + (heap[0][0] - self._virtual) / speed, self._on_timer
+            )
 
     def _on_timer(self) -> None:
         self._timer = None

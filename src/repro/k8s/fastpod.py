@@ -44,6 +44,9 @@ class FaSTPodController:
         #: HOST_RESIDENT pods of this function (memory tier): weights in
         #: host RAM, no container, no replica — keyed by pod_id, FIFO.
         self.parked: dict[str, Pod] = {}
+        #: Shared live replica counts keyed by function name, kept on every
+        #: replica change (the scheduler's replica series reads them).
+        self.replica_counts: dict[str, int] | None = None
         self._serials = itertools.count(1)
 
     # -- scale up -----------------------------------------------------------------
@@ -200,8 +203,12 @@ class FaSTPodController:
         self.cluster.forget_pod(pod_id)
 
     def _touch(self) -> None:
-        """Replicas or parked pods changed: a sleeping function may wake."""
-        self.gateway.touched.add(self.function.name)
+        """Replicas or parked pods changed: a sleeping function may wake,
+        and the live replica count moves."""
+        name = self.function.name
+        self.gateway.touched.add(name)
+        if self.replica_counts is not None:
+            self.replica_counts[name] = len(self.replicas)
 
     # -- introspection ------------------------------------------------------------------
     @property

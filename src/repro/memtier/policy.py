@@ -178,12 +178,22 @@ class MemTierPolicy(PreWarmPolicy):
     def _host_expired(self, now: float, view: FunctionView) -> bool:
         return view.last_arrival is not None and now - view.last_arrival > self.host_keepalive_s
 
-    def wake_at(self, view: FunctionView) -> float:
-        """A sleeper with host copies wakes at the host keep-alive deadline
-        (the evict rule); demotes need warm pods, so nothing else is due."""
+    def wake_at(self, now: float, view: FunctionView) -> float:
+        """Adds the host keep-alive deadline (the evict rule) for a function
+        with host copies.  A plan that reads the fabric's current contention
+        gets no promise: a swap-length lead ahead of predicted activity, or
+        an idle warm reserve whose demotion waits on a hideable swap-in."""
+        if view.swap_in_s is not None:
+            _, idle = self._idle_state(now, view)
+            if (view.parked and view.next_active is not None) or (
+                idle and view.warm_pod_ids and self._gap_is_long(now, view)
+            ):
+                return now
+        deadline = super().wake_at(now, view)
         if view.parked > 0 and view.last_arrival is not None:
-            return view.last_arrival + self.host_keepalive_s
-        return super().wake_at(view)
+            if not self._host_expired(now, view):
+                deadline = min(deadline, view.last_arrival + self.host_keepalive_s)
+        return deadline
 
     # -- the per-tick plan ----------------------------------------------------------
     def _plan_function(self, now, view, floors, idle_set):

@@ -48,12 +48,25 @@ class GPURectangleList:
         self.width = width
         self.height = height
         self.restructure_threshold = restructure_threshold
-        self.free: list[Rect] = [Rect(0.0, 0.0, width, height)]
+        self.free = [Rect(0.0, 0.0, width, height)]
         self.placed: dict[str, Rect] = {}
         self.restructures = 0
         #: True while ``free`` equals what :meth:`restructure` would build
         #: (a pure function of ``placed``): restructuring it again is a no-op.
         self.clean = True
+
+    @property
+    def free(self) -> list[Rect]:
+        """The free rectangles (maximal, possibly overlapping)."""
+        return self._free
+
+    @free.setter
+    def free(self, rects: list[Rect]) -> None:
+        # Every replacement of the free list refreshes the extent cache:
+        # the widest and the tallest free rectangle bound any pod that fits.
+        self._free = rects
+        self.max_w = max((r.w for r in rects), default=0.0)
+        self.max_h = max((r.h for r in rects), default=0.0)
 
     # -- queries ---------------------------------------------------------------
     def used_area(self) -> float:
@@ -89,7 +102,9 @@ class GPURectangleList:
         other.width = self.width
         other.height = self.height
         other.restructure_threshold = self.restructure_threshold
-        other.free = list(self.free)
+        other._free = list(self._free)
+        other.max_w = self.max_w
+        other.max_h = self.max_h
         other.placed = dict(self.placed)
         other.restructures = self.restructures
         other.clean = self.clean
@@ -268,15 +283,51 @@ class MaximalRectanglesScheduler:
         is one), so a repeated miss on an unchanged cluster costs nothing.
         """
         best = self._select(w, h, allowed)
-        if best is None and defrag:
-            dirty = False
-            for gpu in self.gpus.values():
-                if len(gpu.free) > 1 and not gpu.clean:
-                    gpu.restructure()
-                    dirty = True
-            if dirty:
-                best = self._select(w, h, allowed)
+        if best is None and defrag and self._restructure_dirty():
+            best = self._select(w, h, allowed)
         return best
+
+    def select_first(
+        self,
+        shapes: _t.Sequence[tuple[float, float]],
+        allowed: _t.Callable[[str], bool] | None = None,
+    ) -> tuple[int, str, Rect] | None:
+        """The first of ``shapes`` — ``(w, h)`` pairs, best first — that fits,
+        as ``(index, node, rect)``; None when none does.
+
+        One query stands for a :meth:`select_node` call per shape until one
+        fits: every shape keeps its miss, restructure-the-changed-GPUs,
+        retry sequence, so the choice and the restructures (which GPUs, in
+        which order) are identical.  ``allowed`` must not change during the
+        query (GPU memory does not), so it is asked at most once per node.
+        """
+        check = allowed
+        if allowed is not None:
+            verdicts: dict[str, bool] = {}
+
+            def check(name: str) -> bool:
+                verdict = verdicts.get(name)
+                if verdict is None:
+                    verdict = verdicts[name] = allowed(name)
+                return verdict
+
+        for index, (w, h) in enumerate(shapes):
+            best = self._select(w, h, check)
+            if best is None and self._restructure_dirty():
+                best = self._select(w, h, check)
+            if best is not None:
+                return (index, *best)
+        return None
+
+    def _restructure_dirty(self) -> bool:
+        """Restructure every GPU changed since its last restructure (a clean
+        free list already is one); True if any was."""
+        dirty = False
+        for gpu in self.gpus.values():
+            if len(gpu.free) > 1 and not gpu.clean:
+                gpu.restructure()
+                dirty = True
+        return dirty
 
     def _select(
         self,
@@ -286,7 +337,10 @@ class MaximalRectanglesScheduler:
     ) -> tuple[str, Rect] | None:
         best: tuple[str, Rect] | None = None
         best_key = None
+        w_min, h_min = w - EPS, h - EPS
         for name, gpu in self.gpus.items():
+            if gpu.max_w < w_min or gpu.max_h < h_min:
+                continue  # no free rectangle is wide or tall enough
             if allowed is not None and not allowed(name):
                 continue
             rect = gpu.best_fit(w, h)

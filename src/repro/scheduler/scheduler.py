@@ -89,11 +89,42 @@ def place(
     warm: bool = False,
     used_nodes_only: bool = False,
 ):
-    """MRA-place and start one replica; returns it (or raises NoFitError).
+    """:func:`place_first` of one configuration at ``[quota_request,
+    quota_limit]``; returns the replica or raises :class:`NoFitError`.
+    Manual deploys and :meth:`FaSTScheduler.place_pod` place through it."""
+    replica = place_first(
+        cluster,
+        placement,
+        controller,
+        [(sm_partition, quota_limit)],
+        warm=warm,
+        used_nodes_only=used_nodes_only,
+        quota_request=quota_request,
+    )
+    if replica is None:
+        raise NoFitError(
+            f"{controller.function.name}: no GPU fits (q={quota_limit}, s={sm_partition})"
+        )
+    return replica
 
-    The one fast-mode place path, shared by manual deploys and the
-    scheduler: memory probe → MRA node selection (w = quota·100,
-    h = SM partition) → FaSTPod scale-up → rectangle bind.
+
+def place_first(
+    cluster: "Cluster",
+    placement: MaximalRectanglesScheduler,
+    controller: FaSTPodController,
+    configs: _t.Sequence[tuple[float, float]],
+    warm: bool = False,
+    used_nodes_only: bool = False,
+    quota_request: float | None = None,
+):
+    """Start one replica at the first of ``configs`` — ``(sm, quota)``
+    pairs, best first — that fits; returns it, or None when none fits.
+
+    The one fast-mode place path: memory probe → one MRA
+    :meth:`~MaximalRectanglesScheduler.select_first` query over the shapes
+    (w = quota·100, h = SM partition) → FaSTPod scale-up at
+    ``[quota_request, quota]`` (``quota_request`` defaults to the quota,
+    the profiling convention) → rectangle bind.
 
     ``warm=True`` creates a pre-warmed pod: the full rectangle is
     reserved (spatial cost explicit — promotion can never fail
@@ -105,7 +136,6 @@ def place(
     instead of powering up an idle one (their whole point is hiding
     latency, not growing the fleet).
     """
-    width = quota_limit * 100.0
     fits_memory = memory_probe(cluster, controller.function)
     allowed = fits_memory
     if used_nodes_only:
@@ -113,15 +143,20 @@ def place(
         def allowed(node_name: str) -> bool:
             return bool(placement.gpus[node_name].placed) and fits_memory(node_name)
 
-    choice = placement.select_node(width, sm_partition, allowed=allowed)
+    shapes = [(quota * 100.0, sm) for sm, quota in configs]
+    choice = placement.select_first(shapes, allowed=allowed)
     if choice is None:
-        raise NoFitError(
-            f"{controller.function.name}: no GPU fits (q={quota_limit}, s={sm_partition})"
-        )
-    node_name, rect = choice
-    node = cluster.node(node_name)
-    replica = controller.scale_up(node, sm_partition, quota_request, quota_limit, warm=warm)
-    placement.bind_at(replica.pod.pod_id, node_name, width, sm_partition, target=rect)
+        return None
+    index, node_name, rect = choice
+    sm, quota = configs[index]
+    replica = controller.scale_up(
+        cluster.node(node_name),
+        sm,
+        quota if quota_request is None else quota_request,
+        quota,
+        warm=warm,
+    )
+    placement.bind_at(replica.pod.pod_id, node_name, shapes[index][0], sm, target=rect)
     return replica
 
 
@@ -206,6 +241,11 @@ class FaSTScheduler:
         self.predictive = PredictiveAutoscaler(self, policy, forecasters)
         self.events: list[SchedulerEvent] = []
         self.replica_series: list[tuple[float, dict[str, int]]] = []
+        #: Live replica count per function, kept by the controllers' touch
+        #: hook; each tick's series entry is a copy.
+        self._replica_counts = {name: c.replica_count for name, c in self.controllers.items()}
+        for controller in self.controllers.values():
+            controller.replica_counts = self._replica_counts
         self._last_scale_up: dict[str, float] = {}
         #: This tick's serving pods and capacity per awake function.
         self.running: dict[str, list[RunningPod]] = {}
@@ -264,7 +304,7 @@ class FaSTScheduler:
     def _reject_reasons(
         self, controller: FaSTPodController, sm_partition: float, quota_limit: float
     ) -> list[dict]:
-        """Why each node rejected a placement that just raised NoFitError.
+        """Why each node rejected a placement that just found no fit.
 
         ``no-gpu-memory``: the memory-feasibility probe failed;
         ``fragmented``: enough free SM×quota area, but no single maximal
@@ -348,9 +388,7 @@ class FaSTScheduler:
         if self.defragmenter is not None:
             self.defragmenter.on_tick()
 
-        self.replica_series.append(
-            (now, {name: c.replica_count for name, c in self.controllers.items()})
-        )
+        self.replica_series.append((now, dict(self._replica_counts)))
         if self._running:
             self._handle = self.engine.schedule(settings.interval, self._tick)
 
@@ -369,17 +407,16 @@ class FaSTScheduler:
         if pod is None:
             controller = self.controllers[name]
             sm, quota = action.sm_partition, action.quota
-            try:
-                # The scaler plans with Q as both request and limit; deploying at
-                # [Q, Q] matches the profiling convention the throughputs assume.
-                pod = self.place_pod(controller, sm, quota, quota).pod
-            except NoFitError:
+            # The scaler plans with Q as both request and limit; deploying at
+            # [Q, Q] matches the profiling convention the throughputs assume.
+            replica = place_first(self.cluster, self.placement, controller, [(sm, quota)])
+            if replica is None:
                 extra = {}
                 if self.engine.hub.enabled:
                     extra["rejects"] = self._reject_reasons(controller, sm, quota)
                 self._note("nofit", name, sm, quota, None, **extra)
                 return
-            kind = "up"
+            kind, pod = "up", replica.pod
         self._last_scale_up[name] = self.engine.now
         self._note(
             kind, name, pod.spec.sm_partition, pod.spec.quota_limit, pod.node_name, pod=pod.pod_id

@@ -122,6 +122,9 @@ class Engine:
 
     Attributes
     ----------
+    now:
+        Current engine-timeline time in seconds.  Only the dispatch loop
+        assigns it; a plain attribute, because every hot path reads it.
     hub:
         The run's :class:`~repro.obs.hub.TelemetryHub` — the single event
         stream all subsystems (gateway, scheduler, autoscaler, memory tier,
@@ -134,7 +137,7 @@ class Engine:
     """
 
     def __init__(self, seed: int = 0, trace: bool = False, clock: Clock | None = None):
-        self._now: float = 0.0
+        self.now: float = 0.0
         #: Callbacks due at ``now``, in schedule order.
         self._lane: collections.deque[Handle] = collections.deque()
         #: Future callbacks as ``(time, seq, handle)``.
@@ -157,11 +160,6 @@ class Engine:
         self.clock.bind(self)
 
     # -- clock -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current engine-timeline time in seconds."""
-        return self._now
-
     def use_clock(self, clock: Clock) -> None:
         """Swap the time source (e.g. sim → wall at live-serve start).
 
@@ -175,11 +173,11 @@ class Engine:
     # -- scheduling --------------------------------------------------------
     def schedule(self, delay: float, callback: _t.Callable, *args) -> Handle:
         """Run ``callback(*args)`` ``delay`` seconds from now; returns a handle."""
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: _t.Callable, *args) -> Handle:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        now = self._now
+        now = self.now
         if not time >= now:  # in the past, or NaN: one comparison on the hot path
             if math.isnan(time):
                 raise SimulationError("cannot schedule at NaN time")
@@ -240,7 +238,7 @@ class Engine:
         """
         lane = self._lane
         heap = self._heap
-        if lane and not (heap and heap[0][0] <= self._now):
+        if lane and not (heap and heap[0][0] <= self.now):
             return lane.popleft()
         if heap:
             time, _, handle = heap[0]
@@ -260,7 +258,7 @@ class Engine:
         thing due at ``now``: the lane is empty and no heap entry is due at
         ``now``, so a zero-delay entry it queued would be dispatched next."""
         heap = self._heap
-        return self._running and not self._lane and not (heap and heap[0][0] <= self._now)
+        return self._running and not self._lane and not (heap and heap[0][0] <= self.now)
 
     # -- event / process factories ------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -303,7 +301,7 @@ class Engine:
             self._detach(handle)
             if handle.cancelled:
                 continue
-            self._now = handle.time
+            self.now = handle.time
             handle.callback(*handle.args)
             return True
         return False
@@ -316,8 +314,8 @@ class Engine:
         integrals cover the full horizon.
         """
         self._stopped = False
-        if until is not None and until < self._now:
-            raise ScheduleInPastError(f"run(until={until}) is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise ScheduleInPastError(f"run(until={until}) is in the past (now={self.now})")
         pop = self._pop  # local binding: the loop below is the hot path
         limit = math.inf if until is None else until
         self._running = True
@@ -327,13 +325,13 @@ class Engine:
                 if handle.cancelled:
                     self._dead -= 1
                     continue
-                self._now = handle.time
+                self.now = handle.time
                 handle.callback(*handle.args)
         finally:
             self._running = False
         if until is not None and not self._stopped:
-            self._now = max(self._now, until)
-        return self._now
+            self.now = max(self.now, until)
+        return self.now
 
     def stop(self) -> None:
         """Stop :meth:`run` after the currently executing callback returns."""

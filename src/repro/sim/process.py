@@ -94,10 +94,11 @@ class Process(Event):
         defers through the lane like any other wakeup."""
         if token != self._sleep_token or self._state is not PENDING:
             return
-        if deferred or self.engine._at_tail():
+        engine = self.engine
+        if deferred or engine._at_tail():
             self._step(self._generator.send, None)
         else:
-            self.engine.schedule(0.0, self._wake, token, True)
+            engine.schedule_at(engine.now, self._wake, token, True)
 
     def _step(self, advance: _t.Callable[[object], object], arg: object) -> None:
         """Advance the generator by ``advance(arg)`` (its ``send`` or
@@ -134,7 +135,8 @@ class Process(Event):
             target = float(target)
         if target >= 0.0:
             self._sleep_token += 1
-            self.engine.schedule(target, self._wake, self._sleep_token)
+            engine = self.engine
+            engine.schedule_at(engine.now + target, self._wake, self._sleep_token)
         elif target < 0.0:
             self._step(self._generator.throw, ScheduleInPastError(f"negative delay {target!r}"))
         else:
@@ -146,4 +148,5 @@ class Process(Event):
         # events mid-iteration (e.g. the FaST Backend dispatch loop) must
         # never have a process body re-enter them synchronously.
         if event is self._waiting_on:
-            self.engine.schedule(0.0, self._resume, event)
+            engine = self.engine
+            engine.schedule_at(engine.now, self._resume, event)

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro import FaSTGShare
-from repro.autoscaler.controller import PredictiveAutoscaler
+from repro.autoscaler.controller import WAKE_EARLY_S, PredictiveAutoscaler
 from repro.autoscaler.forecast import (
     FORECASTER_KINDS,
     CompositeForecaster,
@@ -66,6 +66,46 @@ def test_dormant_view_plans_nothing(policy, view, now):
     assert decision.actions == []
     assert decision.min_replicas == {}
     assert decision.idle == frozenset()
+
+
+def test_wake_at_is_the_earliest_time_test_still_ahead():
+    policy = PreWarmPolicy()  # lead = 0.3 s * 1.5 + 1 s; spare window 15 s
+    view = dormant_view(idle_deadline=30.0, next_active=40.0, last_arrival=5.0)
+    assert policy.wake_at(12.0, view) == 20.0  # the spare window closes first
+    assert policy.wake_at(25.0, view) == 30.0  # then the keep-alive expiry
+    assert policy.wake_at(35.0, view) == 40.0 - policy.lead_time(view)
+
+
+def test_passed_boundaries_are_no_deadlines():
+    """A time test that has already flipped stays flipped: no deadline."""
+    policy = PreWarmPolicy()
+    # Past the expiry and the spare window, nothing predicted: never.
+    assert policy.wake_at(50.0, dormant_view(idle_deadline=30.0, last_arrival=5.0)) == math.inf
+    # The predicted activity is already within the lead: only the spare
+    # window remains ahead.
+    view = dormant_view(idle_deadline=60.0, next_active=40.0, last_arrival=30.0)
+    assert policy.wake_at(39.5, view) == 45.0
+    # The histogram's next change is the next gap strictly above the idle
+    # time: gaps 2, 5 and 9 s, last active bin ending at 17 s.
+    histogram = HybridHistogram(bin_s=1.0)
+    for index in (0, 2, 7, 16):
+        histogram.observe(index, 1)
+    assert histogram.quiet_until(21.0) == 22.0
+    assert histogram.quiet_until(22.0) == 26.0  # the 5 s gap is behind
+    assert histogram.quiet_until(26.0) == math.inf  # idle beyond every gap
+
+
+def test_memtier_plans_reading_fabric_contention_promise_nothing():
+    policy = MemTierPolicy()
+    # A swap-length lead ahead of predicted activity.
+    view = dormant_view(parked=1, parked_pod_ids=("p",), swap_in_s=0.05, next_active=90.0)
+    assert policy.wake_at(30.0, view) <= 30.0
+    # An idle warm reserve whose demotion waits on a hideable swap-in.
+    view = dormant_view(warm=1, warm_pod_ids=("w",), swap_in_s=5.0, last_arrival=1.0)
+    assert policy.wake_at(30.0, view) <= 30.0
+    # Without the memory tier the same idle reserve sleeps for good.
+    view = dormant_view(warm=1, warm_pod_ids=("w",), last_arrival=1.0)
+    assert PreWarmPolicy().wake_at(30.0, view) == math.inf
 
 
 # -- the dormancy test on a live control plane ---------------------------------------
@@ -195,15 +235,45 @@ def test_host_keepalive_deadline_wakes_a_sleeper():
     assert scheduler.predictive.dormant("fn")
 
 
+def test_steady_sleeper_holds_pods_and_a_warm_promotion_wakes_it():
+    """After a burst, a function at its floor's one serving pod with a warm
+    spare sleeps until its spare window closes; promoting the spare (here
+    by hand, as migration or backpressure would) wakes it at once."""
+    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=5)
+    platform.register_function("fn", model="resnet50", min_replicas=1)
+    db = ProfileDatabase.analytic({"fn": get_model("resnet50")})
+    scheduler = platform.start_autoscaler(db, settings("hybrid"))
+    p_eff = scheduler.scaler.p_eff("fn")
+    platform.deploy("fn", [(p_eff.sm_partition, p_eff.quota)])
+    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(10, 3.0))
+    platform.engine.run(until=4.5)
+    autoscaler, controller = scheduler.predictive, platform.controllers["fn"]
+    assert autoscaler.dormant("fn")
+    assert (controller.serving_count, controller.warm_count) == (1, 1)
+    spare_end = platform.gateway.last_arrival["fn"] + PreWarmPolicy().spare_keepalive_s
+    assert autoscaler._asleep["fn"][-1] == spare_end - WAKE_EARLY_S
+    platform.engine.run(until=10.5)
+    assert autoscaler.dormant("fn")
+    platform.gateway.claim_warm("fn")
+    assert not autoscaler.dormant("fn")
+    platform.engine.run(until=11.5)
+    assert "fn" in scheduler.running  # the next tick woke and gap-checked it
+
+
 def test_one_forecast_rate_query_per_view(monkeypatch):
-    """The scheduler's gap reuses the rate each view read."""
+    """Each view asks its composite forecaster once, for all four answers,
+    and the scheduler's gap reuses the rate that view read."""
     calls = []
-    predict = CompositeForecaster.predict_rps
+    forecast = CompositeForecaster.forecast
     monkeypatch.setattr(
         CompositeForecaster,
-        "predict_rps",
-        lambda self, now: calls.append(now) or predict(self, now),
+        "forecast",
+        lambda self, now: calls.append(now) or forecast(self, now),
     )
+    for name in ("predict_rps", "next_active_time", "idle_deadline"):
+        monkeypatch.setattr(
+            CompositeForecaster, name, lambda self, now, _name=name: pytest.fail(_name)
+        )
     views = []
     view = PredictiveAutoscaler._view
     monkeypatch.setattr(

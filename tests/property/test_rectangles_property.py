@@ -5,7 +5,15 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.scheduler import GPURectangleList, NoFitError, Rect, prune_contained, subtract
+from repro.scheduler import (
+    PLACEMENT_POLICIES,
+    GPURectangleList,
+    MaximalRectanglesScheduler,
+    NoFitError,
+    Rect,
+    prune_contained,
+    subtract,
+)
 
 # Rectangle coordinates on the GPU's 100x100 resource space.
 coords = st.floats(min_value=0.0, max_value=90.0)
@@ -127,3 +135,155 @@ def test_remove_then_replace_same_pod_always_fits(sizes):
     pod_id, w, h = placed_ids[len(placed_ids) // 2]
     gpu.remove(pod_id)
     gpu.place(pod_id + "-again", w, h)  # must not raise
+
+
+# -- the extent cache and the first-fit query ----------------------------------------
+def assert_extents(gpu: GPURectangleList) -> None:
+    """The cached widest/tallest free extents equal a fresh max over ``free``."""
+    assert gpu.max_w == max((r.w for r in gpu.free), default=0.0)
+    assert gpu.max_h == max((r.h for r in gpu.free), default=0.0)
+
+
+@given(st.lists(st.tuples(pod_sizes(), st.sampled_from("prsc")), min_size=1, max_size=30),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_extent_cache_tracks_every_free_list_change(ops, data):
+    gpu = GPURectangleList(restructure_threshold=6)
+    live: list[str] = []
+    assert_extents(gpu)
+    for i, ((w, h), op) in enumerate(ops):
+        if op == "p":
+            try:
+                gpu.place(f"pod{i}", w, h)
+                live.append(f"pod{i}")
+            except NoFitError:
+                pass
+        elif op == "r" and live:
+            victim = data.draw(st.sampled_from(live), label="victim")
+            gpu.remove(victim)
+            live.remove(victim)
+        elif op == "s":
+            gpu.restructure()
+        else:
+            copy = gpu.clone()
+            assert_extents(copy)
+            if copy.can_fit(w, h):
+                copy.place(f"clone{i}", w, h)  # the copy moves on alone
+                assert_extents(copy)
+        assert_extents(gpu)
+
+
+NODES = ("n0", "n1", "n2", "n3")
+
+
+@st.composite
+def ledgers(draw) -> MaximalRectanglesScheduler:
+    """A cluster ledger after random binds and unbinds, with some GPUs left
+    changed since their last restructure."""
+    nodes = NODES[: draw(st.integers(min_value=1, max_value=len(NODES)))]
+    ledger = MaximalRectanglesScheduler(
+        nodes,
+        policy=draw(st.sampled_from(PLACEMENT_POLICIES)),
+        node_factors={name: draw(st.sampled_from([0.5, 1.0, 2.0])) for name in nodes},
+    )
+    live: list[str] = []
+    for i, (w, h) in enumerate(draw(st.lists(pod_sizes(), max_size=24))):
+        node = draw(st.sampled_from(nodes))
+        if ledger.bind_at(f"p{i}", node, w, h, require_fit=False) is not None:
+            live.append(f"p{i}")
+        if live and draw(st.integers(min_value=0, max_value=2)) == 0:
+            victim = draw(st.sampled_from(live))
+            ledger.unbind(victim)
+            live.remove(victim)
+    return ledger
+
+
+def copy_ledger(ledger: MaximalRectanglesScheduler) -> MaximalRectanglesScheduler:
+    copy = MaximalRectanglesScheduler(list(ledger.gpus), ledger.policy, ledger.node_factors)
+    copy.gpus = {name: gpu.clone() for name, gpu in ledger.gpus.items()}
+    return copy
+
+
+def log_restructures(ledger: MaximalRectanglesScheduler) -> list[str]:
+    """Record, in order, which GPUs restructure."""
+    log: list[str] = []
+    for name, gpu in ledger.gpus.items():
+        restructure = gpu.restructure
+
+        def logged(_name=name, _restructure=restructure):
+            log.append(_name)
+            _restructure()
+
+        gpu.restructure = logged
+    return log
+
+
+def reference_select_node(ledger, w, h, allowed):
+    """``select_node`` before the extent check: probe every allowed GPU's
+    free list; on a cluster-wide miss restructure the changed GPUs, retry."""
+
+    def select():
+        best, best_key = None, None
+        for name, gpu in ledger.gpus.items():
+            if not allowed(name):
+                continue
+            rect = gpu.best_fit(w, h)
+            if rect is None:
+                continue
+            key = ledger._score(name, gpu, rect, w, h)
+            if best_key is None or key < best_key:
+                best, best_key = (name, rect), key
+        return best
+
+    best = select()
+    if best is None:
+        dirty = False
+        for gpu in ledger.gpus.values():
+            if len(gpu.free) > 1 and not gpu.clean:
+                gpu.restructure()
+                dirty = True
+        if dirty:
+            best = select()
+    return best
+
+
+@given(
+    ledger=ledgers(),
+    shapes=st.lists(pod_sizes(), min_size=1, max_size=5),
+    vetoed=st.sets(st.sampled_from(NODES)),
+    used_nodes_only=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_select_first_matches_a_select_node_loop(ledger, shapes, vetoed, used_nodes_only):
+    """The one-pass query makes the choice a loop of pre-extent-check
+    ``select_node`` calls makes, one per shape until one fits, and
+    restructures the same GPUs in the same order, asking each node's
+    veto at most once."""
+    reference = copy_ledger(ledger)
+
+    def veto_for(target, asked):
+        def allowed(name):
+            asked.append(name)
+            if used_nodes_only and not target.gpus[name].placed:
+                return False
+            return name not in vetoed  # e.g. no GPU memory left there
+
+        return allowed
+
+    expected_log = log_restructures(reference)
+    expected = None
+    allowed = veto_for(reference, [])
+    for index, (w, h) in enumerate(shapes):
+        choice = reference_select_node(reference, w, h, allowed)
+        if choice is not None:
+            expected = (index, *choice)
+            break
+
+    log = log_restructures(ledger)
+    asked: list[str] = []
+    assert ledger.select_first(shapes, allowed=veto_for(ledger, asked)) == expected
+    assert log == expected_log
+    assert len(asked) == len(set(asked))
+    for name, gpu in ledger.gpus.items():
+        assert gpu.free == reference.gpus[name].free
+        assert_extents(gpu)

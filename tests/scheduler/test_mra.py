@@ -167,3 +167,31 @@ def test_utilized_area_by_node():
     shares = scheduler.utilized_area_by_node()
     assert shares["node0"] == pytest.approx(0.25)
     assert shares["node1"] == 0.0
+
+
+def test_extent_cache_follows_every_free_list():
+    """The widest and tallest free extents rule GPUs out of a search; a
+    full-height pod leaves no full-width free rectangle, so the cache must
+    follow place, remove, restructure and clone."""
+
+    def extents(gpu):
+        assert gpu.max_w == max(r.w for r in gpu.free)
+        assert gpu.max_h == max(r.h for r in gpu.free)
+        return gpu.max_w, gpu.max_h
+
+    gpu = GPURectangleList()
+    assert extents(gpu) == (100, 100)
+    gpu.place("tall", 40, 100)
+    assert extents(gpu) == (60, 100)
+    gpu.place("wide", 60, 30)
+    assert extents(gpu) == (60, 70)
+    copy = gpu.clone()
+    assert extents(copy) == (60, 70)
+    copy.remove("wide")  # kept unmerged beside the strip above it
+    assert extents(copy) == (60, 70)
+    copy.restructure()
+    assert extents(copy) == (60, 100)
+    assert extents(gpu) == (60, 70)  # the copy's free list is its own
+    assert not gpu.can_fit(60, 71)
+    gpu.remove("tall")
+    assert extents(gpu) == (60, 100)
