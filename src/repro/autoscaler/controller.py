@@ -69,7 +69,7 @@ from repro.autoscaler.policy import (
     RetireAction,
 )
 from repro.k8s.objects import PodPhase
-from repro.scheduler.scheduler import place_first, release
+from repro.scheduler.scheduler import release
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.scheduler.scheduler import FaSTScheduler
@@ -395,10 +395,7 @@ class PredictiveAutoscaler:
         # Opportunistic spares ride along on provisioned GPUs only; the
         # high-value pre-warms (keep-alive reserves, predicted clumps) are
         # allowed to power up an idle GPU — that cost is the point.
-        scheduler = self.scheduler
-        replica = place_first(
-            scheduler.cluster,
-            scheduler.placement,
+        replica = self.scheduler.place_pod(
             self.controllers[action.function],
             self._prewarm_configs(action),
             warm=True,

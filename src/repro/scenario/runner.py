@@ -23,6 +23,7 @@ from repro.obs import TELEMETRY_FORMAT, assemble_spans, build_registry
 from repro.profiler.database import ProfileDatabase
 from repro.scenario.report import FunctionOutcome, ScenarioReport, UtilizationSample
 from repro.scenario.spec import Scenario, ScenarioError, ScenarioFunction
+from repro.scheduler.mra import NoFitError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.platform import FaSTGShare
@@ -236,13 +237,10 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
             if fn.initial_count == 0:
                 continue
             p_eff = scheduler.scaler.p_eff(fn.name)
+            configs = [(p_eff.sm_partition, p_eff.quota)]
             for _ in range(fn.initial_count):
-                scheduler.place_pod(
-                    platform.controllers[fn.name],
-                    p_eff.sm_partition,
-                    p_eff.quota,
-                    p_eff.quota,
-                )
+                if scheduler.place_pod(platform.controllers[fn.name], configs) is None:
+                    raise NoFitError(f"{fn.name}: no GPU fits an initial pod at {configs[0]}")
     else:
         _deploy_static(platform, scenario)
     platform.wait_ready()

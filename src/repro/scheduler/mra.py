@@ -23,6 +23,7 @@ placed pods, curing accumulated fragmentation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as _t
 
 from repro.scheduler.rectangles import EPS, Rect, prune_contained, subtract
@@ -295,28 +296,23 @@ class MaximalRectanglesScheduler:
         """The first of ``shapes`` — ``(w, h)`` pairs, best first — that fits,
         as ``(index, node, rect)``; None when none does.
 
-        One query stands for a :meth:`select_node` call per shape until one
-        fits: every shape keeps its miss, restructure-the-changed-GPUs,
-        retry sequence, so the choice and the restructures (which GPUs, in
-        which order) are identical.  ``allowed`` must not change during the
-        query (GPU memory does not), so it is asked at most once per node.
+        A :meth:`select_node` call per shape until one fits, so every shape
+        keeps its miss, restructure, retry sequence; a shape no narrower and
+        no shorter than one that missed is skipped: that miss restructured
+        every changed GPU, so no free list can fit the larger shape either.
+        ``allowed`` must not change during the query (GPU memory does not),
+        so it is asked at most once per node.
         """
-        check = allowed
         if allowed is not None:
-            verdicts: dict[str, bool] = {}
-
-            def check(name: str) -> bool:
-                verdict = verdicts.get(name)
-                if verdict is None:
-                    verdict = verdicts[name] = allowed(name)
-                return verdict
-
+            allowed = functools.cache(allowed)
+        missed: list[tuple[float, float]] = []
         for index, (w, h) in enumerate(shapes):
-            best = self._select(w, h, check)
-            if best is None and self._restructure_dirty():
-                best = self._select(w, h, check)
+            if any(w >= w_miss and h >= h_miss for w_miss, h_miss in missed):
+                continue
+            best = self.select_node(w, h, allowed)
             if best is not None:
                 return (index, *best)
+            missed.append((w, h))
         return None
 
     def _restructure_dirty(self) -> bool:

@@ -91,7 +91,7 @@ def place(
 ):
     """:func:`place_first` of one configuration at ``[quota_request,
     quota_limit]``; returns the replica or raises :class:`NoFitError`.
-    Manual deploys and :meth:`FaSTScheduler.place_pod` place through it."""
+    Manual deploys place through it."""
     replica = place_first(
         cluster,
         placement,
@@ -269,20 +269,20 @@ class FaSTScheduler:
     def place_pod(
         self,
         controller: FaSTPodController,
-        sm_partition: float,
-        quota_request: float,
-        quota_limit: float,
+        configs: _t.Sequence[tuple[float, float]],
         warm: bool = False,
         used_nodes_only: bool = False,
     ):
-        """:func:`place` into the shared ledger (returns the replica)."""
-        return place(
+        """:func:`place_first` into the shared ledger: a replica at the
+        first of ``configs`` — ``(sm, quota)`` pairs, best first, each
+        deployed at ``[quota, quota]`` — that fits, or None.  The tick's
+        scale-ups and pre-warms and a scenario's initial pods place through
+        it."""
+        return place_first(
             self.cluster,
             self.placement,
             controller,
-            sm_partition,
-            quota_request,
-            quota_limit,
+            configs,
             warm=warm,
             used_nodes_only=used_nodes_only,
         )
@@ -409,7 +409,7 @@ class FaSTScheduler:
             sm, quota = action.sm_partition, action.quota
             # The scaler plans with Q as both request and limit; deploying at
             # [Q, Q] matches the profiling convention the throughputs assume.
-            replica = place_first(self.cluster, self.placement, controller, [(sm, quota)])
+            replica = self.place_pod(controller, [(sm, quota)])
             if replica is None:
                 extra = {}
                 if self.engine.hub.enabled:

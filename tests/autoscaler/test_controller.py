@@ -36,9 +36,7 @@ def build(policy="hybrid", nodes=2, seed=9, min_replicas=0):
 def prewarm_one(platform, scheduler):
     controller = platform.controllers["fn"]
     p_eff = scheduler.scaler.p_eff("fn")
-    return scheduler.place_pod(
-        controller, p_eff.sm_partition, p_eff.quota, p_eff.quota, warm=True
-    )
+    return scheduler.place_pod(controller, [(p_eff.sm_partition, p_eff.quota)], warm=True)
 
 
 # -- WARM_IDLE lifecycle -----------------------------------------------------------

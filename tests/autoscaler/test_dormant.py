@@ -137,7 +137,7 @@ def test_function_with_replicas_is_not_dormant():
     platform, scheduler = build()
     p_eff = scheduler.scaler.p_eff("idle")
     scheduler.place_pod(
-        platform.controllers["idle"], p_eff.sm_partition, p_eff.quota, p_eff.quota, warm=True
+        platform.controllers["idle"], [(p_eff.sm_partition, p_eff.quota)], warm=True
     )
     assert not scheduler.predictive.dormant("idle")
 

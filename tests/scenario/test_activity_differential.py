@@ -33,7 +33,7 @@ from repro.scenario import (
     load_scenario,
 )
 from repro.scenario.runner import run_scenario
-from repro.scheduler import GPURectangleList, NoFitError
+from repro.scheduler import GPURectangleList, MaximalRectanglesScheduler, NoFitError
 from repro.sim import Engine, Event
 from repro.sweep import load_sweep
 
@@ -361,14 +361,16 @@ def test_idle_work_counter_pins(monkeypatch):
 
 def test_placement_probe_pins(monkeypatch):
     """Work-counter pins on quick longtail_swap: free-list probes
-    (``GPURectangleList.best_fit`` calls; 493 when every pre-warm config was
-    its own ``select_node`` call and no GPU was ruled out by its widest and
-    tallest free extents) and ``NoFitError``s raised (44 when each config
-    that fit nowhere raised one; a pre-warm's configs are now one query).
-    A change that moves one explains the new count."""
-    counts = {"best_fit": 0, "nofit": 0}
+    (``GPURectangleList.best_fit`` calls; 493 when no GPU was ruled out by
+    its widest and tallest free extents), ``NoFitError``s raised (44 when
+    each config that fit nowhere raised one; a pre-warm's configs are now
+    one query) and ``select_node`` calls and misses (148 and 44 when the
+    query tried every config; a config no smaller than one that missed is
+    now skipped).  A change that moves one explains the new count."""
+    counts = {"best_fit": 0, "nofit": 0, "select_node": 0, "misses": 0}
     best_fit = GPURectangleList.best_fit
     nofit = NoFitError.__init__
+    select_node = MaximalRectanglesScheduler.select_node
 
     def counted_best_fit(self, w, h):
         counts["best_fit"] += 1
@@ -378,10 +380,17 @@ def test_placement_probe_pins(monkeypatch):
         counts["nofit"] += 1
         nofit(self, *args)
 
+    def counted_select_node(self, *args, **kwargs):
+        counts["select_node"] += 1
+        choice = select_node(self, *args, **kwargs)
+        counts["misses"] += choice is None
+        return choice
+
     monkeypatch.setattr(GPURectangleList, "best_fit", counted_best_fit)
     monkeypatch.setattr(NoFitError, "__init__", counted_nofit)
+    monkeypatch.setattr(MaximalRectanglesScheduler, "select_node", counted_select_node)
     run_scenario(load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json")), quick=True)
-    assert counts == {"best_fit": 412, "nofit": 0}
+    assert counts == {"best_fit": 408, "nofit": 0, "select_node": 136, "misses": 32}
 
 
 def test_request_path_work_counter_pins(monkeypatch):

@@ -195,3 +195,21 @@ def test_extent_cache_follows_every_free_list():
     assert not gpu.can_fit(60, 71)
     gpu.remove("tall")
     assert extents(gpu) == (60, 100)
+
+
+def test_select_first_skips_a_shape_no_smaller_than_a_miss():
+    """After a shape misses, every changed GPU has been restructured, so a
+    later shape at least as wide and as tall cannot fit: it costs no probe."""
+    ledger = MaximalRectanglesScheduler(["node0"])
+    ledger.bind("a", 60, 100)
+    probed = []
+    select_node = ledger.select_node
+
+    def counted(w, h, allowed=None):
+        probed.append((w, h))
+        return select_node(w, h, allowed)
+
+    ledger.select_node = counted
+    index, node, rect = ledger.select_first([(50, 50), (50, 60), (40, 100)])
+    assert (index, node, rect.w, rect.h) == (2, "node0", 40, 100)
+    assert probed == [(50, 50), (40, 100)]

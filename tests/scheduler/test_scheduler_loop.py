@@ -163,7 +163,7 @@ def test_place_pod_respects_memory_probe():
     controller = platform.controllers["fn"]
     # Exhaust node0's memory with ballast so placement must pick node1.
     platform.cluster.node(0).device.memory.allocate("ballast", 15500)
-    replica = scheduler.place_pod(controller, 12, 1.0, 1.0)
+    replica = scheduler.place_pod(controller, [(12, 1.0)])
     assert replica.pod.node_name == "node1"
 
 
@@ -179,10 +179,10 @@ def promoted_between_ticks(trigger):
     scheduler = platform.start_autoscaler(db, settings(interval=1.0, scale_down_cooldown=3.5))
     controller = platform.controllers["fn"]
     p_eff = scheduler.scaler.p_eff("fn")
-    config = (p_eff.sm_partition, p_eff.quota, p_eff.quota)
+    config = [(p_eff.sm_partition, p_eff.quota)]
     if trigger == "backpressure":
-        scheduler.place_pod(controller, *config)
-    warm = scheduler.place_pod(controller, *config, warm=True)
+        scheduler.place_pod(controller, config)
+    warm = scheduler.place_pod(controller, config, warm=True)
     platform.engine.run(until=5.0)
     if trigger == "demand-swap":
         platform.lifecycle.demote("fn", warm.pod.pod_id)
@@ -220,9 +220,9 @@ def test_scheduler_warm_claim_rearms_the_cooldown_at_the_next_tick():
     platform.gateway.promote_load_threshold = 10**6  # no backpressure claims
     controller = platform.controllers["fn"]
     p_eff = scheduler.scaler.p_eff("fn")
-    config = (p_eff.sm_partition, p_eff.quota, p_eff.quota)
-    scheduler.place_pod(controller, *config)
-    scheduler.place_pod(controller, *config, warm=True)
+    config = [(p_eff.sm_partition, p_eff.quota)]
+    scheduler.place_pod(controller, config)
+    scheduler.place_pod(controller, config, warm=True)
     platform.engine.run(until=10.2)
     load = ConstantRate(rps=1.5 * p_eff.throughput, duration=1.0)
     OpenLoopGenerator(platform.engine, platform.gateway, "fn", load)
