@@ -104,24 +104,41 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
+def _load_scenario_for_cli(args: argparse.Namespace):
+    """Shared scenario/serve/replay preamble: load the spec, apply seed override."""
     import dataclasses
 
-    from repro.platform import FaSTGShare
     from repro.scenario import ScenarioError, load_scenario
 
     try:
         scenario = load_scenario(args.spec)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return None
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    if (args.telemetry or args.trace_out or args.prom_out) and not scenario.measurement.telemetry:
-        scenario = dataclasses.replace(
-            scenario,
-            measurement=dataclasses.replace(scenario.measurement, telemetry=True),
-        )
+    return scenario
+
+
+def _with_telemetry(scenario):
+    """``scenario`` with measurement telemetry switched on."""
+    import dataclasses
+
+    if scenario.measurement.telemetry:
+        return scenario
+    return dataclasses.replace(
+        scenario, measurement=dataclasses.replace(scenario.measurement, telemetry=True)
+    )
+
+
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.platform import FaSTGShare
+
+    scenario = _load_scenario_for_cli(args)
+    if scenario is None:
+        return 2
+    if args.telemetry or args.trace_out or args.prom_out:
+        scenario = _with_telemetry(scenario)
     try:
         report = FaSTGShare.run_scenario(scenario, quick=args.quick)
         print(report.summary())
@@ -218,36 +235,16 @@ def _cmd_explain(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _load_scenario_for_cli(args: argparse.Namespace):
-    """Shared serve/replay preamble: load the spec, apply seed override."""
-    import dataclasses
-
-    from repro.scenario import ScenarioError, load_scenario
-
-    try:
-        scenario = load_scenario(args.spec)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    return scenario
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import dataclasses
 
     from repro.serve import ServeConfig, ServeError, serve_scenario
 
     scenario = _load_scenario_for_cli(args)
     if scenario is None:
         return 2
-    if args.telemetry and not scenario.measurement.telemetry:
-        scenario = dataclasses.replace(
-            scenario,
-            measurement=dataclasses.replace(scenario.measurement, telemetry=True),
-        )
+    if args.telemetry:
+        scenario = _with_telemetry(scenario)
     config = ServeConfig(
         host=args.host,
         port=args.port,

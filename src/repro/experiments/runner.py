@@ -11,8 +11,9 @@ wall-clock time.
 Seeds are derived per task with :func:`derive_task_seed`: replicate 0 keeps
 the user's base seed (so ``--jobs 4`` reproduces exactly what the serial CLI
 printed before parallelism existed), while replicate ``r > 0`` mixes the
-experiment name and replicate index through CRC-32 — deterministic across
-processes and Python versions (unlike ``hash()``, which is salted).
+experiment name and replicate index into it with the sweep's
+:func:`~repro.sweep.spec.derive_cell_seed` (CRC-32, so deterministic across
+processes and Python versions, unlike the salted ``hash()``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import time
 import typing as _t
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.experiments import (
@@ -36,6 +36,7 @@ from repro.experiments import (
     fig15_prewarm,
     headline,
 )
+from repro.sweep.spec import derive_cell_seed
 
 #: Figure experiments exposing the uniform ``run(quick=, seed=)`` protocol.
 SIMPLE_EXPERIMENTS: dict[str, _t.Any] = {
@@ -61,8 +62,7 @@ def derive_task_seed(base_seed: int, name: str, replicate: int) -> int:
     """Deterministic per-task seed; replicate 0 preserves the base seed."""
     if replicate == 0:
         return base_seed
-    mix = zlib.crc32(f"{name}:{replicate}".encode("utf-8"))
-    return (base_seed ^ mix) & 0x7FFFFFFF
+    return derive_cell_seed(base_seed, f"{name}:{replicate}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

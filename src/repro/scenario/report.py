@@ -5,8 +5,10 @@ returns: one :class:`~repro.platform.RunReport` per function (latency
 percentiles, SLO violations, queue-vs-cold wait attribution, the raw request
 log for post-processing), cluster aggregates (GPU-seconds, mean/peak GPUs,
 allocation fraction, a utilization timeseries), control-plane event counts,
-and a stable JSON serialization (``benchmark: "scenario"``) the regression
-gate in ``benchmarks/check_regression.py`` understands.
+and a stable JSON serialization (``benchmark: "scenario"``): byte-identical
+across runs of the same spec and seed, so a committed pin is compared to a
+fresh run exactly.  A live report (``mode: "live"``) is the one exception;
+``benchmarks/check_regression.py`` bounds its robust counters instead.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 ``python -m repro serve SCENARIO.json`` deploys the scenario's control
 plane exactly as a simulation would (same autoscaler, scheduler, gateway,
-memory tier — deployment and warm-up run in pure virtual time), then swaps
-the engine's :class:`~repro.sim.clock.SimClock` for a
-:class:`~repro.sim.clock.WallClock` and serves real HTTP traffic:
+memory tier — deployment and warm-up run in pure virtual time), then paces
+the engine by a :class:`~repro.sim.clock.WallClock` and serves real HTTP
+traffic:
 
 * ``POST /function/{name}`` — invoke: injects a gateway submission at the
   wall arrival instant and awaits its completion event, bounded by the
@@ -143,7 +143,6 @@ class LiveServer:
         self._sample_handle = engine.schedule(dt, sample)
 
         clock = WallClock()
-        engine.use_clock(clock)
         clock.start(origin=t_start)
         self._driver = EngineDriver(engine, clock, tick_s=self.config.tick_s)
         self._driver.start()
@@ -263,7 +262,7 @@ class LiveServer:
                 "pending": platform.gateway.pending_count(name),
             }
         stats = {
-            "clock": engine.clock.mode,
+            "clock": "wall",
             "time_s": engine.now - self._t0,
             "horizon_s": self._plane.horizon,
             "draining": self._draining,

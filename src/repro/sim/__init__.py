@@ -14,11 +14,13 @@ built for the FaST-GShare reproduction.  Components:
 * :class:`~repro.sim.rng.RngStreams` — named, independently seeded random
   streams so that adding a component never perturbs another component's
   random sequence.
+* :class:`~repro.sim.clock.WallClock` — the live-serving time source that
+  paces ``run(until=...)`` against real time.
 
 Everything is single-threaded and bit-exactly reproducible for a given seed.
 """
 
-from repro.sim.clock import Clock, SimClock, WallClock
+from repro.sim.clock import WallClock
 from repro.sim.engine import Engine
 from repro.sim.errors import SimulationError, ScheduleInPastError, Interrupt
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -29,7 +31,6 @@ from repro.sim.rng import RngStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Clock",
     "Engine",
     "Event",
     "Gate",
@@ -37,7 +38,6 @@ __all__ = [
     "Process",
     "RngStreams",
     "ScheduleInPastError",
-    "SimClock",
     "SimulationError",
     "Store",
     "Timeout",

@@ -1,22 +1,14 @@
-"""Clock sources for the engine: virtual event-time and paced wall-time.
+"""The live-serving time source: the engine's timeline paced by wall time.
 
-The engine's event loop is clock-agnostic: it fires timers in ``(time, seq)``
-order and advances its timeline to whatever target ``run(until=...)`` hands
-it.  What differs between a simulation and a live serving process is *who
-picks the target*:
-
-* :class:`SimClock` — the discrete-event mode every experiment and pin uses.
-  The engine's own timeline **is** the clock; ``run`` jumps from event to
-  event as fast as Python executes, and two runs of the same seed are
-  byte-identical.  This is the default and changes nothing about existing
-  behaviour.
-* :class:`WallClock` — live serving mode.  The clock is anchored to a real
-  monotonic time source at some engine-timeline ``origin``; a driver (see
-  :mod:`repro.serve.driver`) repeatedly advances the engine to
-  ``clock.now()`` so scheduled callbacks (autoscaler ticks, service
-  completions, keep-alive timers) fire at the wall moment their virtual
-  timestamp comes due.  The *identical* control-plane code runs in both
-  modes — only the pacing differs.
+A simulation needs no clock object: :meth:`Engine.run` jumps from event to
+event and ``engine.now`` is the only record of virtual time.  Live serving
+runs the *identical* engine and control plane, but something must pick the
+``run(until=...)`` targets from real time.  :class:`WallClock` anchors a
+monotonic time source at an engine-timeline ``origin``; a driver (see
+:mod:`repro.serve.driver`) repeatedly advances the engine to
+``clock.now()`` so scheduled callbacks (autoscaler ticks, service
+completions, keep-alive timers) fire at the wall moment their virtual
+timestamp comes due.
 
 ``WallClock`` readings are guaranteed monotonically non-decreasing even if
 the underlying ``time_fn`` jitters backwards (a clamped floor), because the
@@ -28,50 +20,8 @@ from __future__ import annotations
 import time
 import typing as _t
 
-if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.engine import Engine
 
-
-class Clock:
-    """Interface: where the engine's timeline target comes from."""
-
-    #: ``"sim"`` or ``"wall"`` — surfaced in ``/stats`` and reports.
-    mode: str = "abstract"
-
-    def bind(self, engine: "Engine") -> None:
-        """Attach to the engine whose timeline this clock reads/paces."""
-        raise NotImplementedError
-
-    def now(self) -> float:
-        """Current reading on the engine's timeline, in seconds."""
-        raise NotImplementedError
-
-
-class SimClock(Clock):
-    """Virtual event-time: the engine's own timeline, no external source.
-
-    ``now()`` is exactly ``engine.now`` — the engine remains the single
-    canonical store of virtual time, so the event-loop hot path is
-    unchanged and every existing pin stays byte-identical.
-    """
-
-    mode = "sim"
-
-    __slots__ = ("_engine",)
-
-    def __init__(self) -> None:
-        self._engine: "Engine | None" = None
-
-    def bind(self, engine: "Engine") -> None:
-        self._engine = engine
-
-    def now(self) -> float:
-        if self._engine is None:
-            return 0.0
-        return self._engine.now
-
-
-class WallClock(Clock):
+class WallClock:
     """Real time, anchored at an engine-timeline origin.
 
     Parameters
@@ -86,19 +36,13 @@ class WallClock(Clock):
     clamped to never decrease.
     """
 
-    mode = "wall"
-
-    __slots__ = ("_engine", "_time_fn", "_origin", "_epoch", "_floor")
+    __slots__ = ("_time_fn", "_origin", "_epoch", "_floor")
 
     def __init__(self, time_fn: _t.Callable[[], float] = time.monotonic) -> None:
-        self._engine: "Engine | None" = None
         self._time_fn = time_fn
         self._origin = 0.0
         self._epoch: float | None = None
         self._floor = 0.0
-
-    def bind(self, engine: "Engine") -> None:
-        self._engine = engine
 
     @property
     def started(self) -> bool:
@@ -113,6 +57,7 @@ class WallClock(Clock):
         self._epoch = self._time_fn()
 
     def now(self) -> float:
+        """Current reading on the engine's timeline, in seconds."""
         if self._epoch is None:
             return self._origin
         reading = self._origin + (self._time_fn() - self._epoch)

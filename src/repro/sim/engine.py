@@ -62,7 +62,6 @@ import math
 import typing as _t
 
 from repro.obs.hub import TelemetryHub
-from repro.sim.clock import Clock, SimClock
 from repro.sim.errors import ScheduleInPastError, SimulationError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
@@ -112,13 +111,6 @@ class Engine:
         ``schedule``/``schedule_at`` emits an ``engine``/``schedule`` event
         to :attr:`hub`, which this flag also enables (costly; off by
         default).
-    clock:
-        The engine's time source (see :mod:`repro.sim.clock`).  Defaults to
-        :class:`~repro.sim.clock.SimClock` — pure virtual event-time, the
-        mode every simulation pin uses.  A live serving driver swaps in a
-        :class:`~repro.sim.clock.WallClock` via :meth:`use_clock` and paces
-        ``run(until=clock.now())`` against real time; the engine's timeline
-        semantics are identical either way.
 
     Attributes
     ----------
@@ -136,7 +128,7 @@ class Engine:
         telemetry does not drown in timer events.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False, clock: Clock | None = None):
+    def __init__(self, seed: int = 0, trace: bool = False):
         self.now: float = 0.0
         #: Callbacks due at ``now``, in schedule order.
         self._lane: collections.deque[Handle] = collections.deque()
@@ -156,19 +148,6 @@ class Engine:
         #: a wall-clock driver uses it to wake early when a callback
         #: schedules work due before the driver's current sleep deadline.
         self.on_schedule: _t.Callable[[float], None] | None = None
-        self.clock: Clock = clock if clock is not None else SimClock()
-        self.clock.bind(self)
-
-    # -- clock -------------------------------------------------------------
-    def use_clock(self, clock: Clock) -> None:
-        """Swap the time source (e.g. sim → wall at live-serve start).
-
-        The timeline itself is untouched: scheduled handles keep their
-        absolute times, and a subsequent ``run(until=...)`` fires them in
-        the same order regardless of which clock paces the targets.
-        """
-        clock.bind(self)
-        self.clock = clock
 
     # -- scheduling --------------------------------------------------------
     def schedule(self, delay: float, callback: _t.Callable, *args) -> Handle:

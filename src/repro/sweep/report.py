@@ -19,9 +19,9 @@ headline-metric dict, and the full embedded
   ``assert`` block, over the cell metrics plus the derived
   :func:`effective_violation_ratio`.
 
-Serialization is a stable ``benchmark: "sweep"`` JSON that
-``benchmarks/check_regression.py`` gates in CI, with the deltas and
-frontier precomputed under ``"diffs"`` / ``"pareto"`` (and the verdicts
+Serialization is a stable ``benchmark: "sweep"`` JSON, byte-identical
+across runs of the same spec (committed pins are compared to a fresh run
+exactly), with the deltas and frontier precomputed under ``"diffs"`` / ``"pareto"`` (and the verdicts
 under ``"assert"`` when the spec has that block).  Wall-clock cell
 timings are deliberately *excluded* from the payload so a ``--jobs N`` run
 serializes bit-identically to the serial one.

@@ -1,4 +1,4 @@
-"""Clock layer: SimClock equivalence, WallClock monotonicity, driver pacing."""
+"""Engine firing order against a reference, WallClock monotonicity, driver pacing."""
 
 from __future__ import annotations
 
@@ -11,13 +11,13 @@ import random
 import pytest
 
 from repro.serve import EngineDriver
-from repro.sim import Engine, SimClock, WallClock
+from repro.sim import Engine, WallClock
 from repro.sim.errors import Interrupt, ScheduleInPastError, SimulationError
 from repro.sim.events import AnyOf, Timeout
 from repro.sim.process import Process
 
 
-# -- SimClock: the default mode must be indistinguishable from the old engine --
+# -- Engine: the firing order must be indistinguishable from one plain heap --
 
 
 class _ReferenceEngine:
@@ -200,10 +200,9 @@ def _randomized_firing_log(engine, seed: int, processes: bool = False) -> list[t
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1234])
-def test_simclock_reproduces_default_engine_semantics(seed: int):
+def test_engine_reproduces_reference_firing_order(seed: int):
     reference = _randomized_firing_log(_ReferenceEngine(), seed)
     assert _randomized_firing_log(Engine(seed=seed), seed) == reference
-    assert _randomized_firing_log(Engine(seed=seed, clock=SimClock()), seed) == reference
     fired = [tag for _, tag in reference if tag.startswith("t")]
     assert len(fired) > 100  # the workload actually exercised the heap
     assert any(tag.endswith("0") for tag in fired)  # ... and the zero-delay lane
@@ -371,28 +370,6 @@ def test_interrupt_abandons_a_timeout_for_a_bare_sleep():
     assert log == [("interrupted", 0.0), ("woke", 1.0), ("woke", 11.0)]
 
 
-def test_default_engine_clock_is_sim_and_tracks_now():
-    engine = Engine()
-    assert isinstance(engine.clock, SimClock)
-    assert engine.clock.mode == "sim"
-    assert engine.clock.now() == engine.now == 0.0
-    engine.schedule(3.5, lambda: None)
-    engine.run()
-    assert engine.clock.now() == engine.now == 3.5
-
-
-def test_unbound_simclock_reads_zero():
-    assert SimClock().now() == 0.0
-
-
-def test_use_clock_swaps_and_binds():
-    engine = Engine()
-    wall = WallClock(time_fn=lambda: 100.0)
-    engine.use_clock(wall)
-    assert engine.clock is wall
-    assert engine.clock.mode == "wall"
-
-
 # -- WallClock: anchoring, monotonicity under a jittering source --------------
 
 
@@ -451,7 +428,6 @@ def test_on_schedule_hook_sees_every_new_timer():
 def _wall_engine(tick_s: float = 0.02) -> tuple[Engine, EngineDriver]:
     engine = Engine()
     clock = WallClock()
-    engine.use_clock(clock)
     clock.start(origin=engine.now)
     return engine, EngineDriver(engine, clock, tick_s=tick_s)
 
@@ -459,7 +435,6 @@ def _wall_engine(tick_s: float = 0.02) -> tuple[Engine, EngineDriver]:
 def test_driver_rejects_bad_tick():
     engine = Engine()
     clock = WallClock()
-    engine.use_clock(clock)
     clock.start()
     with pytest.raises(ValueError, match="tick_s"):
         EngineDriver(engine, clock, tick_s=0.0)
@@ -521,7 +496,6 @@ def test_driver_call_spawning_a_process_runs_it_on_the_next_advance():
     wall = [100.0]
     engine = Engine()
     clock = WallClock(time_fn=lambda: wall[0])
-    engine.use_clock(clock)
     clock.start(origin=engine.now)
     driver = EngineDriver(engine, clock, tick_s=10.0)
     fired = []

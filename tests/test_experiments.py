@@ -7,6 +7,8 @@ headline directions hold even at the smallest scale.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -19,6 +21,7 @@ from repro.experiments import (
     fig14_cluster,
     fig15_prewarm,
 )
+from tests.pins import QUICK_PINS, quick_pin_report, reproduce
 
 
 def test_fig01_quick():
@@ -58,7 +61,8 @@ def test_fig13_quick():
 
 
 def test_fig14_quick():
-    report = fig14_cluster.run(quick=True)
+    # tests/scenario/test_fig_equivalence.py checks run(quick=True) is this pin.
+    report = _bench_quick("cluster")
     nodes = report.sweep.base.cluster.nodes
     assert len(set(nodes)) >= 3  # heterogeneous GPU types
     functions = {fn.name for fn in report.sweep.base.functions}
@@ -87,7 +91,7 @@ def test_fig14_seed_reaches_trace_synthesis():
 
 
 def test_fig15_quick():
-    report = fig15_prewarm.run(quick=True)
+    report = _bench_quick("prewarm")
     assert [dict(cell.coords)["autoscaler"] for cell in report.cells] == list(
         fig15_prewarm.SCALING_POLICIES
     )
@@ -109,13 +113,12 @@ def test_fig15_quick():
 
 
 def _bench_quick(name: str, jobs: int = 1):
-    """Run a committed quick bench spec (examples/benches/<name>_quick.json)."""
-    import pathlib
-
-    from repro.sweep import load_sweep, run_sweep
-
-    spec = pathlib.Path(__file__).resolve().parents[1] / "examples" / "benches"
-    return run_sweep(load_sweep(str(spec / f"{name}_quick.json")), jobs=jobs)
+    """Run a committed quick bench spec (examples/benches/<name>_quick.json);
+    the serial run is shared with the pin test."""
+    pin = f"benchmarks/BENCH_{name}_quick.json"
+    if jobs == 1:
+        return quick_pin_report(pin)
+    return reproduce(dataclasses.replace(QUICK_PINS[pin], jobs=jobs))
 
 
 def test_swap_bench_quick():
