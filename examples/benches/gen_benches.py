@@ -17,7 +17,10 @@ seeds, scenario names and arrivals match the benches' earlier reports:
   committed ``examples/scenarios/longtail_swap.json``;
 * ``migrate`` — background defragmentation off vs on over a fragmented
   spread fleet; asserts defrag-on uses fewer mean GPUs at an
-  equal-or-better effective violation rate.
+  equal-or-better effective violation rate;
+* ``fig11``   — time sharing vs the FaST-Scheduler on Fig. 11's static pod
+  set; asserts ``fast`` uses fewer mean GPUs and GPU-seconds
+  (:func:`repro.experiments.fig11_scheduler.bench_sweep`).
 
 The specs are the source of truth (``python -m repro sweep
 examples/benches/swap_quick.json``); rerun this only after a generator
@@ -33,7 +36,13 @@ import functools
 import json
 import pathlib
 
-from repro.experiments import fig14_cluster, fig15_prewarm, migrate_bench, swap_bench
+from repro.experiments import (
+    fig11_scheduler,
+    fig14_cluster,
+    fig15_prewarm,
+    migrate_bench,
+    swap_bench,
+)
 from repro.scenario import load_scenario
 from repro.sweep import Sweep, SweepAssertion
 
@@ -44,7 +53,7 @@ SEED = 42
 #: inlining a copy of it (path relative to this directory).
 SWAP_BASE = "../scenarios/longtail_swap.json"
 
-BENCHES = ("cluster", "prewarm", "swap", "migrate")
+BENCHES = ("cluster", "prewarm", "swap", "migrate", "fig11")
 
 
 def swap(quick: bool) -> Sweep:
@@ -91,6 +100,7 @@ def bench_sweeps() -> dict[str, Sweep]:
         "prewarm": functools.partial(fig15_prewarm.bench_sweep, seed=SEED),
         "swap": swap,
         "migrate": migrate,
+        "fig11": functools.partial(fig11_scheduler.bench_sweep, seed=SEED),
     }
     sweeps = {}
     for name in BENCHES:

@@ -47,11 +47,12 @@ saved sweep reports cell by cell instead of running anything.  A spec's
 ``assert`` block states what the comparison must show; ``sweep`` writes
 its report and then exits 1 if an assertion fails.
 
-The extension benches are committed sweep specs under ``examples/benches/``
-(``cluster``, ``prewarm``, ``swap``, ``migrate``, each with a ``_quick``
-variant): placement policies on a heterogeneous cluster (fig14), reactive
-vs predictive autoscaling (fig15), keep-alive vs the memory tier on a
-long-tail fleet, and defragmentation off vs on over a fragmented fleet.
+The benches are committed sweep specs under ``examples/benches/``
+(``cluster``, ``prewarm``, ``swap``, ``migrate``, ``fig11``, each with a
+``_quick`` variant): placement policies on a heterogeneous cluster (fig14),
+reactive vs predictive autoscaling (fig15), keep-alive vs the memory tier
+on a long-tail fleet, defragmentation off vs on over a fragmented fleet,
+and time sharing vs the FaST-Scheduler on Fig. 11's pod set.
 
 Any invalid invocation (unknown subcommand or flag, malformed scenario or
 sweep) exits non-zero with a usage message, and an experiment that raises
@@ -75,7 +76,9 @@ def _cmd_list() -> int:
     print("serve      Serve a scenario's control plane live over HTTP (wall-clock).")
     print("replay     Fire a scenario's DES arrival schedule at a live server.")
     print("sweep      Run a declarative parameter sweep (examples/sweeps/*.json) or diff reports.")
-    print("           Benches: sweep examples/benches/{cluster,prewarm,swap,migrate}[_quick].json")
+    print(
+        "           Benches: sweep examples/benches/{cluster,prewarm,swap,migrate,fig11}[_quick].json"
+    )
     return 0
 
 

@@ -5,8 +5,10 @@ Every figure module exposes ``run(quick=, seed=)`` and
 reports.  fig01-fig13 and ``headline`` return a per-figure result
 dataclass; fig14 and fig15 return the
 :class:`~repro.sweep.report.SweepReport` of their ``bench_sweep`` — the
-same sweep the committed ``examples/benches`` specs hold.  ``quick=True``
-shrinks durations for CI without changing the experimental structure;
+same sweep the committed ``examples/benches`` specs hold.  fig11 also has
+a ``bench_sweep`` (``examples/benches/fig11{,_quick}.json``) and reads its
+result off each cell's scenario report.  ``quick=True`` shrinks durations
+for CI without changing the experimental structure;
 ``benchmarks/test_fig*.py`` assert the paper's shapes at larger scale.
 
 ==========  ==========================================================
@@ -14,12 +16,12 @@ fig01       motivation: device plugin vs time sharing (Fig. 1a/1b)
 fig08       profiler throughput grid, 4 models (Fig. 8)
 fig09       temporal-only interference vs spatio-temporal isolation (Fig. 9)
 fig10       spatial sharing: throughput/latency/util/occupancy (Fig. 10)
-fig11       scheduler packing across 4 nodes (Fig. 11)
+fig11       scheduler packing across 4 nodes, a ``sharing`` sweep (Fig. 11)
 fig12       auto-scaling under a stepped trace, SLO violations (Fig. 12)
 fig13       model-sharing memory footprints (Fig. 13)
 fig14       cluster-scale trace replay on heterogeneous GPUs (extension)
 fig15       predictive pre-warming vs reactive autoscaling (extension)
-headline    the 3.15x / 1.34x / 3.13x improvement summary (§1, §5)
+headline    the 3.15x / 1.34x / 3.13x summary, from Fig. 10/11 cells (§1, §5)
 ablations   MRA vs placement baselines; token scheduler variants
 ==========  ==========================================================
 

@@ -57,8 +57,9 @@ class Fig10Result:
         return [getattr(c, metric) for c in cells]
 
 
-def _measure(model: str, mode: str, sm: float, replicas: int,
-             duration: float, seed: int) -> Fig10Cell:
+def measure(model: str, mode: str, sm: float, replicas: int,
+            duration: float, seed: int) -> Fig10Cell:
+    """One cell: ``replicas`` pods at ``sm``% SMs, full quota, on one GPU."""
     platform = FaSTGShare.build(nodes=1, sharing=mode, seed=seed)
     # Model sharing keeps 8 replicas of the larger models within 16 GB
     # (without it, 8 GNMT pods would not fit — §5.5's point).
@@ -93,7 +94,7 @@ def run(
     for model in models:
         for _label, mode, sm in FIG10_CONFIGS:
             for n in replicas:
-                cells.append(_measure(model, mode, sm, n, duration, seed))
+                cells.append(measure(model, mode, sm, n, duration, seed))
     return Fig10Result(cells=cells)
 
 

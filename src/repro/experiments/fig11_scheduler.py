@@ -9,22 +9,35 @@ Workload: 4 ResNet pods at (12% SMs, 40% quota), 2 RNNT pods at (24%, 40%),
   3.1-9.4% occ).
 * FaST-Scheduler packs the eight 2D rectangles onto **one GPU**
   (Σ area = 98.4%), concentrating load (paper: 88.64% util, 25.3% occ).
+
+:func:`bench_sweep` (a two-cell ``sharing`` sweep, committed as
+``examples/benches/fig11{,_quick}.json``) is the one definition of the
+comparison; :func:`run` reads the panels off each cell's scenario report.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.faas.workload import PoissonRate
-from repro.faas.loadgen import OpenLoopGenerator
 from repro.models import get_model
-from repro.platform import FaSTGShare
+from repro.scenario import (
+    AutoscalerSpec,
+    ClusterSpec,
+    MeasurementSpec,
+    Scenario,
+    ScenarioFunction,
+    WorkloadSpec,
+    run_scenario,
+)
+from repro.sweep import Sweep, SweepAssertion, SweepAxis
 
-#: (function, model, pods, sm%, quota) — the paper's Fig. 11 deployment.
+#: (function, model, pods, sm%, quota) — the paper's Fig. 11 deployment,
+#: largest quota first so first fit on quota reproduces a feasible 4-GPU
+#: layout (first-fit-decreasing).
 FIG11_PODS: tuple[tuple[str, str, int, float, float], ...] = (
+    ("bert", "bert", 2, 50.0, 0.6),
     ("resnet", "resnet50", 4, 12.0, 0.4),
     ("rnnt", "rnnt", 2, 24.0, 0.4),
-    ("bert", "bert", 2, 50.0, 0.6),
 )
 
 
@@ -63,49 +76,70 @@ class Fig11Result:
         return (sum(fast) / len(fast)) / (sum(ts) / len(ts)) - 1.0
 
 
-def _drive(platform: FaSTGShare, duration: float, load_scale: float) -> Fig11Side:
-    """Deploy the Fig. 11 pod set on the given platform and saturate it."""
-    for function, model_name, pods, sm, quota in FIG11_PODS:
-        platform.register_function(function, model=model_name)
-    # Deploy largest-quota first so first fit on quota reproduces a
-    # feasible 4-GPU layout (first-fit-decreasing).
-    for function, model_name, pods, sm, quota in sorted(FIG11_PODS, key=lambda r: -r[4]):
-        platform.deploy(function, configs=[(sm, quota)] * pods)
-    platform.wait_ready()
-    engine = platform.engine
-    t0 = engine.now
-    platform.cluster.reset_metrics()
-    for function, model_name, pods, sm, quota in FIG11_PODS:
-        capacity = pods * get_model(model_name).expected_rate(sm, quota)
-        workload = PoissonRate(rps=load_scale * capacity, duration=duration)
-        OpenLoopGenerator(engine, platform.gateway, function, workload)
-    engine.run(until=t0 + duration)
-    metrics = platform.cluster.node_metrics()
-    window = platform.gateway.log.in_window(t0, engine.now)
-    nodes_hosting = {pod.node_name for pod in platform.cluster.pods.values()}
-    return Fig11Side(
-        mechanism=platform.cluster_spec.sharing,
-        node_utilization=[util for _, util, _ in metrics],
-        node_occupancy=[occ for _, _, occ in metrics],
-        gpus_used=len(nodes_hosting),
-        total_throughput=window.throughput(duration),
+def bench_sweep(
+    quick: bool, seed: int = 42, duration: float = 40.0, load_scale: float = 0.62
+) -> Sweep:
+    """The mechanism comparison: one ``sharing`` axis, autoscaler off.
+
+    Each function offers Poisson load at ``load_scale`` times its pods'
+    quota-bound capacity; 0.62 reproduces the paper's time-sharing
+    utilization band (28.9-47.5% per GPU).
+    """
+    if quick:
+        duration = 10.0
+    functions = tuple(
+        ScenarioFunction(
+            name=function,
+            model=model,
+            model_sharing=False,
+            pods=((sm, quota),) * pods,
+            workload=WorkloadSpec(
+                kind="constant",
+                rps=load_scale * (pods * get_model(model).expected_rate(sm, quota)),
+                duration=duration,
+            ),
+        )
+        for function, model, pods, sm, quota in FIG11_PODS
+    )
+    return Sweep(
+        name="fig11-sharing",
+        base=Scenario(
+            name="fig11",
+            seed=seed,
+            cluster=ClusterSpec(nodes=4),
+            functions=functions,
+            autoscaler=AutoscalerSpec(enabled=False),
+            measurement=MeasurementSpec(drain_s=0.0),
+        ),
+        axes=(SweepAxis(axis="sharing", values=("timeshare", "fast")),),
+        description="Fig. 11: time sharing vs the FaST-Scheduler on one static pod set",
+        asserts=(
+            SweepAssertion(
+                cell="sharing=fast", vs=("sharing=timeshare",), lt=("mean_gpus", "gpu_seconds")
+            ),
+        ),
     )
 
 
 def run(
     duration: float = 40.0, seed: int = 42, quick: bool = False, load_scale: float = 0.62
 ) -> Fig11Result:
-    """``load_scale`` scales offered RPS relative to each pod's quota-bound
-    capacity.  0.62 reproduces the paper's time-sharing utilization band
-    (28.9-47.5% per GPU); both mechanisms see the same absolute load."""
-    if quick:
-        duration = 10.0
-    timeshare = FaSTGShare.build(nodes=4, sharing="timeshare", seed=seed)
-    fast = FaSTGShare.build(nodes=4, sharing="fast", seed=seed)
-    return Fig11Result(
-        time_sharing=_drive(timeshare, duration, load_scale),
-        fast_scheduler=_drive(fast, duration, load_scale),
-    )
+    """Run both cells of :func:`bench_sweep` (time sharing first) and read
+    each mechanism's panels off its scenario report."""
+    sides = []
+    for cell in bench_sweep(quick, seed, duration, load_scale).cells():
+        report = run_scenario(cell.scenario)
+        node_metrics = report.functions[0].run.node_metrics
+        sides.append(
+            Fig11Side(
+                mechanism=cell.scenario.cluster.sharing,
+                node_utilization=[util for _, util, _ in node_metrics],
+                node_occupancy=[occ for _, _, occ in node_metrics],
+                gpus_used=report.peak_gpus,
+                total_throughput=report.completed / report.horizon,
+            )
+        )
+    return Fig11Result(*sides)
 
 
 def format_result(result: Fig11Result) -> str:

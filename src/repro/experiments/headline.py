@@ -8,9 +8,9 @@ ResNet's 296.8 vs 71.37 req/s is quoted as "at least 3.15x" (4.16 − 1.01);
 Fig. 11's 88.64% vs mean 37.85% utilization as "1.34 times" (2.34 − 1).
 We report both the ratios and the increases.
 
-Throughput rows compare 8 spatial pods at 12% SMs against the time-sharing
-ceiling (one racing pod's saturated rate, per §5.3); utilization/occupancy
-come from the Fig. 11 scheduler experiment.
+Throughput rows compare 8 spatial pods at 12% SMs (Fig. 10's cell) against
+the time-sharing ceiling (one racing pod's saturated rate, per §5.3);
+utilization/occupancy come from the Fig. 11 scheduler experiment.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.experiments import fig11_scheduler
+from repro.experiments import fig10_spatial, fig11_scheduler
 from repro.platform import FaSTGShare
 
 HEADLINE_MODELS: tuple[str, ...] = ("resnet50", "rnnt", "gnmt")
@@ -58,16 +58,12 @@ class HeadlineResult:
 
 
 def _throughput_row(model: str, duration: float, seed: int) -> ThroughputRow:
-    spatial = FaSTGShare.build(nodes=1, sharing="fast", seed=seed)
-    spatial.register_function("fn", model=model, model_sharing=True)
-    spatial.deploy("fn", configs=[(12, 1.0)] * 8, node=0)
-    spatial_rps = spatial.run_closed_loop("fn", concurrency=16, duration=duration).throughput
-
+    spatial = fig10_spatial.measure(model, "fast", 12.0, 8, duration, seed)
     racing = FaSTGShare.build(nodes=1, sharing="racing", seed=seed)
     racing.register_function("fn", model=model)
     racing.deploy("fn", configs=[(100, 1.0)], node=0)
     timeshare_rps = racing.run_closed_loop("fn", concurrency=4, duration=duration).throughput
-    return ThroughputRow(model=model, spatial_rps=spatial_rps, timeshare_rps=timeshare_rps)
+    return ThroughputRow(model=model, spatial_rps=spatial.throughput, timeshare_rps=timeshare_rps)
 
 
 def run(

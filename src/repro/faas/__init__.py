@@ -7,8 +7,8 @@
   (model load / shared GET), FIFO queue, serve loop through the hook library;
 * :mod:`repro.faas.gateway` — request intake, least-loaded routing across
   ready replicas, RPS observation/prediction for the auto-scaler;
-* :mod:`repro.faas.workload` — arrival processes (constant, Poisson, stepped
-  traces) mirroring the paper's k6 load shapes;
+* :mod:`repro.faas.workload` — arrival processes (stepped rate traces, Poisson or
+  evenly spaced; one step is a fixed rate) mirroring the paper's k6 load shapes;
 * :mod:`repro.faas.traces` — production-shaped invocation-count traces
   (Azure-Functions style: diurnal / bursty / cold-tail), synthesized
   deterministically, JSON-serializable, replayable as workloads;
@@ -31,18 +31,16 @@ from repro.faas.traces import (
     synthesize_trace,
     synthesize_trace_set,
 )
-from repro.faas.workload import ConstantRate, PoissonRate, StepTrace, Workload
+from repro.faas.workload import StepTrace, Workload
 
 __all__ = [
     "ClosedLoopClient",
-    "ConstantRate",
     "FunctionRegistry",
     "FunctionReplica",
     "FunctionSpec",
     "FunctionTrace",
     "Gateway",
     "OpenLoopGenerator",
-    "PoissonRate",
     "Request",
     "RequestLog",
     "StepTrace",

@@ -30,64 +30,11 @@ class Workload(abc.ABC):
         """Yield absolute arrival times in increasing order."""
 
 
-class ConstantRate(Workload):
-    """Deterministic, evenly spaced arrivals at a fixed rate."""
-
-    def __init__(self, rps: float, duration: float):
-        if rps < 0 or duration <= 0:
-            raise ValueError("need rps >= 0 and duration > 0")
-        self.rps = rps
-        self._duration = duration
-
-    @property
-    def duration(self) -> float:
-        return self._duration
-
-    def rps_at(self, t: float) -> float:
-        return self.rps if 0 <= t < self._duration else 0.0
-
-    def arrival_times(self, rng: np.random.Generator) -> _t.Iterator[float]:
-        if self.rps == 0:
-            return
-        gap = 1.0 / self.rps
-        t = gap  # first arrival one gap in, matching a paced generator
-        while t <= self._duration:
-            yield t
-            t += gap
-
-
-class PoissonRate(Workload):
-    """Memoryless arrivals at a fixed mean rate (open-loop k6 default)."""
-
-    def __init__(self, rps: float, duration: float):
-        if rps < 0 or duration <= 0:
-            raise ValueError("need rps >= 0 and duration > 0")
-        self.rps = rps
-        self._duration = duration
-
-    @property
-    def duration(self) -> float:
-        return self._duration
-
-    def rps_at(self, t: float) -> float:
-        return self.rps if 0 <= t < self._duration else 0.0
-
-    def arrival_times(self, rng: np.random.Generator) -> _t.Iterator[float]:
-        if self.rps == 0:
-            return
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / self.rps))
-            if t > self._duration:
-                return
-            yield t
-
-
 class StepTrace(Workload):
     """Piecewise-constant rate: [(duration, rps), ...] (Fig. 12's staircase).
 
     ``poisson=True`` jitters arrivals within each step; ``False`` spaces them
-    deterministically.
+    deterministically.  One step is a fixed rate: ``StepTrace([(60, 20)])``.
     """
 
     def __init__(self, steps: _t.Sequence[tuple[float, float]], poisson: bool = True):

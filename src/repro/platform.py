@@ -56,7 +56,7 @@ from repro.faas.loadgen import ClosedLoopClient, OpenLoopGenerator
 from repro.faas.replica import FunctionReplica
 from repro.faas.requests import RequestLog
 from repro.faas.slo import violation_ratio
-from repro.faas.workload import ConstantRate, PoissonRate, Workload
+from repro.faas.workload import StepTrace, Workload
 from repro.k8s.cluster import Cluster
 from repro.k8s.fastpod import FaSTPodController
 from repro.profiler.database import ProfileDatabase
@@ -367,7 +367,7 @@ class FaSTGShare:
         if workload is None:
             if rps is None or duration is None:
                 raise ValueError("give either a Workload or rps+duration")
-            workload = (PoissonRate if poisson else ConstantRate)(rps, duration)
+            workload = StepTrace([(duration, rps)], poisson=poisson)
         if warm_start:
             self.wait_ready(function)
         t0 = self.engine.now
@@ -406,7 +406,7 @@ class FaSTGShare:
         per function plus cluster aggregates.  ``quick=True`` runs the
         deterministic shrunk variant (:meth:`repro.scenario.Scenario.quick`).
         This is the one code path every multi-function experiment routes
-        through (fig12/fig14/fig15 construct Scenarios and call it).
+        through (fig11/fig12/fig14/fig15 construct Scenarios and call it).
         """
         from repro.scenario.runner import run_scenario
 

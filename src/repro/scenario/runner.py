@@ -1,7 +1,7 @@
 """Execute a declarative :class:`~repro.scenario.spec.Scenario`.
 
 This is the one serving/measurement code path every experiment routes
-through (fig12/fig14/fig15, ``python -m repro scenario``, and any future
+through (fig11/fig12/fig14/fig15, ``python -m repro scenario``, and any future
 multi-tenant study): build the platform from the cluster spec, register the
 fleet, resolve each function's workload into an arrival process, start the
 autoscaler (or a static deployment), pre-place the initial pods, replay all
@@ -16,7 +16,7 @@ import typing as _t
 
 from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.traces import FunctionTrace, load_trace_file, synthesize_trace
-from repro.faas.workload import ConstantRate, PoissonRate, StepTrace, Workload
+from repro.faas.workload import StepTrace, Workload
 from repro.k8s.objects import set_transition_observer
 from repro.models import MODEL_ZOO
 from repro.obs import TELEMETRY_FORMAT, assemble_spans, build_registry
@@ -81,11 +81,8 @@ def resolve_workload(
             # quick()/max_bins: replay only the leading window of the file.
             trace = dataclasses.replace(trace, counts=trace.counts[: spec.max_bins])
         return trace.to_workload(), trace
-    if spec.kind == "steps":
-        return StepTrace(list(spec.steps), poisson=spec.poisson), None
-    # constant
-    workload_cls = PoissonRate if spec.poisson else ConstantRate
-    return workload_cls(spec.rps, spec.duration), None
+    steps = list(spec.steps) if spec.kind == "steps" else [(spec.duration, spec.rps)]
+    return StepTrace(steps, poisson=spec.poisson), None
 
 
 def build_platform(scenario: Scenario) -> "FaSTGShare":
@@ -123,22 +120,25 @@ def _oracle_forecasters(scenario: Scenario, traces: _t.Mapping[str, FunctionTrac
 
 
 def _deploy_static(platform: "FaSTGShare", scenario: Scenario) -> None:
-    """Static baseline: each function's initial pods at its efficient point."""
+    """Static baseline: each function's explicit ``pods``, else its initial
+    pods at its efficient point."""
     from repro.scheduler.autoscale import HeuristicScaler
 
-    database = ProfileDatabase.analytic({fn.name: MODEL_ZOO[fn.model] for fn in scenario.functions})
-    slo_map = {fn.name: platform.registry.get(fn.name).slo_ms for fn in scenario.functions}
-    scaler = HeuristicScaler.for_cluster(
-        database,
-        slo_map,
-        scenario.autoscaler.latency_headroom,
-        platform.cluster.speed_factors(),
-    )
+    scaler = None
+    if any(not fn.pods and fn.initial_count for fn in scenario.functions):
+        database = ProfileDatabase.analytic(
+            {fn.name: MODEL_ZOO[fn.model] for fn in scenario.functions}
+        )
+        slos = {fn.name: platform.registry.get(fn.name).slo_ms for fn in scenario.functions}
+        scaler = HeuristicScaler.for_cluster(
+            database, slos, scenario.autoscaler.latency_headroom, platform.cluster.speed_factors()
+        )
     for fn in scenario.functions:
-        if fn.initial_count == 0:
-            continue
-        p_eff = scaler.p_eff(fn.name)
-        platform.deploy(fn.name, configs=[(p_eff.sm_partition, p_eff.quota)] * fn.initial_count)
+        if fn.pods:
+            platform.deploy(fn.name, configs=fn.pods)
+        elif fn.initial_count:
+            p_eff = scaler.p_eff(fn.name)
+            platform.deploy(fn.name, configs=[(p_eff.sm_partition, p_eff.quota)] * fn.initial_count)
 
 
 def transition_observer(engine) -> _t.Callable:

@@ -147,7 +147,9 @@ class ScenarioFunction(Spec):
     the function's replica floor (it becomes
     :attr:`~repro.faas.function.FunctionSpec.min_replicas`);
     ``initial_replicas`` pods are deployed warm before the measured window
-    opens (default: ``max(1, min_replicas)``).
+    opens (default: ``max(1, min_replicas)``), each at the function's
+    efficient SLO-feasible point.  A static deployment may instead list
+    explicit ``[sm%, quota]`` ``pods``, placed by the cluster's sharing mode.
     """
 
     name: str
@@ -160,10 +162,15 @@ class ScenarioFunction(Spec):
     #: Memory-tier weight-size override (MB): what parks in host RAM and
     #: transits the fabric on swap-in.  ``None`` = the model's weights_mb.
     weight_mb: float | None = None
+    pods: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.weight_mb is not None and self.weight_mb <= 0:
             raise ScenarioError(f"function {self.name!r}: weight_mb must be positive")
+        if any(not (0 < sm <= 100 and 0 < quota <= 1) for sm, quota in self.pods):
+            raise ScenarioError(f"function {self.name!r}: pods need sm% in (0, 100], quota (0, 1]")
+        if self.pods and self.initial_replicas is not None:
+            raise ScenarioError(f"function {self.name!r}: give pods or initial_replicas, not both")
         if not self.name:
             raise ScenarioError("function: name must be non-empty")
         if self.model not in MODEL_ZOO:
@@ -181,6 +188,8 @@ class ScenarioFunction(Spec):
     @property
     def initial_count(self) -> int:
         """Pods deployed before the measured window (>=1 unless overridden)."""
+        if self.pods:
+            return len(self.pods)
         if self.initial_replicas is not None:
             return self.initial_replicas
         return max(1, self.min_replicas)
@@ -280,8 +289,9 @@ class AutoscalerSpec(Spec):
     ``placement`` is one of :data:`~repro.scheduler.mra.PLACEMENT_POLICIES`
     and scores the platform's one placement ledger, so it also steers a
     static ``fast`` deployment.  ``enabled=False`` runs a static deployment
-    (each function's ``initial_replicas`` pods, no control loop) — the form
-    the non-``fast`` sharing baselines use.
+    (each function's explicit ``pods``, or its ``initial_replicas`` pods at
+    the efficient point; no control loop) — the form the non-``fast``
+    sharing baselines use.
     """
 
     enabled: bool = True
@@ -365,6 +375,8 @@ class Scenario(Spec):
                 f"(got {self.cluster.sharing!r}); set autoscaler.enabled=false "
                 "for static baseline modes"
             )
+        if self.autoscaler.enabled and any(fn.pods for fn in self.functions):
+            raise ScenarioError("scenario: pods deploy statically; set autoscaler.enabled=false")
         if (
             self.autoscaler.enabled
             and self.autoscaler.policy == "memtier"

@@ -93,10 +93,6 @@ class CellResult:
     def key(self) -> str:
         return coords_key(self.coords)
 
-    @property
-    def coords_dict(self) -> dict[str, _t.Any]:
-        return {axis: axis_value_to_json(value) for axis, value in self.coords}
-
     def metric(self, name: str) -> float:
         value = self.metrics.get(name)
         return float(value) if _is_number(value) else float("nan")

@@ -38,7 +38,9 @@ Axes (:data:`SWEEP_AXES`):
 * ``host_memory``    — per-node host-RAM budget in MB (``null`` disables
   the memory tier entirely);
 * ``defrag``         — background-defragmentation trigger threshold in
-  (0, 1) (``null`` disables live migration entirely, the default).
+  (0, 1) (``null`` disables live migration entirely, the default);
+* ``sharing``        — the cluster's sharing mode (``cluster.sharing``); a
+  mode other than ``fast`` needs a base with ``autoscaler.enabled=false``.
 
 ``base`` may also be a path string to a scenario file, resolved against the
 sweep file's directory, so a sweep can reuse a committed scenario.
@@ -54,11 +56,12 @@ metric and lower or equal on each ``le`` metric (:data:`ASSERT_METRICS`).
 The report records the verdicts and ``repro sweep`` exits 1 when one fails.
 
 Validation is strict (:class:`SweepError` with the offending path): unknown
-axes, duplicate axes or values, out-of-range values, a ``fleet_size`` larger
-than the base fleet, a ``workload_scale`` axis over a ``trace``-kind
-workload (file-backed counts cannot be rescaled declaratively), or an
-assertion naming an unknown cell or metric never silently run a different
-grid.
+axes, duplicate axes or values, out-of-range values, an assertion naming an
+unknown cell or metric, or any cell whose scenario is invalid — a
+``fleet_size`` larger than the base fleet, a ``workload_scale`` axis over a
+``trace``-kind workload (file-backed counts cannot be rescaled
+declaratively), a ``sharing`` mode the base's autoscaler cannot run — fails
+when the sweep loads and never silently runs a different grid.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ SWEEP_AXES = (
     "fabric_gbps",
     "host_memory",
     "defrag",
+    "sharing",
 )
 
 #: The axes that set one spec field: axis → (scenario section, field).  A
@@ -107,6 +111,7 @@ _FIELD_AXES = {
     "fabric_gbps": ("cluster", "fabric_gbps"),
     "host_memory": ("cluster", "host_memory_mb"),
     "defrag": ("cluster", "defrag"),
+    "sharing": ("cluster", "sharing"),
 }
 _SECTIONS = {"autoscaler": AutoscalerSpec, "cluster": ClusterSpec}
 
@@ -329,18 +334,7 @@ class Sweep(Spec):
             raise SweepError(f"sweep: duplicate axes: {names}")
         if self.cell_budget_s is not None and self.cell_budget_s <= 0:
             raise SweepError("sweep: cell_budget_s must be positive")
-        for axis in self.axes:
-            if axis.axis == "fleet_size":
-                worst = max(axis.values)
-                if worst > len(self.base.functions):
-                    raise SweepError(
-                        f"axes[fleet_size]: {worst} exceeds the base fleet of "
-                        f"{len(self.base.functions)} functions"
-                    )
-            if axis.axis == "workload_scale":
-                for fn in self.base.functions:
-                    if fn.workload.kind == "trace":
-                        _scale_workload(fn.workload, 1.0, fn.name)  # raises
+        self.cells()  # every cell's Scenario must validate: a bad grid fails on load
         keys = self.cell_keys()
         for i, check in enumerate(self.asserts):
             path = f"assert[{i}]"
@@ -385,7 +379,10 @@ class Sweep(Spec):
             seed = derive_cell_seed(self.base.seed, key) if self.reseed else self.base.seed
             scenario = self.base
             for axis_name, value in coords:
-                scenario = apply_axis(scenario, axis_name, value)
+                try:
+                    scenario = apply_axis(scenario, axis_name, value)
+                except ScenarioError as exc:
+                    raise SweepError(f"axes[{axis_name}]: {exc}") from exc
             scenario = dataclasses.replace(scenario, name=f"{self.base.name}[{key}]", seed=seed)
             cells.append(SweepCell(index=index, coords=coords, scenario=scenario, seed=seed))
         return tuple(cells)

@@ -11,7 +11,7 @@ from repro.autoscaler.controller import build_autoscaler
 from repro.autoscaler.forecast import OracleForecaster
 from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.traces import FunctionTrace
-from repro.faas.workload import ConstantRate
+from repro.faas.workload import StepTrace
 from repro.k8s.objects import PodPhase
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
@@ -56,7 +56,9 @@ def test_pending_request_promotes_warm_pod_without_cold_wait():
     platform, scheduler = build()
     replica = prewarm_one(platform, scheduler)
     platform.engine.run(until=4.0)
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(10, 3.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(3.0, 10)], poisson=False)
+    )
     platform.engine.run(until=8.0)
     assert replica.pod.phase is PodPhase.RUNNING
     assert platform.gateway.promotions >= 1
@@ -82,7 +84,9 @@ def test_scheduler_scale_up_promotes_before_placing():
     platform, scheduler = build()
     prewarm_one(platform, scheduler)
     platform.engine.run(until=4.0)
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(30, 6.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(6.0, 30)], poisson=False)
+    )
     platform.engine.run(until=10.0)
     promotes = [e for e in scheduler.events if e.action == "promote"]
     gateway_promotions = platform.gateway.promotions
@@ -97,14 +101,18 @@ def test_scale_to_zero_and_rewarm_roundtrip():
     p_eff = scheduler.scaler.p_eff("fn")
     platform.deploy("fn", configs=[(p_eff.sm_partition, p_eff.quota)])
     platform.wait_ready()
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(20, 5.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(5.0, 20)], poisson=False)
+    )
     platform.engine.run(until=60.0)
     controller = platform.controllers["fn"]
     # Keep-alive expired: no serving pods draw quota (idle reserve may park).
     assert controller.serving_count == 0
     # Traffic returns: the function comes back and completes every request.
     submitted_before = platform.gateway.submitted["fn"]
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(20, 5.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(5.0, 20)], poisson=False)
+    )
     platform.engine.run(until=90.0)
     new = platform.gateway.submitted["fn"] - submitted_before
     done = len([r for r in platform.gateway.log.completed if r.arrival >= 60.0])
@@ -116,7 +124,9 @@ def test_reactive_degenerate_has_no_forecasters_and_passes_through():
     platform, scheduler = build(policy="reactive", min_replicas=1)
     predictive = scheduler.predictive
     assert not predictive.predictive
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(10, 3.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(3.0, 10)], poisson=False)
+    )
     platform.engine.run(until=2.5)
     assert predictive.predicted_rps("fn") == platform.gateway.predicted_rps("fn")
     assert predictive.prewarms == 0

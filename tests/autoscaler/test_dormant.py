@@ -20,7 +20,7 @@ from repro.autoscaler.forecast import (
 from repro.autoscaler.policy import FunctionView, PreWarmPolicy
 from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.traces import FunctionTrace
-from repro.faas.workload import ConstantRate
+from repro.faas.workload import StepTrace
 from repro.memtier.policy import MemTierPolicy
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
@@ -127,7 +127,9 @@ def test_dormancy_ends_at_first_arrival():
     platform, scheduler = build()
     autoscaler = scheduler.predictive
     assert autoscaler.dormant("busy") and autoscaler.dormant("idle")
-    OpenLoopGenerator(platform.engine, platform.gateway, "busy", ConstantRate(10, 3.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "busy", StepTrace([(3.0, 10)], poisson=False)
+    )
     platform.engine.run(until=0.5)
     assert not autoscaler.dormant("busy")
     assert autoscaler.dormant("idle")
@@ -170,7 +172,9 @@ def test_tick_views_only_awake_functions():
     viewed = []
     view = scheduler.predictive._view
     scheduler.predictive._view = lambda now, name: viewed.append(name) or view(now, name)
-    OpenLoopGenerator(platform.engine, platform.gateway, "busy", ConstantRate(10, 3.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "busy", StepTrace([(3.0, 10)], poisson=False)
+    )
     platform.engine.run(until=6.5)
     assert set(viewed) == {"busy"}
     assert set(scheduler.running) == {"busy"}  # no snapshot, no gap for "idle"
@@ -189,7 +193,9 @@ def asleep_after_burst(host_keepalive_s: float = 300.0):
         db, settings("memtier"), prewarm=MemTierPolicy(host_keepalive_s=host_keepalive_s)
     )
     autoscaler = scheduler.predictive
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(10, 3.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(3.0, 10)], poisson=False)
+    )
     platform.engine.run(until=25.5)
     assert autoscaler.dormant("fn") and not platform.controllers["fn"].replicas
     views = []
@@ -245,7 +251,9 @@ def test_steady_sleeper_holds_pods_and_a_warm_promotion_wakes_it():
     scheduler = platform.start_autoscaler(db, settings("hybrid"))
     p_eff = scheduler.scaler.p_eff("fn")
     platform.deploy("fn", [(p_eff.sm_partition, p_eff.quota)])
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(10, 3.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(3.0, 10)], poisson=False)
+    )
     platform.engine.run(until=4.5)
     autoscaler, controller = scheduler.predictive, platform.controllers["fn"]
     assert autoscaler.dormant("fn")

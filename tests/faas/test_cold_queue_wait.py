@@ -12,7 +12,7 @@ import pytest
 
 from repro import FaSTGShare
 from repro.faas.loadgen import OpenLoopGenerator
-from repro.faas.workload import ConstantRate
+from repro.faas.workload import StepTrace
 
 
 def build(seed=11):
@@ -25,7 +25,9 @@ def test_requests_during_cold_start_record_cold_wait():
     platform = build()
     # Deploy but do NOT wait for readiness: traffic races the cold start.
     platform.deploy("fn", configs=[(50, 1.0)])
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(20, 4.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(4.0, 20)], poisson=False)
+    )
     platform.engine.run(until=8.0)
     log = platform.gateway.log
     assert len(log.completed) > 0
@@ -44,7 +46,9 @@ def test_warm_replica_queueing_is_not_cold_wait():
     platform.deploy("fn", configs=[(50, 1.0)])
     platform.wait_ready()
     # Saturate the single replica: deep replica queues, zero cold waits.
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(120, 3.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(3.0, 120)], poisson=False)
+    )
     platform.engine.run(until=platform.engine.now + 6.0)
     log = platform.gateway.log
     assert len(log.completed) > 0
@@ -67,7 +71,9 @@ def test_rerouted_requests_accumulate_cold_wait():
     platform = build(seed=5)
     platform.deploy("fn", configs=[(50, 1.0)])
     platform.wait_ready()
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(30, 2.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(2.0, 30)], poisson=False)
+    )
     platform.engine.run(until=platform.engine.now + 0.5)
     # Kill the only replica mid-flight: queued requests reroute, park cold,
     # and are absorbed when the replacement becomes ready.

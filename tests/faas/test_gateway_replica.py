@@ -6,7 +6,7 @@ import pytest
 
 from repro.faas import FunctionRegistry, FunctionSpec, Gateway
 from repro.faas.loadgen import ClosedLoopClient, OpenLoopGenerator
-from repro.faas.workload import ConstantRate
+from repro.faas.workload import StepTrace
 from repro.k8s import Cluster
 from repro.k8s.fastpod import FaSTPodController
 from repro.sim import Engine
@@ -51,7 +51,7 @@ def test_least_loaded_routing_balances(stack):
     controller.scale_up(cluster.node(0), 24, 1.0, 1.0)
     engine.run(until=spec.model.load_time_s + 0.5)
     OpenLoopGenerator(
-        engine, gateway, "classify", ConstantRate(rps=60, duration=5.0)
+        engine, gateway, "classify", StepTrace([(5.0, 60)], poisson=False)
     )
     engine.run(until=engine.now + 5.0)
     served = {r.replica_id for r in gateway.log.completed}
@@ -78,7 +78,7 @@ def test_scale_down_drains_without_losing_requests(stack):
     controller.scale_up(cluster.node(0), 24, 1.0, 1.0)
     controller.scale_up(cluster.node(0), 24, 1.0, 1.0)
     engine.run(until=spec.model.load_time_s + 0.5)
-    OpenLoopGenerator(engine, gateway, "classify", ConstantRate(rps=40, duration=8.0))
+    OpenLoopGenerator(engine, gateway, "classify", StepTrace([(8.0, 40)], poisson=False))
     engine.run(until=engine.now + 2.0)
     victim = next(iter(controller.replicas))
     controller.scale_down(victim, drain=True)
@@ -94,7 +94,7 @@ def test_kill_reroutes_inflight_request(stack):
     controller.scale_up(cluster.node(0), 24, 1.0, 1.0)
     controller.scale_up(cluster.node(0), 24, 1.0, 1.0)
     engine.run(until=spec.model.load_time_s + 0.5)
-    OpenLoopGenerator(engine, gateway, "classify", ConstantRate(rps=30, duration=6.0))
+    OpenLoopGenerator(engine, gateway, "classify", StepTrace([(6.0, 30)], poisson=False))
     engine.run(until=engine.now + 1.0)
     victim = next(iter(controller.replicas))
     controller.scale_down(victim, drain=False)
@@ -106,7 +106,7 @@ def test_observed_and_predicted_rps(stack):
     engine, cluster, gateway, controller, spec = stack
     controller.scale_up(cluster.node(0), 24, 1.0, 1.0)
     engine.run(until=spec.model.load_time_s + 0.5)
-    OpenLoopGenerator(engine, gateway, "classify", ConstantRate(rps=20, duration=10.0))
+    OpenLoopGenerator(engine, gateway, "classify", StepTrace([(10.0, 20)], poisson=False))
     engine.run(until=engine.now + 6.0)
     assert gateway.observed_rps("classify", window_s=5.0) == pytest.approx(20, rel=0.15)
     assert gateway.predicted_rps("classify") >= 19

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faas import ConstantRate, PoissonRate, StepTrace
+from repro.faas import StepTrace
 
 
 @pytest.fixture
@@ -14,7 +14,7 @@ def rng() -> np.random.Generator:
 
 
 def test_constant_rate_spacing(rng):
-    workload = ConstantRate(rps=10, duration=1.0)
+    workload = StepTrace([(1.0, 10)], poisson=False)
     times = list(workload.arrival_times(rng))
     assert len(times) == 10
     gaps = np.diff([0.0] + times)
@@ -22,18 +22,18 @@ def test_constant_rate_spacing(rng):
 
 
 def test_constant_rate_zero_rps(rng):
-    assert list(ConstantRate(rps=0, duration=5.0).arrival_times(rng)) == []
+    assert list(StepTrace([(5.0, 0)], poisson=False).arrival_times(rng)) == []
 
 
 def test_constant_rate_rps_at():
-    workload = ConstantRate(rps=7, duration=2.0)
+    workload = StepTrace([(2.0, 7)], poisson=False)
     assert workload.rps_at(1.0) == 7
     assert workload.rps_at(2.5) == 0
     assert workload.rps_at(-0.1) == 0
 
 
 def test_poisson_rate_mean(rng):
-    workload = PoissonRate(rps=50, duration=100.0)
+    workload = StepTrace([(100.0, 50)])
     times = list(workload.arrival_times(rng))
     # Mean count 5000, std ~71: ±4 sigma bounds.
     assert 4700 < len(times) < 5300
@@ -42,7 +42,7 @@ def test_poisson_rate_mean(rng):
 
 
 def test_poisson_reproducible():
-    w = PoissonRate(rps=5, duration=10.0)
+    w = StepTrace([(10.0, 5)])
     a = list(w.arrival_times(np.random.default_rng(7)))
     b = list(w.arrival_times(np.random.default_rng(7)))
     assert a == b
@@ -95,6 +95,6 @@ def test_fig12_trace_envelope():
 
 def test_workload_validation():
     with pytest.raises(ValueError):
-        ConstantRate(rps=-1, duration=1)
+        StepTrace([(1, -1)], poisson=False)
     with pytest.raises(ValueError):
-        PoissonRate(rps=1, duration=0)
+        StepTrace([(0, 1)])

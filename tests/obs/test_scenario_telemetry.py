@@ -118,7 +118,7 @@ def test_telemetry_block_shape(longtail_report):
 def test_scheduler_nofit_events_carry_per_node_reject_reasons():
     """A full cluster's no-fit records why every node rejected the placement."""
     from repro.faas.loadgen import OpenLoopGenerator
-    from repro.faas.workload import ConstantRate
+    from repro.faas.workload import StepTrace
     from repro.models import get_model
     from repro.profiler import ProfileDatabase
 
@@ -132,7 +132,7 @@ def test_scheduler_nofit_events_carry_per_node_reject_reasons():
     platform.deploy("fn", configs=[(100, 1.0)])  # fill the only GPU
     platform.wait_ready()
     OpenLoopGenerator(
-        platform.engine, platform.gateway, "fn", ConstantRate(rps=400, duration=6.0)
+        platform.engine, platform.gateway, "fn", StepTrace([(6.0, 400)], poisson=False)
     )
     platform.engine.run(until=platform.engine.now + 6.0)
     nofits = [

@@ -34,6 +34,7 @@ class Producer:
 #: Every quick simulated pin (relative to the repo root) and its producer.
 QUICK_PINS = {
     "benchmarks/BENCH_cluster_quick.json": Producer("sweep", "examples/benches/cluster_quick.json"),
+    "benchmarks/BENCH_fig11_quick.json": Producer("sweep", "examples/benches/fig11_quick.json"),
     "benchmarks/BENCH_migrate_quick.json": Producer("sweep", "examples/benches/migrate_quick.json"),
     "benchmarks/BENCH_prewarm_quick.json": Producer("sweep", "examples/benches/prewarm_quick.json"),
     "benchmarks/BENCH_swap_quick.json": Producer("sweep", "examples/benches/swap_quick.json"),
@@ -48,7 +49,7 @@ QUICK_PINS = {
 #: The benches whose full pins, ``BENCH_<name>.json`` at the repo root, are
 #: too slow for tier-1: CI's ``bench-specs`` matrix runs ``repro sweep
 #: examples/benches/<name>.json --jobs 2`` and ``cmp``s the output with the pin.
-FULL_BENCHES = ("cluster", "prewarm", "swap", "migrate")
+FULL_BENCHES = ("cluster", "prewarm", "swap", "migrate", "fig11")
 
 #: The live-serving gate file.  A wall-clock replay is not bit-deterministic,
 #: so ``benchmarks/check_regression.py`` bounds its robust counters instead.

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.faas.workload import PoissonRate, StepTrace
+from repro.faas.workload import StepTrace
 from repro.gpu import MemoryLedger
 from repro.gpu.memory import GpuOutOfMemoryError
 from repro.profiler import ProfileDatabase, ProfilePoint
@@ -62,7 +62,7 @@ def test_ledger_accounting_is_exact(operations):
        st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_poisson_arrivals_sorted_and_bounded(rps, duration, seed):
-    workload = PoissonRate(rps=rps, duration=duration)
+    workload = StepTrace([(duration, rps)])
     times = list(workload.arrival_times(np.random.default_rng(seed)))
     assert times == sorted(times)
     assert all(0 < t <= duration for t in times)

@@ -54,6 +54,9 @@ FIELD_VALUES: dict[tuple[type, str], st.SearchStrategy] = {
     (WorkloadSpec, "shape"): st.sampled_from(TRACE_SHAPES),
     (WorkloadSpec, "bins"): st.integers(1, 200),
     (ScenarioFunction, "model"): st.sampled_from(sorted(MODEL_ZOO)),
+    (ScenarioFunction, "pods"): st.lists(
+        st.tuples(floats(high=100.0), floats(high=1.0)), min_size=1, max_size=3
+    ).map(tuple),
     (ClusterSpec, "gpu"): st.sampled_from(GPUS),
     (ClusterSpec, "sharing"): st.sampled_from(SHARING_MODES),
     (AutoscalerSpec, "policy"): st.sampled_from(tuple(POLICIES)),
@@ -153,6 +156,7 @@ AXIS_VALUES = {
     "fabric_gbps": floats(),
     "host_memory": st.none() | floats(),
     "defrag": st.none() | floats(0.01, 0.99),
+    "sharing": st.sampled_from(SHARING_MODES),
 }
 
 

@@ -142,6 +142,36 @@ def test_autoscaler_requires_fast_sharing():
     )
 
 
+def static_pods_function(**overrides) -> ScenarioFunction:
+    return ScenarioFunction(
+        name="fn",
+        model="resnet50",
+        workload=WorkloadSpec(kind="constant", rps=3.0, duration=6.0),
+        **{"pods": ((12.0, 0.4),) * 3, **overrides},
+    )
+
+
+@pytest.mark.parametrize("pod", [(0.0, 0.4), (100.5, 0.4), (12.0, 0.0), (12.0, 1.2)])
+def test_pods_reject_sm_or_quota_out_of_range(pod):
+    with pytest.raises(ScenarioError, match="pods need"):
+        static_pods_function(pods=(pod,))
+    static_pods_function(pods=((100.0, 1.0),))  # both bounds are inclusive at the top
+
+
+def test_pods_reject_initial_replicas():
+    with pytest.raises(ScenarioError, match="pods or initial_replicas"):
+        static_pods_function(initial_replicas=2)
+    assert static_pods_function().initial_count == 3
+
+
+def test_pods_reject_the_autoscaler():
+    fn = static_pods_function()
+    with pytest.raises(ScenarioError, match="pods deploy statically"):
+        Scenario(name="bad", functions=(fn,))
+    static = Scenario(name="ok", functions=(fn,), autoscaler=AutoscalerSpec(enabled=False))
+    assert Scenario.from_json(static.to_json()) == static
+
+
 def test_workload_validation():
     with pytest.raises(ScenarioError, match="counts"):
         WorkloadSpec(kind="counts", counts=())

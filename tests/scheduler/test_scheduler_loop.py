@@ -7,7 +7,7 @@ import pytest
 from repro import FaSTGShare
 from repro.autoscaler.forecast import make_forecaster
 from repro.faas.loadgen import OpenLoopGenerator
-from repro.faas.workload import ConstantRate
+from repro.faas.workload import StepTrace
 from repro.models import get_model
 from repro.profiler import ProfileDatabase
 from repro.scenario import AutoscalerSpec, ScenarioError
@@ -70,7 +70,9 @@ def test_double_start_rejected():
 def test_scales_up_from_zero_on_load():
     platform, db = build(min_replicas=0)
     platform.start_autoscaler(db, settings(interval=1.0))
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(rps=30, duration=10.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(10.0, 30)], poisson=False)
+    )
     platform.engine.run(until=10.0)
     assert platform.controllers["fn"].replica_count >= 1
     ups = [e for e in platform.scheduler.events if e.action == "up"]
@@ -106,7 +108,9 @@ def test_nofit_recorded_when_cluster_full():
     # Fill the GPU's rectangle space completely.
     platform.deploy("fn", configs=[(100, 1.0)])
     platform.wait_ready()
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(rps=400, duration=6.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(6.0, 400)], poisson=False)
+    )
     platform.engine.run(until=platform.engine.now + 6.0)
     assert any(e.action == "nofit" for e in scheduler.events)
     # The hand-deployed pod sits in the scheduler's ledger: nothing fits.
@@ -122,7 +126,9 @@ def test_manual_deploy_and_scheduler_share_one_ledger(deploy_first):
     if not deploy_first:
         platform.deploy("fn", configs=[(100, 1.0)])
     platform.wait_ready()
-    OpenLoopGenerator(platform.engine, platform.gateway, "fn", ConstantRate(rps=400, duration=6.0))
+    OpenLoopGenerator(
+        platform.engine, platform.gateway, "fn", StepTrace([(6.0, 400)], poisson=False)
+    )
     end = platform.engine.now + 6.0
     while platform.engine.now < end:
         platform.engine.run(until=platform.engine.now + 0.25)
@@ -224,7 +230,7 @@ def test_scheduler_warm_claim_rearms_the_cooldown_at_the_next_tick():
     scheduler.place_pod(controller, config)
     scheduler.place_pod(controller, config, warm=True)
     platform.engine.run(until=10.2)
-    load = ConstantRate(rps=1.5 * p_eff.throughput, duration=1.0)
+    load = StepTrace([(1.0, 1.5 * p_eff.throughput)], poisson=False)
     OpenLoopGenerator(platform.engine, platform.gateway, "fn", load)
     platform.engine.run(until=11.5)
     # The tick at 11 scaled up by claiming the warm pod through the gateway.

@@ -36,7 +36,7 @@ def policy_sweep(*asserts: SweepAssertion) -> Sweep:
     base = Scenario(
         name="hand",
         seed=1,
-        cluster=ClusterSpec(nodes=1),
+        cluster=ClusterSpec(nodes=1, host_memory_mb=4096.0),
         functions=(
             ScenarioFunction(
                 name="fn",

@@ -198,11 +198,27 @@ def test_sweep_validation_errors(axes, message):
         ("fleet_size", (0,), ">= 1"),
         ("workload_scale", (0.0,), "must be positive"),
         ("headroom", (0.5,), ">= 1"),
+        ("sharing", ("mps",), "unknown sharing mode"),
     ],
 )
 def test_axis_validation_errors(axis, values, message):
     with pytest.raises(SweepError, match=message):
         SweepAxis(axis=axis, values=tuple(values))
+
+
+def test_sharing_axis_needs_a_static_base():
+    """The autoscaler runs only ``fast``: a baseline mode over an autoscaled
+    base fails when the sweep loads, not when its cells expand."""
+    payload = Sweep(
+        name="mechanisms",
+        base=base_scenario(autoscaler=AutoscalerSpec(enabled=False)),
+        axes=(SweepAxis(axis="sharing", values=("timeshare", "fast")),),
+    ).to_dict()
+    sweep = Sweep.from_dict(payload)
+    assert [c.scenario.cluster.sharing for c in sweep.cells()] == ["timeshare", "fast"]
+    del payload["base"]["autoscaler"]["enabled"]
+    with pytest.raises(SweepError, match=r"axes\[sharing\]: .*sharing='fast'"):
+        Sweep.from_dict(payload)
 
 
 def test_json_round_trip(tmp_path):

@@ -120,7 +120,7 @@ def test_list_mentions_every_subcommand(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "fig14" in out and "fig15" in out
-    assert "examples/benches/{cluster,prewarm,swap,migrate}" in out
+    assert "examples/benches/{cluster,prewarm,swap,migrate,fig11}" in out
     assert "scenario" in out and "sweep" in out
     assert "swap-bench" not in out
 
