@@ -20,7 +20,11 @@ seeds, scenario names and arrivals match the benches' earlier reports:
   equal-or-better effective violation rate;
 * ``fig11``   — time sharing vs the FaST-Scheduler on Fig. 11's static pod
   set; asserts ``fast`` uses fewer mean GPUs and GPU-seconds
-  (:func:`repro.experiments.fig11_scheduler.bench_sweep`).
+  (:func:`repro.experiments.fig11_scheduler.bench_sweep`);
+* ``tokens``  — ablation A2: multi-token (``fast``) vs single-token
+  (``timeshare``) dispatch of 8 pinned pods on one GPU under closed-loop
+  load; asserts ``fast`` has the lower p95 latency
+  (:func:`repro.experiments.ablations.bench_sweep`).
 
 The specs are the source of truth (``python -m repro sweep
 examples/benches/swap_quick.json``); rerun this only after a generator
@@ -37,6 +41,7 @@ import json
 import pathlib
 
 from repro.experiments import (
+    ablations,
     fig11_scheduler,
     fig14_cluster,
     fig15_prewarm,
@@ -53,7 +58,7 @@ SEED = 42
 #: inlining a copy of it (path relative to this directory).
 SWAP_BASE = "../scenarios/longtail_swap.json"
 
-BENCHES = ("cluster", "prewarm", "swap", "migrate", "fig11")
+BENCHES = ("cluster", "prewarm", "swap", "migrate", "fig11", "tokens")
 
 
 def swap(quick: bool) -> Sweep:
@@ -101,6 +106,7 @@ def bench_sweeps() -> dict[str, Sweep]:
         "swap": swap,
         "migrate": migrate,
         "fig11": functools.partial(fig11_scheduler.bench_sweep, seed=SEED),
+        "tokens": functools.partial(ablations.bench_sweep, seed=SEED),
     }
     sweeps = {}
     for name in BENCHES:

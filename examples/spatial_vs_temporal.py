@@ -12,21 +12,16 @@ Three mini-studies on one simulated V100:
 Run:  python examples/spatial_vs_temporal.py
 """
 
-from repro import FaSTGShare
-from repro.experiments import fig09_isolation
+from repro.experiments import fig01_motivation, fig09_isolation, fig10_spatial
 
 
 def motivation() -> None:
     print("=== 1. Busy but empty: utilization vs SM occupancy ===")
-    for label, mode, pods in (("device plugin (1 pod)", "exclusive", 1),
-                              ("time sharing (8 pods)", "racing", 8)):
-        platform = FaSTGShare.build(nodes=1, sharing=mode, seed=1)
-        platform.register_function("fn", model="resnet50")
-        platform.deploy("fn", configs=[(100, 1.0)] * pods, node=0)
-        report = platform.run_closed_loop("fn", concurrency=2 * pods, duration=15.0)
-        (_, util, occ), = report.node_metrics
-        print(f"  {label:<24} {report.throughput:7.1f} req/s   "
-              f"util {util:5.1f}%   SM occupancy {occ:4.2f}%")
+    result = fig01_motivation.run(duration=15.0, seed=1)
+    for row in (result.device_plugin, result.time_sharing):
+        label = f"{row.mechanism} ({row.pods} pod{'s' if row.pods > 1 else ''})"
+        print(f"  {label:<24} {row.throughput:7.1f} req/s   "
+              f"util {row.gpu_utilization:5.1f}%   SM occupancy {row.sm_occupancy:4.2f}%")
 
 
 def isolation() -> None:
@@ -41,13 +36,10 @@ def isolation() -> None:
 
 def spatial_win() -> None:
     print("\n=== 3. Eight 12% partitions vs racing (ResNet) ===")
-    for label, mode, sm in (("8 x 12% MPS partitions", "fast", 12),
-                            ("8 racing pods", "racing", 100)):
-        platform = FaSTGShare.build(nodes=1, sharing=mode, seed=1)
-        platform.register_function("fn", model="resnet50", model_sharing=True)
-        platform.deploy("fn", configs=[(sm, 1.0)] * 8, node=0)
-        report = platform.run_closed_loop("fn", concurrency=16, duration=15.0)
-        print(f"  {label:<24} {report.throughput:7.1f} req/s   p95 {report.p95_ms:6.1f} ms")
+    for label, mode, sm in (("8 x 12% MPS partitions", "fast", 12.0),
+                            ("8 racing pods", "racing", 100.0)):
+        cell = fig10_spatial.measure("resnet50", mode, sm, 8, duration=15.0, seed=1)
+        print(f"  {label:<24} {cell.throughput:7.1f} req/s   p95 {cell.p95_ms:6.1f} ms")
 
 
 def main() -> None:

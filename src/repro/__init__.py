@@ -8,14 +8,12 @@ Rectangles placement), and model sharing — on top of a discrete-event GPU and
 Kubernetes/OpenFaaS substrate, so every experiment in the paper can be
 regenerated on a laptop.
 
-Quickstart::
+Quickstart (every measured run is a declarative scenario; build one in
+Python with :class:`repro.scenario.Scenario`)::
 
-    from repro import FaSTGShare, get_model
+    from repro.scenario import load_scenario, run_scenario
 
-    platform = FaSTGShare.build(nodes=1, gpu="V100", seed=42)
-    platform.register_function("classify", model="resnet50", slo_ms=69)
-    platform.deploy("classify", configs=[(12, 0.4)] * 4)
-    report = platform.run_workload("classify", rps=120, duration=30.0)
+    report = run_scenario(load_scenario("examples/scenarios/cold_bursty.json"), quick=True)
     print(report.summary())
 """
 

@@ -48,11 +48,12 @@ saved sweep reports cell by cell instead of running anything.  A spec's
 its report and then exits 1 if an assertion fails.
 
 The benches are committed sweep specs under ``examples/benches/``
-(``cluster``, ``prewarm``, ``swap``, ``migrate``, ``fig11``, each with a
-``_quick`` variant): placement policies on a heterogeneous cluster (fig14),
-reactive vs predictive autoscaling (fig15), keep-alive vs the memory tier
-on a long-tail fleet, defragmentation off vs on over a fragmented fleet,
-and time sharing vs the FaST-Scheduler on Fig. 11's pod set.
+(``cluster``, ``prewarm``, ``swap``, ``migrate``, ``fig11``, ``tokens``,
+each with a ``_quick`` variant): placement policies on a heterogeneous
+cluster (fig14), reactive vs predictive autoscaling (fig15), keep-alive vs
+the memory tier on a long-tail fleet, defragmentation off vs on over a
+fragmented fleet, time sharing vs the FaST-Scheduler on Fig. 11's pod set,
+and multi- vs single-token dispatch on one saturated GPU (ablation A2).
 
 Any invalid invocation (unknown subcommand or flag, malformed scenario or
 sweep) exits non-zero with a usage message, and an experiment that raises
@@ -77,7 +78,8 @@ def _cmd_list() -> int:
     print("replay     Fire a scenario's DES arrival schedule at a live server.")
     print("sweep      Run a declarative parameter sweep (examples/sweeps/*.json) or diff reports.")
     print(
-        "           Benches: sweep examples/benches/{cluster,prewarm,swap,migrate,fig11}[_quick].json"
+        "           Benches: sweep examples/benches/"
+        "{cluster,prewarm,swap,migrate,fig11,tokens}[_quick].json"
     )
     return 0
 
@@ -107,14 +109,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scenario_for_cli(args: argparse.Namespace):
-    """Shared scenario/serve/replay preamble: load the spec, apply seed override."""
+def _load_scenario_for_cli(args: argparse.Namespace, live: bool = False):
+    """Load the spec, apply the seed override (``live``: refuse closed loops)."""
     import dataclasses
 
     from repro.scenario import ScenarioError, load_scenario
+    from repro.scenario.runner import require_open_loop
 
     try:
         scenario = load_scenario(args.spec)
+        if live:
+            require_open_loop(scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -243,7 +248,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeConfig, ServeError, serve_scenario
 
-    scenario = _load_scenario_for_cli(args)
+    scenario = _load_scenario_for_cli(args, live=True)
     if scenario is None:
         return 2
     if args.telemetry:
@@ -291,7 +296,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from repro.serve import ReplayConfig, ReplayError, format_summary, replay
 
-    scenario = _load_scenario_for_cli(args)
+    scenario = _load_scenario_for_cli(args, live=True)
     if scenario is None:
         return 2
     config = ReplayConfig(

@@ -5,11 +5,13 @@ Every figure module exposes ``run(quick=, seed=)`` and
 reports.  fig01-fig13 and ``headline`` return a per-figure result
 dataclass; fig14 and fig15 return the
 :class:`~repro.sweep.report.SweepReport` of their ``bench_sweep`` — the
-same sweep the committed ``examples/benches`` specs hold.  fig11 also has
-a ``bench_sweep`` (``examples/benches/fig11{,_quick}.json``) and reads its
-result off each cell's scenario report.  ``quick=True`` shrinks durations
-for CI without changing the experimental structure;
-``benchmarks/test_fig*.py`` assert the paper's shapes at larger scale.
+same sweep the committed ``examples/benches`` specs hold; fig11 and
+ablation A2 (``examples/benches/{fig11,tokens}{,_quick}.json``) read theirs
+off each cell's scenario report.  Every experiment that serves load runs it
+through :func:`~repro.scenario.run_scenario`, except fig09 and ablation A3,
+which read per-pod series.  ``quick=True`` shrinks durations for CI without
+changing the experimental structure; ``benchmarks/test_fig*.py`` assert the
+paper's shapes at larger scale.
 
 ==========  ==========================================================
 fig01       motivation: device plugin vs time sharing (Fig. 1a/1b)
@@ -22,7 +24,7 @@ fig13       model-sharing memory footprints (Fig. 13)
 fig14       cluster-scale trace replay on heterogeneous GPUs (extension)
 fig15       predictive pre-warming vs reactive autoscaling (extension)
 headline    the 3.15x / 1.34x / 3.13x summary, from Fig. 10/11 cells (§1, §5)
-ablations   MRA vs placement baselines; token scheduler variants
+ablations   MRA vs placement baselines; token scheduler variants (A2 a sweep)
 ==========  ==========================================================
 
 :mod:`repro.experiments.runner` executes any subset of these — serially or

@@ -5,10 +5,12 @@
   rejection.
 * **A2 — multi-token vs single-token**: the same 8-pod spatial workload run
   through the FaST backend (partitions as configured) vs a KubeShare-like
-  backend (partitions forced to 100% → single token passes among pods).
+  backend (partitions forced to 100% → single token passes among pods): the
+  committed ``tokens`` bench, a ``sharing`` sweep (:func:`bench_sweep`).
 * **A3 — Q_miss priority vs plain capacity**: with heterogeneous quotas under
   contention, the Q_miss-ordered queue keeps each pod near its guaranteed
-  share; the ablation measures the worst pod's shortfall.
+  share; the ablation measures the worst pod's shortfall from each pod's
+  backend GPU time, so it drives its own closed loop.
 """
 
 from __future__ import annotations
@@ -18,16 +20,20 @@ import typing as _t
 
 import numpy as np
 
+from repro.experiments.fig10_spatial import saturated_gpu
+from repro.faas.loadgen import ClosedLoopClient
 from repro.platform import FaSTGShare
+from repro.scenario import run_scenario
 from repro.scheduler import (
     FirstFitRectScheduler,
     MaximalRectanglesScheduler,
     NoFitError,
     QuotaPackingScheduler,
 )
+from repro.sweep import Sweep, SweepAssertion, SweepAxis
+
 
 # ---------------------------------------------------------------- A1: placement
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class PlacementAblation:
     strategy: str
@@ -44,10 +50,7 @@ def random_pod_stream(n: int, rng: np.random.Generator) -> list[tuple[float, flo
     """
     quotas = np.array([0.2, 0.2, 0.4, 0.4, 0.6, 0.8])
     partitions = np.array([6, 6, 12, 12, 24, 50])
-    return [
-        (float(rng.choice(quotas)) * 100.0, float(rng.choice(partitions)))
-        for _ in range(n)
-    ]
+    return [(float(rng.choice(quotas)) * 100.0, float(rng.choice(partitions))) for _ in range(n)]
 
 
 def run_placement_ablation(
@@ -86,12 +89,13 @@ def run_placement_ablation(
             placed += 1
         except NoFitError:
             break
-    results.append(PlacementAblation("1D quota packing (time sharing)", placed, packer.gpus_in_use()))
+    results.append(
+        PlacementAblation("1D quota packing (time sharing)", placed, packer.gpus_in_use())
+    )
     return results
 
 
 # ------------------------------------------------------- A2: multi- vs single-token
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class TokenAblation:
     backend: str
@@ -100,30 +104,39 @@ class TokenAblation:
     sm_occupancy: float
 
 
+#: A2's two backends, in output order: the cells of :func:`bench_sweep`.
+TOKEN_BACKENDS = {"fast": "multi-token (FaST)", "timeshare": "single-token (KubeShare)"}
+
+
+def bench_sweep(quick: bool, seed: int = 42, duration: float = 12.0) -> Sweep:
+    """A2 as a ``sharing`` sweep: 8 ResNet pods at (12% SMs, full quota)
+    pinned to one GPU under 16 virtual users, multi- vs single-token."""
+    if quick:
+        duration = 5.0
+    pods = [(12.0, 1.0)] * 8
+    return Sweep(
+        name="tokens",
+        base=saturated_gpu("tokens", "fast", pods, 16, duration, seed, model="resnet50"),
+        axes=(SweepAxis(axis="sharing", values=tuple(TOKEN_BACKENDS)),),
+        description="Ablation A2: multi-token vs single-token dispatch on one saturated GPU",
+        asserts=(SweepAssertion(cell="sharing=fast", vs=("sharing=timeshare",), lt=("p95_ms",)),),
+    )
+
+
 def run_token_ablation(
-    model: str = "resnet50",
-    replicas: int = 8,
-    sm: float = 12.0,
-    duration: float = 10.0,
-    seed: int = 42,
+    duration: float = 12.0, seed: int = 42, quick: bool = False
 ) -> list[TokenAblation]:
     """Identical pods through the multi-token vs single-token backend."""
     results = []
-    for label, mode in (("multi-token (FaST)", "fast"), ("single-token (KubeShare)", "timeshare")):
-        platform = FaSTGShare.build(nodes=1, sharing=mode, seed=seed)
-        platform.register_function("fn", model=model)
-        platform.deploy("fn", configs=[(sm, 1.0)] * replicas, node=0)
-        report = platform.run_closed_loop("fn", concurrency=2 * replicas, duration=duration)
-        (_, _util, occ), = report.node_metrics
-        results.append(
-            TokenAblation(backend=label, throughput=report.throughput,
-                          p95_ms=report.p95_ms, sm_occupancy=occ)
-        )
+    for cell in bench_sweep(quick, seed, duration).cells():
+        report = run_scenario(cell.scenario).functions[0].run
+        ((_, _util, occ),) = report.node_metrics
+        backend = TOKEN_BACKENDS[cell.scenario.cluster.sharing]
+        results.append(TokenAblation(backend, report.throughput, report.p95_ms, occ))
     return results
 
 
 # --------------------------------------------------- A3: Q_miss priority fairness
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class PriorityAblation:
     #: Stable pod *name* (``fastpod-<fn>-<serial>``), not the uid-suffixed
@@ -140,9 +153,7 @@ class PriorityAblation:
         return max(0.0, 1.0 - self.achieved_share / self.quota_request)
 
 
-def run_priority_ablation(
-    duration: float = 10.0, seed: int = 42
-) -> list[PriorityAblation]:
+def run_priority_ablation(duration: float = 10.0, seed: int = 42) -> list[PriorityAblation]:
     """Heterogeneous quotas under full contention: everyone meets Q_request.
 
     Four full-SM pods with quota requests {0.4, 0.3, 0.2, 0.1} compete for
@@ -155,8 +166,9 @@ def run_priority_ablation(
     replicas = []
     for quota in quotas:
         replicas.extend(platform.deploy("fn", configs=[(100, quota, quota)], node=0))
-    report = platform.run_closed_loop("fn", concurrency=16, duration=duration)
-    del report
+    platform.wait_ready()
+    ClosedLoopClient(platform.engine, platform.gateway, "fn", concurrency=16)
+    platform.engine.run(until=platform.engine.now + duration)
     node = platform.cluster.node(0)
     results = []
     for replica, quota in zip(replicas, quotas):
@@ -179,7 +191,9 @@ def format_results(
 ) -> str:
     lines = ["Ablation A1 — placement strategy (64-pod random stream, 4 GPUs)"]
     for row in placement:
-        lines.append(f"  {row.strategy:<34} placed {row.pods_placed:3d} pods on {row.gpus_used} GPUs")
+        lines.append(
+            f"  {row.strategy:<34} placed {row.pods_placed:3d} pods on {row.gpus_used} GPUs"
+        )
     lines.append("Ablation A2 — token scheduler")
     for row in tokens:
         lines.append(

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.platform import FaSTGShare
+from repro.experiments.fig10_spatial import saturated_gpu
+from repro.scenario import run_scenario
+
+CLASSIFY = {"name": "classify", "model": "resnet50"}
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -30,13 +33,16 @@ class Fig01Result:
     time_sharing: MechanismResult
 
 
-def _saturate(platform: FaSTGShare, pods: int, duration: float) -> MechanismResult:
-    platform.register_function("classify", model="resnet50")
-    platform.deploy("classify", configs=[(100, 1.0)] * pods, node=0)
-    report = platform.run_closed_loop("classify", concurrency=max(4, 2 * pods), duration=duration)
-    (_, util, occ), = report.node_metrics
+def _saturate(
+    mechanism: str, sharing: str, pods: int, duration: float, seed: int
+) -> MechanismResult:
+    scenario = saturated_gpu(
+        "fig01", sharing, [(100.0, 1.0)] * pods, max(4, 2 * pods), duration, seed, **CLASSIFY
+    )
+    report = run_scenario(scenario).functions[0].run
+    ((_, util, occ),) = report.node_metrics
     return MechanismResult(
-        mechanism=platform.cluster_spec.sharing,
+        mechanism=mechanism,
         pods=pods,
         throughput=report.throughput,
         gpu_utilization=util,
@@ -47,14 +53,9 @@ def _saturate(platform: FaSTGShare, pods: int, duration: float) -> MechanismResu
 def run(duration: float = 30.0, seed: int = 42, quick: bool = False) -> Fig01Result:
     if quick:
         duration = min(duration, 8.0)
-    exclusive = FaSTGShare.build(nodes=1, sharing="exclusive", seed=seed)
-    plugin = _saturate(exclusive, pods=1, duration=duration)
-
-    racing = FaSTGShare.build(nodes=1, sharing="racing", seed=seed)
-    timesharing = _saturate(racing, pods=8, duration=duration)
     return Fig01Result(
-        device_plugin=dataclasses.replace(plugin, mechanism="device-plugin"),
-        time_sharing=dataclasses.replace(timesharing, mechanism="time-sharing"),
+        device_plugin=_saturate("device-plugin", "exclusive", 1, duration, seed),
+        time_sharing=_saturate("time-sharing", "racing", 8, duration, seed),
     )
 
 
@@ -65,7 +66,5 @@ def format_result(result: Fig01Result) -> str:
             f"  {row.mechanism:<14} pods={row.pods}  throughput={row.throughput:7.2f} req/s  "
             f"util={row.gpu_utilization:5.1f}%  SM occ={row.sm_occupancy:5.2f}%"
         )
-    lines.append(
-        "  paper shape: time sharing pushes util >95% while occupancy stays <10%"
-    )
+    lines.append("  paper shape: time sharing pushes util >95% while occupancy stays <10%")
     return "\n".join(lines)

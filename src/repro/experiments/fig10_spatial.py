@@ -10,6 +10,8 @@ configurations on one V100:
 Each cell reports saturated throughput, P95 tail latency, GPU utilization,
 and SM occupancy — the four panels of the paper's figure.  Expected shape:
 spatial sharing wins every panel by a growing margin as replicas increase.
+Each cell is a :func:`saturated_gpu` scenario, as are Fig. 1's, the
+headline's time-sharing rows and ablation A2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.platform import FaSTGShare
+from repro.scenario import (
+    AutoscalerSpec,
+    ClusterSpec,
+    MeasurementSpec,
+    Scenario,
+    ScenarioFunction,
+    WorkloadSpec,
+    run_scenario,
+)
 
 FIG10_MODELS: tuple[str, ...] = ("resnet50", "rnnt", "gnmt")
 FIG10_CONFIGS: tuple[tuple[str, str, float], ...] = (
@@ -57,18 +67,38 @@ class Fig10Result:
         return [getattr(c, metric) for c in cells]
 
 
-def measure(model: str, mode: str, sm: float, replicas: int,
-            duration: float, seed: int) -> Fig10Cell:
+def saturated_gpu(
+    label: str, sharing: str, pods, concurrency: int, duration: float, seed: int, **function
+) -> Scenario:
+    """One function (``function``: ``ScenarioFunction`` keywords) whose
+    ``pods`` are pinned to one GPU, which they may over-subscribe, under
+    ``concurrency`` k6-style virtual users for ``duration`` s; no drain."""
+    workload = WorkloadSpec(kind="closed", concurrency=concurrency, duration=duration)
+    pinned = {"name": "fn", "model_sharing": False, **function, "pods": tuple(pods), "node": 0}
+    return Scenario(
+        name=label,
+        seed=seed,
+        cluster=ClusterSpec(nodes=1, sharing=sharing),
+        functions=(ScenarioFunction(workload=workload, **pinned),),
+        autoscaler=AutoscalerSpec(enabled=False),
+        measurement=MeasurementSpec(drain_s=0.0),
+    )
+
+
+def measure(
+    model: str, mode: str, sm: float, replicas: int, duration: float, seed: int
+) -> Fig10Cell:
     """One cell: ``replicas`` pods at ``sm``% SMs, full quota, on one GPU."""
-    platform = FaSTGShare.build(nodes=1, sharing=mode, seed=seed)
     # Model sharing keeps 8 replicas of the larger models within 16 GB
-    # (without it, 8 GNMT pods would not fit — §5.5's point).
-    platform.register_function("fn", model=model, model_sharing=True)
-    platform.deploy("fn", configs=[(sm, 1.0)] * replicas, node=0)
-    # k6-style fixed virtual users; 2 VUs per pod keeps every pod saturated
-    # with bounded queueing (the paper's latencies are finite).
-    report = platform.run_closed_loop("fn", concurrency=2 * replicas, duration=duration)
-    (_, util, occ), = report.node_metrics
+    # (without it, 8 GNMT pods would not fit — §5.5's point).  2 VUs per pod
+    # keep every pod saturated with bounded queueing (the paper's latencies
+    # are finite).
+    pods = [(sm, 1.0)] * replicas
+    scenario = saturated_gpu(
+        "fig10", mode, pods, 2 * replicas, duration, seed, model=model, model_sharing=True
+    )
+    report = run_scenario(scenario).functions[0].run
+    ((_, util, occ),) = report.node_metrics
     return Fig10Cell(
         model=model,
         config="Racing" if mode == "racing" else f"SMs-{sm:.0f}%",

@@ -9,7 +9,8 @@ Fig. 11's 88.64% vs mean 37.85% utilization as "1.34 times" (2.34 − 1).
 We report both the ratios and the increases.
 
 Throughput rows compare 8 spatial pods at 12% SMs (Fig. 10's cell) against
-the time-sharing ceiling (one racing pod's saturated rate, per §5.3);
+the time-sharing ceiling (one racing pod's saturated rate, per §5.3, a
+:func:`~repro.experiments.fig10_spatial.saturated_gpu` scenario);
 utilization/occupancy come from the Fig. 11 scheduler experiment.
 """
 
@@ -19,7 +20,7 @@ import dataclasses
 import typing as _t
 
 from repro.experiments import fig10_spatial, fig11_scheduler
-from repro.platform import FaSTGShare
+from repro.scenario import run_scenario
 
 HEADLINE_MODELS: tuple[str, ...] = ("resnet50", "rnnt", "gnmt")
 
@@ -59,10 +60,10 @@ class HeadlineResult:
 
 def _throughput_row(model: str, duration: float, seed: int) -> ThroughputRow:
     spatial = fig10_spatial.measure(model, "fast", 12.0, 8, duration, seed)
-    racing = FaSTGShare.build(nodes=1, sharing="racing", seed=seed)
-    racing.register_function("fn", model=model)
-    racing.deploy("fn", configs=[(100, 1.0)], node=0)
-    timeshare_rps = racing.run_closed_loop("fn", concurrency=4, duration=duration).throughput
+    racing = fig10_spatial.saturated_gpu(
+        "headline", "racing", [(100.0, 1.0)], 4, duration, seed, model=model
+    )
+    timeshare_rps = run_scenario(racing).functions[0].run.throughput
     return ThroughputRow(model=model, spatial_rps=spatial.throughput, timeshare_rps=timeshare_rps)
 
 
@@ -98,10 +99,6 @@ def format_result(result: HeadlineResult) -> str:
     lines.append(
         f"  mean throughput increase: {result.mean_throughput_increase:.2f}x (paper: 3.15x avg)"
     )
-    lines.append(
-        f"  GPU utilization increase: {result.utilization_increase:.2f}x (paper: 1.34x)"
-    )
-    lines.append(
-        f"  SM occupancy increase:    {result.occupancy_increase:.2f}x (paper: 3.13x)"
-    )
+    lines.append(f"  GPU utilization increase: {result.utilization_increase:.2f}x (paper: 1.34x)")
+    lines.append(f"  SM occupancy increase:    {result.occupancy_increase:.2f}x (paper: 3.13x)")
     return "\n".join(lines)

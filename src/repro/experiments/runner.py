@@ -91,7 +91,7 @@ def run_experiment(name: str, quick: bool = False, seed: int = 42) -> str:
     if name == "ablations":
         duration = 5.0 if quick else 12.0
         placement = ablations.run_placement_ablation(seed=seed, pods=200)
-        tokens = ablations.run_token_ablation(duration=duration, seed=seed)
+        tokens = ablations.run_token_ablation(seed=seed, quick=quick)
         priority = ablations.run_priority_ablation(duration=duration, seed=seed)
         return ablations.format_results(placement, tokens, priority)
     module = SIMPLE_EXPERIMENTS[name]

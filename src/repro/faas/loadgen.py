@@ -67,7 +67,6 @@ class ClosedLoopClient:
         self.gateway = gateway
         self.function = function
         self.duration = duration
-        self.completed = 0
         self.procs: list["Process"] = [
             engine.process(self._user(), name=f"vu:{function}:{i}") for i in range(concurrency)
         ]
@@ -78,7 +77,6 @@ class ClosedLoopClient:
             done = self.engine.event("closed-loop-done")
             self.gateway.submit(self.function, done_event=done)
             yield done
-            self.completed += 1
 
     def stop(self) -> None:
         for proc in self.procs:

@@ -2,14 +2,12 @@
 
 One object wiring the whole stack — engine, cluster (nodes with GPU + MPS +
 FaST Backend + model storage), function registry, gateway, FaSTPod
-controllers, and optionally the FaST-Scheduler — behind a small experiment
-API::
+controllers, and optionally the FaST-Scheduler.  The facade builds, deploys
+and schedules; it measures nothing itself.  Every served window is measured
+by :meth:`FaSTGShare.run_scenario` from one declarative, JSON-round-trippable
+spec (cluster, fleet, workloads, autoscaler policy, measurement window)::
 
-    platform = FaSTGShare.build(nodes=4, gpu="V100", sharing="fast", seed=42,
-                                placement="binpack")
-    platform.register_function("classify", model="resnet50", slo_ms=69)
-    platform.deploy("classify", configs=[(12, 0.4)] * 4)
-    report = platform.run_workload("classify", rps=120, duration=60)
+    report = FaSTGShare.run_scenario(load_scenario("examples/scenarios/cold_bursty.json"))
     print(report.summary())
 
 Every setting has one home.  The platform is built from a
@@ -26,13 +24,6 @@ and release from the same object, so neither can over-commit a GPU the
 other filled.  The baseline modes keep no ledger at all: they read each
 GPU's occupancy from the pods its node hosts.
 
-Multi-tenant experiments use the declarative Scenario API instead — one
-JSON-round-trippable spec describing cluster, fleet, workloads, autoscaler
-policy, and measurement windows, evaluated through a single code path::
-
-    report = FaSTGShare.run_scenario(load_scenario("examples/scenarios/cold_bursty.json"))
-    print(report.summary())
-
 ``sharing`` selects the mechanism under test:
 
 ==============  ==================================================================
@@ -48,15 +39,11 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-import numpy as np
-
 from repro.faas.function import FunctionRegistry, FunctionSpec
 from repro.faas.gateway import Gateway
-from repro.faas.loadgen import ClosedLoopClient, OpenLoopGenerator
 from repro.faas.replica import FunctionReplica
 from repro.faas.requests import RequestLog
 from repro.faas.slo import violation_ratio
-from repro.faas.workload import StepTrace, Workload
 from repro.k8s.cluster import Cluster
 from repro.k8s.fastpod import FaSTPodController
 from repro.profiler.database import ProfileDatabase
@@ -95,29 +82,6 @@ class RunReport:
     swap_wait_ms_mean: float = 0.0
     #: requests that spent any time waiting on a swap-in.
     swap_hit_requests: int = 0
-
-    def summary(self) -> str:
-        wait_line = (
-            f"queue wait {self.queue_wait_ms_mean:.1f} ms  "
-            f"cold wait {self.cold_wait_ms_mean:.1f} ms  "
-            f"cold hits {self.cold_hit_requests}"
-        )
-        if self.swap_hit_requests:
-            wait_line += (
-                f"  swap wait {self.swap_wait_ms_mean:.1f} ms  "
-                f"swap hits {self.swap_hit_requests}"
-            )
-        lines = [
-            f"function={self.function}  window={self.duration:.1f}s  "
-            f"submitted={self.submitted}  completed={self.completed}",
-            f"throughput={self.throughput:.2f} req/s  p50={self.p50_ms:.1f} ms  "
-            f"p95={self.p95_ms:.1f} ms  p99={self.p99_ms:.1f} ms",
-            f"SLO={self.slo_ms:.0f} ms  violations={100 * self.slo_violation_ratio:.2f}%",
-            wait_line,
-        ]
-        for name, util, occ in self.node_metrics:
-            lines.append(f"  {name}: GPU util {util:5.1f}%   SM occupancy {occ:5.2f}%")
-        return "\n".join(lines)
 
 
 class FaSTGShare:
@@ -337,15 +301,14 @@ class FaSTGShare:
         return self.scheduler
 
     # -- running ------------------------------------------------------------------------
-    def wait_ready(self, function: str | None = None, timeout: float = 60.0) -> None:
+    def wait_ready(self, timeout: float = 60.0) -> None:
         """Advance the clock until every replica finished its cold start."""
         deadline = self.engine.now + timeout
-        names = [function] if function else list(self.controllers)
         while self.engine.now < deadline:
             pending = [
                 r
-                for name in names
-                for r in self.controllers[name].replicas.values()
+                for controller in self.controllers.values()
+                for r in controller.replicas.values()
                 # WARM_IDLE pods stay not-ready until promoted by design.
                 if not r.ready and not r.warm_pending
             ]
@@ -353,48 +316,6 @@ class FaSTGShare:
                 return
             self.engine.run(until=min(deadline, self.engine.now + 0.25))
         raise TimeoutError("replicas did not become ready in time")
-
-    def run_workload(
-        self,
-        function: str,
-        workload: Workload | None = None,
-        rps: float | None = None,
-        duration: float | None = None,
-        poisson: bool = True,
-        warm_start: bool = True,
-    ) -> RunReport:
-        """Drive one function open-loop and report over the workload window."""
-        if workload is None:
-            if rps is None or duration is None:
-                raise ValueError("give either a Workload or rps+duration")
-            workload = StepTrace([(duration, rps)], poisson=poisson)
-        if warm_start:
-            self.wait_ready(function)
-        t0 = self.engine.now
-        self.cluster.reset_metrics()
-        submitted_before = self.gateway.submitted[function]
-        OpenLoopGenerator(self.engine, self.gateway, function, workload)
-        self.engine.run(until=t0 + workload.duration)
-        return self._report_one(function, t0, self.gateway.submitted[function] - submitted_before)
-
-    def run_closed_loop(
-        self,
-        function: str,
-        concurrency: int,
-        duration: float,
-        warm_start: bool = True,
-    ) -> RunReport:
-        """Drive one function with fixed virtual users (k6 VU semantics)."""
-        if warm_start:
-            self.wait_ready(function)
-        t0 = self.engine.now
-        self.cluster.reset_metrics()
-        submitted_before = self.gateway.submitted[function]
-        client = ClosedLoopClient(self.engine, self.gateway, function, concurrency=concurrency)
-        self.engine.run(until=t0 + duration)
-        client.stop()
-        submitted = self.gateway.submitted[function] - submitted_before
-        return self._report_one(function, t0, submitted)
 
     @classmethod
     def run_scenario(cls, scenario: _t.Any, quick: bool = False) -> _t.Any:
@@ -405,17 +326,12 @@ class FaSTGShare:
         a :class:`repro.scenario.ScenarioReport` with one :class:`RunReport`
         per function plus cluster aggregates.  ``quick=True`` runs the
         deterministic shrunk variant (:meth:`repro.scenario.Scenario.quick`).
-        This is the one code path every multi-function experiment routes
-        through (fig11/fig12/fig14/fig15 construct Scenarios and call it).
+        This is the one code path that measures a served window: every
+        experiment that serves load constructs Scenarios and calls it.
         """
         from repro.scenario.runner import run_scenario
 
         return run_scenario(scenario, quick=quick)
-
-    def _report_one(self, function: str, t0: float, submitted: int) -> RunReport:
-        """One function's report over ``[t0, now)``."""
-        node_metrics = self.cluster.node_metrics()
-        return self._reports({function: submitted}, t0, self.engine.now, node_metrics)[function]
 
     def _reports(
         self,
@@ -465,8 +381,5 @@ class FaSTGShare:
         return reports
 
     # -- conveniences -----------------------------------------------------------------
-    def rng(self, name: str) -> np.random.Generator:
-        return self.engine.rng.stream(name)
-
     def replicas(self, function: str) -> list[FunctionReplica]:
         return list(self.controllers[function].replicas.values())

@@ -1,11 +1,11 @@
 """Execute a declarative :class:`~repro.scenario.spec.Scenario`.
 
-This is the one serving/measurement code path every experiment routes
-through (fig11/fig12/fig14/fig15, ``python -m repro scenario``, and any future
-multi-tenant study): build the platform from the cluster spec, register the
-fleet, resolve each function's workload into an arrival process, start the
-autoscaler (or a static deployment), pre-place the initial pods, replay all
-workloads concurrently, sample placement utilization, and aggregate a
+This is the one code path that measures a served window (figs. 1, 10-12,
+14, 15, the headline, ablation A2, ``python -m repro scenario``): build the
+platform from the cluster spec, register the fleet, resolve each function's
+workload into an arrival process (or ``closed``-loop virtual users), start
+the autoscaler (or a static deployment), pre-place the initial pods, replay
+all workloads concurrently, sample placement utilization, and aggregate a
 :class:`~repro.scenario.report.ScenarioReport`.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.faas.loadgen import OpenLoopGenerator
+from repro.faas.loadgen import ClosedLoopClient, OpenLoopGenerator
 from repro.faas.traces import FunctionTrace, load_trace_file, synthesize_trace
 from repro.faas.workload import StepTrace, Workload
 from repro.k8s.objects import set_transition_observer
@@ -39,7 +39,8 @@ def resolve_workload(
     Synthetic shapes derive deterministically from the scenario seed, so two
     scenarios differing only in policy replay byte-identical arrival counts.
     ``trace_cache`` (path → TraceSet) avoids re-parsing a trace file shared
-    by many functions of one scenario.
+    by many functions of one scenario.  A ``closed`` one is an empty window
+    (:func:`_execute` starts its virtual users).
     """
     spec = fn.workload
     if spec.kind == "synthetic":
@@ -83,6 +84,13 @@ def resolve_workload(
         return trace.to_workload(), trace
     steps = list(spec.steps) if spec.kind == "steps" else [(spec.duration, spec.rps)]
     return StepTrace(steps, poisson=spec.poisson), None
+
+
+def require_open_loop(scenario: Scenario) -> None:
+    """Refuse a function with no arrival schedule (live serve and replay)."""
+    for fn in scenario.functions:
+        if fn.workload.kind == "closed":
+            raise ScenarioError(f"function {fn.name!r}: a closed-loop workload has no arrivals")
 
 
 def build_platform(scenario: Scenario) -> "FaSTGShare":
@@ -135,7 +143,7 @@ def _deploy_static(platform: "FaSTGShare", scenario: Scenario) -> None:
         )
     for fn in scenario.functions:
         if fn.pods:
-            platform.deploy(fn.name, configs=fn.pods)
+            platform.deploy(fn.name, configs=fn.pods, node=fn.node)
         elif fn.initial_count:
             p_eff = scaler.p_eff(fn.name)
             platform.deploy(fn.name, configs=[(p_eff.sm_partition, p_eff.quota)] * fn.initial_count)
@@ -310,7 +318,11 @@ def _execute(scenario: Scenario, quick: bool, platform: "FaSTGShare") -> Scenari
     plane.anchor_oracles(t_start)
     platform.cluster.reset_metrics()
     for fn in scenario.functions:
-        OpenLoopGenerator(engine, platform.gateway, fn.name, workloads[fn.name])
+        load = fn.workload
+        if load.kind == "closed":
+            ClosedLoopClient(engine, platform.gateway, fn.name, load.concurrency, load.duration)
+        else:
+            OpenLoopGenerator(engine, platform.gateway, fn.name, workloads[fn.name])
 
     horizon = plane.horizon
     measurement = scenario.measurement

@@ -3,11 +3,11 @@
 A :class:`Scenario` describes a complete serving experiment — the cluster
 (nodes + sharing mode), a fleet of functions (model, SLO, model sharing,
 replica floors), one workload per function (synthetic production shapes,
-inline per-bin counts, committed trace files, stepped or constant rates),
-the autoscaler policy, and the measurement window — as plain data.  It
-round-trips through JSON byte-for-byte, so scenarios are committed files
-(``examples/scenarios/*.json``) every bench, test, and future study replays
-through the *same* code path::
+inline per-bin counts, committed trace files, stepped or constant rates,
+closed-loop virtual users), the autoscaler policy, and the measurement
+window — as plain data.  It round-trips through JSON byte-for-byte, so
+scenarios are committed files (``examples/scenarios/*.json``) every bench,
+test, and future study replays through the *same* code path::
 
     scenario = load_scenario("examples/scenarios/cold_bursty.json")
     report = FaSTGShare.run_scenario(scenario)
@@ -45,7 +45,7 @@ from repro.scheduler.mra import PLACEMENT_POLICIES
 SCENARIO_FORMAT = "fast-gshare-scenario/1"
 
 #: Workload kinds a function entry may declare.
-WORKLOAD_KINDS = ("synthetic", "counts", "trace", "steps", "constant")
+WORKLOAD_KINDS = ("synthetic", "counts", "trace", "steps", "constant", "closed")
 
 #: Per workload kind: (keys always written, keys written only when set).
 #: Together they are the keys that kind accepts, besides ``kind`` itself.
@@ -55,6 +55,7 @@ _KIND_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "trace": (("path",), ("trace_function", "max_bins")),
     "steps": (("steps", "poisson"), ()),
     "constant": (("rps", "duration", "poisson"), ()),
+    "closed": (("concurrency", "duration"), ()),
 }
 
 
@@ -77,7 +78,9 @@ class WorkloadSpec(Spec):
     * ``steps``     — a piecewise-constant rate staircase (``steps`` of
       ``[duration_s, rps]`` pairs, Fig. 12 style);
     * ``constant``  — a fixed rate over ``duration`` seconds
-      (``poisson`` jitters arrivals; false spaces them evenly).
+      (``poisson`` jitters arrivals; false spaces them evenly);
+    * ``closed``    — ``concurrency`` k6-style virtual users for ``duration``
+      seconds (no arrival times, so live serving and replay refuse it).
     """
 
     kind: str
@@ -93,12 +96,15 @@ class WorkloadSpec(Spec):
     rps: float = 0.0
     duration: float = 0.0
     poisson: bool = True
+    concurrency: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in WORKLOAD_KINDS:
             raise ScenarioError(f"workload: unknown kind {self.kind!r}; known: {WORKLOAD_KINDS}")
         if self.max_bins and self.kind != "trace":
             raise ScenarioError("workload: max_bins only applies to trace workloads")
+        if self.concurrency and self.kind != "closed":
+            raise ScenarioError("workload: concurrency only applies to closed workloads")
         if self.kind == "synthetic":
             if self.shape not in TRACE_SHAPES:
                 raise ScenarioError(
@@ -128,11 +134,13 @@ class WorkloadSpec(Spec):
             for duration, rps in self.steps:
                 if duration <= 0 or rps < 0:
                     raise ScenarioError(f"workload: bad step [{duration}, {rps}]")
-        else:  # constant
+        else:  # constant, closed
             if self.rps < 0:
                 raise ScenarioError("workload: rps must be non-negative")
             if self.duration <= 0:
                 raise ScenarioError("workload: duration must be positive")
+            if self.kind == "closed" and self.concurrency < 1:
+                raise ScenarioError("workload: concurrency must be >= 1")
 
     def _emits(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         always, when_set = _KIND_KEYS[self.kind]
@@ -149,7 +157,8 @@ class ScenarioFunction(Spec):
     ``initial_replicas`` pods are deployed warm before the measured window
     opens (default: ``max(1, min_replicas)``), each at the function's
     efficient SLO-feasible point.  A static deployment may instead list
-    explicit ``[sm%, quota]`` ``pods``, placed by the cluster's sharing mode.
+    explicit ``[sm%, quota]`` ``pods``, placed by the cluster's sharing mode
+    unless ``node`` pins them all to that node index (may over-subscribe).
     """
 
     name: str
@@ -163,6 +172,7 @@ class ScenarioFunction(Spec):
     #: transits the fabric on swap-in.  ``None`` = the model's weights_mb.
     weight_mb: float | None = None
     pods: tuple[tuple[float, float], ...] = ()
+    node: int | None = None
 
     def __post_init__(self) -> None:
         if self.weight_mb is not None and self.weight_mb <= 0:
@@ -171,6 +181,8 @@ class ScenarioFunction(Spec):
             raise ScenarioError(f"function {self.name!r}: pods need sm% in (0, 100], quota (0, 1]")
         if self.pods and self.initial_replicas is not None:
             raise ScenarioError(f"function {self.name!r}: give pods or initial_replicas, not both")
+        if self.node is not None and (not self.pods or self.node < 0):
+            raise ScenarioError(f"function {self.name!r}: node pins pods; needs pods and node >= 0")
         if not self.name:
             raise ScenarioError("function: name must be non-empty")
         if self.model not in MODEL_ZOO:
@@ -377,6 +389,13 @@ class Scenario(Spec):
             )
         if self.autoscaler.enabled and any(fn.pods for fn in self.functions):
             raise ScenarioError("scenario: pods deploy statically; set autoscaler.enabled=false")
+        nodes = self.cluster.nodes
+        size = nodes if isinstance(nodes, int) else len(nodes)
+        for fn in self.functions:
+            if fn.node is not None and fn.node >= size:
+                raise ScenarioError(
+                    f"function {fn.name!r}: node {fn.node} is outside the {size}-node cluster"
+                )
         if (
             self.autoscaler.enabled
             and self.autoscaler.policy == "memtier"
@@ -406,11 +425,12 @@ class Scenario(Spec):
         """A deterministic shrunk variant for smoke runs (``--quick``).
 
         Synthetic workloads shrink to <=8 bins of <=3 s; ``counts`` truncate
-        to their first 8 bins; ``steps``/``constant`` horizons scale down to
-        <=40 s / <=10 s; ``trace`` workloads replay only their first 8 bins
-        (``max_bins``), so committed multi-hour slices smoke-run in CI
-        without bespoke quick fixtures.  The autoscaler tick tightens to
-        <=0.5 s so the short horizon still sees scaling decisions.
+        to their first 8 bins; ``steps`` horizons scale down to <=40 s and
+        ``constant``/``closed`` ones to <=10 s; ``trace`` workloads replay
+        only their first 8 bins (``max_bins``), so committed multi-hour
+        slices smoke-run in CI without bespoke quick fixtures.  The
+        autoscaler tick tightens to <=0.5 s so the short horizon still sees
+        scaling decisions.
         """
         functions = tuple(
             dataclasses.replace(fn, workload=_quick_workload(fn.workload)) for fn in self.functions
@@ -432,7 +452,7 @@ def _quick_workload(spec: WorkloadSpec) -> WorkloadSpec:
             return spec
         factor = 40.0 / total
         return dataclasses.replace(spec, steps=tuple((d * factor, r) for d, r in spec.steps))
-    if spec.kind == "constant":
+    if spec.kind in ("constant", "closed"):
         return dataclasses.replace(spec, duration=min(spec.duration, 10.0))
     # trace: replay only the first bins of the committed file.
     quick_bins = min(spec.max_bins, 8) if spec.max_bins else 8

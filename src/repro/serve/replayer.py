@@ -28,7 +28,7 @@ import asyncio
 import dataclasses
 import typing as _t
 
-from repro.scenario.runner import resolve_workload
+from repro.scenario.runner import require_open_loop, resolve_workload
 from repro.scenario.spec import Scenario
 from repro.serve import http
 from repro.sim.rng import RngStreams
@@ -101,6 +101,7 @@ class Replayer:
                  quick: bool = False):
         if quick:
             scenario = scenario.quick()
+        require_open_loop(scenario)
         self.scenario = scenario
         self.config = config or ReplayConfig()
         self.stats = ReplayStats()

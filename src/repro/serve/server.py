@@ -42,6 +42,7 @@ from repro.scenario.runner import (
     build_platform,
     placement_state,
     prepare_control_plane,
+    require_open_loop,
     transition_observer,
 )
 from repro.scenario.spec import Scenario
@@ -82,6 +83,7 @@ class LiveServer:
     def __init__(self, scenario: Scenario, config: ServeConfig | None = None, quick: bool = False):
         if quick:
             scenario = scenario.quick()
+        require_open_loop(scenario)
         self.scenario = scenario
         self.config = config or ServeConfig()
         self.quick = quick

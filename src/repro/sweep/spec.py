@@ -60,8 +60,9 @@ axes, duplicate axes or values, out-of-range values, an assertion naming an
 unknown cell or metric, or any cell whose scenario is invalid — a
 ``fleet_size`` larger than the base fleet, a ``workload_scale`` axis over a
 ``trace``-kind workload (file-backed counts cannot be rescaled
-declaratively), a ``sharing`` mode the base's autoscaler cannot run — fails
-when the sweep loads and never silently runs a different grid.
+declaratively) or a ``closed`` one, a ``sharing`` mode the base's
+autoscaler cannot run, a ``nodes`` value that drops a pinned ``node`` —
+fails when the sweep loads and never silently runs a different grid.
 """
 
 from __future__ import annotations
@@ -274,6 +275,11 @@ def _scale_workload(spec: WorkloadSpec, factor: float, function: str) -> Workloa
         return dataclasses.replace(spec, steps=tuple((d, r * factor) for d, r in spec.steps))
     if spec.kind == "constant":
         return dataclasses.replace(spec, rps=spec.rps * factor)
+    if spec.kind == "closed":
+        raise SweepError(
+            f"axes[workload_scale]: function {function!r} declares a closed-loop "
+            "workload — its load is a count of virtual users, not a rate"
+        )
     raise SweepError(
         f"axes[workload_scale]: function {function!r} declares a trace-kind "
         "workload — file-backed counts cannot be rescaled declaratively "

@@ -13,6 +13,7 @@ import pytest
 from repro import FaSTGShare
 from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.workload import StepTrace
+from repro.scenario import MeasurementSpec, Scenario, ScenarioFunction, WorkloadSpec, run_scenario
 
 
 def build(seed=11):
@@ -58,13 +59,24 @@ def test_warm_replica_queueing_is_not_cold_wait():
 
 
 def test_run_report_separates_the_two_delays():
-    platform = build()
-    platform.deploy("fn", configs=[(50, 1.0)])
-    report = platform.run_workload("fn", rps=100, duration=4.0, warm_start=False)
+    # No initial pod: traffic races the autoscaler's first cold start.
+    function = ScenarioFunction(
+        name="fn",
+        model="resnet50",
+        initial_replicas=0,
+        workload=WorkloadSpec(kind="constant", rps=100.0, duration=4.0),
+    )
+    scenario = Scenario(
+        name="cold", seed=11, functions=(function,), measurement=MeasurementSpec(drain_s=0.0)
+    )
+    scenario_report = run_scenario(scenario)
+    report = scenario_report.functions[0].run
     assert report.cold_hit_requests > 0
     assert report.cold_wait_ms_mean > 0.0
     assert report.queue_wait_ms_mean >= 0.0
-    assert "cold wait" in report.summary()
+    summary = scenario_report.summary()
+    assert "cold-hits" in summary
+    assert f"{report.cold_hit_requests:10d}" in summary.splitlines()[-1]
 
 
 def test_rerouted_requests_accumulate_cold_wait():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faas.loadgen import OpenLoopGenerator
+from repro.faas.workload import StepTrace
 from repro.gpu import CudaDriver, GPUDevice, MPSServer
 from repro.manager import FaSTBackend
 from repro.models import get_model
@@ -15,7 +17,10 @@ def serve(sharing: str, rps: float = 50.0, duration: float = 6.0) -> FaSTGShare:
     platform = FaSTGShare.build(nodes=1, sharing=sharing, seed=3)
     platform.register_function("classify", model="resnet50")
     platform.deploy("classify", configs=[(24, 1.0)])
-    platform.run_workload("classify", rps=rps, duration=duration)
+    platform.wait_ready()
+    workload = StepTrace([(duration, rps)])
+    OpenLoopGenerator(platform.engine, platform.gateway, "classify", workload)
+    platform.engine.run(until=platform.engine.now + duration)
     return platform
 
 

@@ -116,5 +116,5 @@ def test_scale_down_during_cold_start_does_not_wedge_platform():
     # Kill the first (storing) pod 1 s into its load.
     platform.engine.run(until=1.0)
     platform.scale_down("fn", replicas[0].pod.pod_id, drain=False)
-    platform.wait_ready("fn", timeout=60.0)  # the other two must come up
+    platform.wait_ready(timeout=60.0)  # the other two must come up
     assert sum(r.ready for r in platform.replicas("fn")) == 2

@@ -38,6 +38,7 @@ QUICK_PINS = {
     "benchmarks/BENCH_migrate_quick.json": Producer("sweep", "examples/benches/migrate_quick.json"),
     "benchmarks/BENCH_prewarm_quick.json": Producer("sweep", "examples/benches/prewarm_quick.json"),
     "benchmarks/BENCH_swap_quick.json": Producer("sweep", "examples/benches/swap_quick.json"),
+    "benchmarks/BENCH_tokens_quick.json": Producer("sweep", "examples/benches/tokens_quick.json"),
     "benchmarks/BENCH_scenario_quick.json": Producer(
         "scenario", "examples/scenarios/cold_bursty.json", quick=True
     ),
@@ -49,7 +50,7 @@ QUICK_PINS = {
 #: The benches whose full pins, ``BENCH_<name>.json`` at the repo root, are
 #: too slow for tier-1: CI's ``bench-specs`` matrix runs ``repro sweep
 #: examples/benches/<name>.json --jobs 2`` and ``cmp``s the output with the pin.
-FULL_BENCHES = ("cluster", "prewarm", "swap", "migrate", "fig11")
+FULL_BENCHES = ("cluster", "prewarm", "swap", "migrate", "fig11", "tokens")
 
 #: The live-serving gate file.  A wall-clock replay is not bit-deterministic,
 #: so ``benchmarks/check_regression.py`` bounds its robust counters instead.

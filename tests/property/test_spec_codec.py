@@ -3,9 +3,9 @@
 Specs are generated from the spec classes' own field types (the same
 annotations the codec decodes by), narrowed only where ``__post_init__``
 allows fewer values than the type.  A workload sets only the keys of its
-kind, and ``gpu`` comes only with an integer ``nodes``: a node list ignores
-``gpu`` and never writes it.  Every committed spec must also re-serialize
-to its own bytes.
+kind (every kind, ``closed`` included), and ``gpu`` comes only with an
+integer ``nodes``: a node list ignores ``gpu`` and never writes it.  Every
+committed spec must also re-serialize to its own bytes.
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ def floats(low: float = 0.001, high: float = 1e4) -> st.SearchStrategy[float]:
 FIELD_VALUES: dict[tuple[type, str], st.SearchStrategy] = {
     (WorkloadSpec, "shape"): st.sampled_from(TRACE_SHAPES),
     (WorkloadSpec, "bins"): st.integers(1, 200),
+    (WorkloadSpec, "concurrency"): st.integers(1, 64),
     (ScenarioFunction, "model"): st.sampled_from(sorted(MODEL_ZOO)),
     (ScenarioFunction, "pods"): st.lists(
         st.tuples(floats(high=100.0), floats(high=1.0)), min_size=1, max_size=3
     ).map(tuple),
+    (ScenarioFunction, "node"): st.none() | st.integers(0, 3),
     (ClusterSpec, "gpu"): st.sampled_from(GPUS),
     (ClusterSpec, "sharing"): st.sampled_from(SHARING_MODES),
     (AutoscalerSpec, "policy"): st.sampled_from(tuple(POLICIES)),
@@ -195,6 +197,36 @@ def assert_round_trips(spec: Spec) -> None:
 @given(SPECS[Scenario])
 @settings(max_examples=80, deadline=None)
 def test_every_valid_scenario_round_trips(scenario):
+    assert_round_trips(scenario)
+
+
+#: Static scenarios whose every function is closed-loop and pinned to a node
+#: (rare draws of the general strategy, which leaves most fields at default).
+CLOSED_WORKLOADS = spec_of(
+    WorkloadSpec, ("kind", "concurrency", "duration"), kind=st.just("closed")
+)
+PINNED_FUNCTIONS = spec_of(
+    ScenarioFunction,
+    ("name", "model", "workload", "pods", "node"),
+    workload=CLOSED_WORKLOADS,
+    pods=FIELD_VALUES[ScenarioFunction, "pods"],
+    node=st.integers(0, 3),
+)
+PINNED_FLEETS = st.lists(PINNED_FUNCTIONS, min_size=1, max_size=3, unique_by=lambda f: f.name)
+PINNED_CLOSED_SCENARIOS = spec_of(
+    Scenario,
+    ("name", "functions", "cluster", "autoscaler"),
+    functions=PINNED_FLEETS.map(tuple),
+    cluster=spec_of(ClusterSpec, ("nodes",), nodes=st.integers(4, 8)),
+    autoscaler=st.just(AutoscalerSpec(enabled=False)),
+)
+
+
+@given(PINNED_CLOSED_SCENARIOS)
+@settings(max_examples=40, deadline=None)
+def test_every_pinned_closed_loop_scenario_round_trips(scenario):
+    assert all(fn.node is not None for fn in scenario.functions)
+    assert all(fn.workload.kind == "closed" for fn in scenario.functions)
     assert_round_trips(scenario)
 
 

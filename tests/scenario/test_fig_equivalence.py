@@ -5,15 +5,17 @@
 the SweepReport, which must equal ``benchmarks/BENCH_{cluster,prewarm}_quick.json``
 exactly (``tests/test_pins.py`` replays the committed spec files themselves);
 ``fig11_scheduler.bench_sweep``'s quick sweep must equal
-``benchmarks/BENCH_fig11_quick.json``.  Any drift means a refactor changed
-behaviour, not just structure.
+``benchmarks/BENCH_fig11_quick.json``, and ablation A2's quick rows are the
+cells of ``benchmarks/BENCH_tokens_quick.json``.  Any drift means a refactor
+changed behaviour, not just structure.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 
-from repro.experiments import fig11_scheduler, fig14_cluster, fig15_prewarm
+from repro.experiments import ablations, fig11_scheduler, fig14_cluster, fig15_prewarm
 from repro.sweep import run_sweep
 
 PINS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
@@ -56,3 +58,13 @@ def test_fig11_cells_differ_only_in_sharing():
     assert [c["cluster"].pop("sharing") for c in cells] == ["timeshare", "fast"]
     assert [c.pop("name") for c in cells] == ["fig11[sharing=timeshare]", "fig11[sharing=fast]"]
     assert cells[0] == cells[1]
+
+
+def test_token_ablation_rows_are_the_tokens_quick_pin():
+    cells = json.loads((PINS / "BENCH_tokens_quick.json").read_text())["cells"]
+    rows = ablations.run_token_ablation(quick=True)
+    assert [row.backend for row in rows] == ["multi-token (FaST)", "single-token (KubeShare)"]
+    assert [row.p95_ms for row in rows] == [cell["metrics"]["p95_ms"] for cell in cells]
+    assert [row.throughput for row in rows] == [
+        cell["report"]["functions"]["fn"]["completed"] / 5.0 for cell in cells
+    ]

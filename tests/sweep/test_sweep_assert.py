@@ -196,7 +196,7 @@ def _cells_without_description(sweep: Sweep) -> list[dict]:
 
 BENCH_STEMS = [
     f"{name}{suffix}"
-    for name in ("cluster", "prewarm", "swap", "migrate")
+    for name in ("cluster", "prewarm", "swap", "migrate", "fig11", "tokens")
     for suffix in ("", "_quick")
 ]
 

@@ -5,11 +5,47 @@ from __future__ import annotations
 import pytest
 
 from repro import FaSTGShare
-from repro.faas.workload import StepTrace
-from repro.models import get_model
-from repro.profiler import ProfileDatabase
-from repro.scenario import AutoscalerSpec
+from repro.scenario import (
+    AutoscalerSpec,
+    ClusterSpec,
+    MeasurementSpec,
+    Scenario,
+    ScenarioFunction,
+    WorkloadSpec,
+    run_scenario,
+)
 from repro.scheduler.mra import NoFitError
+
+
+def serve(workload: WorkloadSpec, pods=(), seed: int = 3, autoscaler=None, **cluster):
+    """One ``classify`` function (resnet50, no model sharing) on a
+    ``ClusterSpec(**cluster)`` platform, measured over its workload's window
+    with no drain; static ``pods`` unless ``autoscaler`` is given."""
+    function = ScenarioFunction(
+        name="classify",
+        model="resnet50",
+        model_sharing=False,
+        pods=tuple(pods),
+        initial_replicas=None if pods else 0,
+        workload=workload,
+    )
+    scenario = Scenario(
+        name="platform",
+        seed=seed,
+        cluster=ClusterSpec(**cluster),
+        functions=(function,),
+        autoscaler=autoscaler or AutoscalerSpec(enabled=False),
+        measurement=MeasurementSpec(drain_s=0.0),
+    )
+    return run_scenario(scenario)
+
+
+def constant(rps: float, duration: float) -> WorkloadSpec:
+    return WorkloadSpec(kind="constant", rps=rps, duration=duration)
+
+
+def closed(concurrency: int, duration: float) -> WorkloadSpec:
+    return WorkloadSpec(kind="closed", concurrency=concurrency, duration=duration)
 
 
 def test_build_and_register():
@@ -54,45 +90,24 @@ def test_deploy_racing_piles_onto_node0():
     assert {r.pod.node_name for r in replicas} == {"node0"}
 
 
-def test_run_workload_reports_throughput():
-    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=3)
-    platform.register_function("classify", model="resnet50")
-    platform.deploy("classify", configs=[(24, 1.0)] * 2)
-    report = platform.run_workload("classify", rps=60, duration=10.0)
-    assert report.completed > 0
-    assert report.throughput == pytest.approx(60, rel=0.12)
-    assert report.p95_ms > 0
+def test_constant_load_reports_throughput():
+    report = serve(constant(60, 10.0), pods=[(24.0, 1.0)] * 2)
+    (outcome,) = report.functions
+    assert outcome.run.completed > 0
+    assert outcome.run.throughput == pytest.approx(60, rel=0.12)
+    assert outcome.run.p95_ms > 0
     assert "classify" in report.summary()
 
 
-def test_run_workload_counts_only_its_own_window():
-    """A second window on one platform reports its own arrivals, not the
-    function's cumulative count."""
-    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=3)
-    platform.register_function("classify", model="resnet50")
-    platform.deploy("classify", configs=[(24, 1.0)] * 2)
-    first = platform.run_workload("classify", rps=20, duration=5.0, poisson=False)
-    second = platform.run_workload("classify", rps=20, duration=5.0, poisson=False)
-    for report in (first, second):
-        assert report.submitted == pytest.approx(100, abs=1)
-        assert 0 < report.completed <= report.submitted
-
-
-def test_run_closed_loop_saturates():
-    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=3)
-    platform.register_function("classify", model="resnet50")
-    platform.deploy("classify", configs=[(12, 1.0)] * 8)
-    report = platform.run_closed_loop("classify", concurrency=16, duration=10.0)
+def test_closed_loop_saturates():
+    report = serve(closed(16, 10.0), pods=[(12.0, 1.0)] * 8)
     # §5.3: 8 pods x 12% SMs ≈ 296.8 req/s aggregate.
-    assert report.throughput == pytest.approx(296.8, rel=0.10)
+    assert report.functions[0].run.throughput == pytest.approx(296.8, rel=0.10)
 
 
 def test_node_metrics_populated_after_run():
-    platform = FaSTGShare.build(nodes=1, sharing="fast", seed=3)
-    platform.register_function("classify", model="resnet50")
-    platform.deploy("classify", configs=[(24, 1.0)])
-    report = platform.run_closed_loop("classify", concurrency=4, duration=5.0)
-    (name, util, occ), = report.node_metrics
+    report = serve(closed(4, 5.0), pods=[(24.0, 1.0)])
+    ((name, util, occ),) = report.functions[0].run.node_metrics
     assert util > 50.0
     assert occ > 0.5
 
@@ -118,7 +133,7 @@ def test_scale_down_releases_capacity():
         platform = FaSTGShare.build(nodes=1, sharing=sharing, seed=1)
         platform.register_function("classify", model="resnet50")
         replicas = platform.deploy("classify", configs=[(100, 1.0)])
-        platform.wait_ready("classify")
+        platform.wait_ready()
         platform.scale_down("classify", replicas[0].pod.pod_id, drain=True)
         platform.engine.run(until=platform.engine.now + 1.0)
         # A pinned deploy may bind nothing; its scale-down must not raise.
@@ -151,7 +166,7 @@ def test_exclusive_gpu_stays_taken_until_its_pod_drains():
     platform = FaSTGShare.build(nodes=2, sharing="exclusive", seed=1)
     platform.register_function("classify", model="resnet50")
     (first,) = platform.deploy("classify", configs=[(100, 1.0)])
-    platform.wait_ready("classify")
+    platform.wait_ready()
     platform.scale_down("classify", first.pod.pod_id, drain=True)
     (second,) = platform.deploy("classify", configs=[(100, 1.0)])  # node0 still draining
     assert (first.pod.node_name, second.pod.node_name) == ("node0", "node1")
@@ -173,31 +188,23 @@ def test_fast_scale_down_of_a_pinned_pod_that_never_fit():
 
 
 def test_autoscaler_end_to_end_meets_demand():
-    platform = FaSTGShare.build(nodes=2, sharing="fast", seed=5)
-    platform.register_function("classify", model="resnet50")
-    db = ProfileDatabase.analytic({"classify": get_model("resnet50")})
-    platform.start_autoscaler(
-        db, AutoscalerSpec(interval=1.0, headroom=1.15, scale_down_cooldown=6.0)
-    )
     # No replicas initially: the scheduler must scale from zero.
-    trace = StepTrace([(20, 30), (20, 80), (20, 30)], poisson=False)
-    report = platform.run_workload("classify", workload=trace, warm_start=False)
+    steps = WorkloadSpec(kind="steps", steps=((20, 30), (20, 80), (20, 30)), poisson=False)
+    settings = AutoscalerSpec(interval=1.0, headroom=1.15, scale_down_cooldown=6.0)
+    report = serve(steps, seed=5, autoscaler=settings, nodes=2)
+    assert report.scenario.autoscaler.policy == "reactive"
     assert report.completed == pytest.approx(report.submitted, rel=0.05)
-    counts = [sum(c.values()) for _, c in platform.scheduler.replica_series]
-    assert max(counts) >= 2           # scaled up under the 80 rps step
-    assert counts[-1] < max(counts)   # scaled back down after the peak
-    ups = [e for e in platform.scheduler.events if e.action == "up"]
-    downs = [e for e in platform.scheduler.events if e.action == "down"]
-    assert ups and downs
+    counts = [sum(c.values()) for _, c in report.replica_series]
+    assert max(counts) >= 2  # scaled up under the 80 rps step
+    assert counts[-1] < max(counts)  # scaled back down after the peak
+    assert report.scale_ups and report.scale_downs
 
 
 def test_same_seed_same_results():
     def run() -> tuple:
-        platform = FaSTGShare.build(nodes=1, sharing="fast", seed=11)
-        platform.register_function("classify", model="resnet50")
-        platform.deploy("classify", configs=[(24, 0.6)] * 2)
-        report = platform.run_workload("classify", rps=40, duration=8.0)
-        return report.completed, report.p95_ms, report.node_metrics
+        report = serve(constant(40, 8.0), pods=[(24.0, 0.6)] * 2, seed=11)
+        measured = report.functions[0].run
+        return measured.completed, measured.p95_ms, measured.node_metrics
 
     assert run() == run()
 
@@ -206,11 +213,8 @@ def test_gpu_type_scales_served_throughput():
     """The same pod config serves faster on an A100 than on a T4."""
     rates = {}
     for gpu in ("A100", "T4"):
-        platform = FaSTGShare.build(nodes=[gpu], sharing="fast", seed=1)
-        platform.register_function("classify", model="resnet50")
-        platform.deploy("classify", configs=[(24, 1.0)])
-        report = platform.run_closed_loop("classify", concurrency=4, duration=8.0)
-        rates[gpu] = report.throughput
+        report = serve(closed(4, 8.0), pods=[(24.0, 1.0)], seed=1, nodes=(gpu,))
+        rates[gpu] = report.functions[0].run.throughput
     assert rates["A100"] > 1.5 * rates["T4"]
 
 
