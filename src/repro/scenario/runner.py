@@ -263,12 +263,20 @@ def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> Control
 
 
 def placement_state(platform: "FaSTGShare") -> tuple[int, dict[str, float]]:
-    """(GPUs in use, per-node utilized allocation area) for one sample tick."""
+    """(GPUs in use, per-node utilized allocation area) for one sample tick.
+
+    ``fast`` reads its MRA ledger.  A baseline pod may use every SM, so a
+    baseline GPU's allocated area is its hosted pods' summed quota limits,
+    capped at the whole GPU.
+    """
     if platform.cluster_spec.sharing == "fast":
         ledger = platform.placement
         return ledger.gpus_in_use(), ledger.utilized_area_by_node()
-    hosts = {pod.node_name for pod in platform.cluster.pods.values() if pod.node_name}
-    return len(hosts), {}
+    quota: dict[str, float] = {}
+    for pod in platform.cluster.pods.values():
+        if pod.node_name:
+            quota[pod.node_name] = quota.get(pod.node_name, 0.0) + pod.spec.quota_limit
+    return len(quota), {node: min(1.0, area) for node, area in quota.items()}
 
 
 @dataclasses.dataclass

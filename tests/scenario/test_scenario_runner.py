@@ -193,6 +193,39 @@ def test_static_mode_serves_without_autoscaler():
     assert report.replica_series == ()  # no control loop, no series
 
 
+def test_baseline_allocation_is_hosted_quota_capped_at_one_gpu():
+    def static(sharing: str) -> Scenario:
+        return Scenario(
+            name=f"alloc-{sharing}",
+            seed=5,
+            cluster=ClusterSpec(nodes=2, gpu="V100", sharing=sharing),
+            functions=(
+                ScenarioFunction(
+                    name="res",
+                    model="resnet50",
+                    pods=((100.0, 0.5),) * 3,
+                    workload=WorkloadSpec(kind="constant", rps=5.0, duration=3.0),
+                ),
+            ),
+            autoscaler=AutoscalerSpec(enabled=False),
+            measurement=MeasurementSpec(drain_s=0.0, sample_dt=0.5),
+        )
+
+    # A baseline pod may use every SM, so a GPU's allocated area is its
+    # pods' summed quota limits.  Time sharing fits by quota: two pods fill
+    # node 0 and the third lands on node 1.
+    timeshare = run_scenario(static("timeshare"))
+    assert timeshare.utilization
+    for sample in timeshare.utilization:
+        assert sample.gpus_in_use == 2
+        assert sample.alloc_by_node == pytest.approx({"node0": 1.0, "node1": 0.5})
+    assert timeshare.mean_alloc_fraction == pytest.approx(0.75)
+    # Racing piles all three onto node 0: 1.5 GPUs of quota cap at one GPU.
+    racing = run_scenario(static("racing"))
+    assert {tuple(s.alloc_by_node.items()) for s in racing.utilization} == {(("node0", 1.0),)}
+    assert racing.mean_alloc_fraction == 1.0
+
+
 def test_warmup_excludes_ramp_from_all_measurements():
     warm = tiny_scenario(
         measurement=MeasurementSpec(warmup_s=6.0, drain_s=2.0, sample_dt=0.5)
