@@ -32,8 +32,9 @@ __all__ = [
 def __getattr__(name: str):
     # Lazy exports: the platform facade pulls in every subsystem; importing it
     # lazily keeps `import repro` cheap and avoids import cycles in substrates.
-    if name in {"FaSTGShare", "RunReport"}:
-        from repro import platform as _platform
+    home = {"FaSTGShare": "repro.platform", "RunReport": "repro.scenario.report"}.get(name)
+    if home is not None:
+        import importlib
 
-        return getattr(_platform, name)
+        return getattr(importlib.import_module(home), name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -36,14 +36,11 @@ GPU's occupancy from the pods its node hosts.
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
 
 from repro.faas.function import FunctionRegistry, FunctionSpec
 from repro.faas.gateway import Gateway
 from repro.faas.replica import FunctionReplica
-from repro.faas.requests import RequestLog
-from repro.faas.slo import violation_ratio
 from repro.k8s.cluster import Cluster
 from repro.k8s.fastpod import FaSTPodController
 from repro.profiler.database import ProfileDatabase
@@ -52,36 +49,6 @@ from repro.scheduler.mra import MaximalRectanglesScheduler, NoFitError
 from repro.scheduler.rectangles import EPS
 from repro.scheduler.scheduler import FaSTScheduler, place, release
 from repro.sim.engine import Engine
-
-
-@dataclasses.dataclass(slots=True)
-class RunReport:
-    """Aggregated results of one measured workload window."""
-
-    function: str
-    duration: float
-    submitted: int
-    completed: int
-    throughput: float
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    slo_ms: float
-    slo_violation_ratio: float
-    node_metrics: list[tuple[str, float, float]]
-    log: RequestLog
-    #: mean wait behind other requests on an accepting replica (ms).
-    queue_wait_ms_mean: float = 0.0
-    #: mean pending-queue wait while *no* replica was accepting — the
-    #: cold-start-attributable share of latency (ms).
-    cold_wait_ms_mean: float = 0.0
-    #: requests that spent any time waiting on a cold start.
-    cold_hit_requests: int = 0
-    #: mean pending-queue wait attributable to a host→GPU swap-in (ms) —
-    #: split out from ``cold_wait_ms_mean`` by the gateway's attribution.
-    swap_wait_ms_mean: float = 0.0
-    #: requests that spent any time waiting on a swap-in.
-    swap_hit_requests: int = 0
 
 
 class FaSTGShare:
@@ -323,62 +290,16 @@ class FaSTGShare:
 
         ``scenario`` is a :class:`repro.scenario.Scenario` (load committed
         specs with :func:`repro.scenario.load_scenario`); the return value is
-        a :class:`repro.scenario.ScenarioReport` with one :class:`RunReport`
-        per function plus cluster aggregates.  ``quick=True`` runs the
-        deterministic shrunk variant (:meth:`repro.scenario.Scenario.quick`).
-        This is the one code path that measures a served window: every
-        experiment that serves load constructs Scenarios and calls it.
+        a :class:`repro.scenario.ScenarioReport` with one
+        :class:`~repro.scenario.report.RunReport` per function plus cluster
+        aggregates.  ``quick=True`` runs the deterministic shrunk variant
+        (:meth:`repro.scenario.Scenario.quick`).  This is the one code path
+        that measures a served window: every experiment that serves load
+        constructs Scenarios and calls it.
         """
         from repro.scenario.runner import run_scenario
 
         return run_scenario(scenario, quick=quick)
-
-    def _reports(
-        self,
-        submitted: _t.Mapping[str, int],
-        t0: float,
-        t1: float,
-        node_metrics: list[tuple[str, float, float]],
-    ) -> dict[str, RunReport]:
-        """A :class:`RunReport` per function of ``submitted`` (its arrivals
-        in the window) over the requests that arrived and completed in
-        ``[t0, t1)`` (:meth:`~repro.faas.requests.Request.in_window`): one
-        pass groups the log by function; ``node_metrics`` is read once by
-        the caller and shared."""
-        windows = {function: RequestLog() for function in submitted}
-        for request in self.gateway.log.completed:
-            if request.in_window(t0, t1):
-                window = windows.get(request.function)
-                if window is not None:
-                    window.completed.append(request)
-        duration = t1 - t0
-        reports = {}
-        for function, window in windows.items():
-            spec = self.registry.get(function)
-            p50, p95, p99 = window.latency_percentiles_ms(50, 95, 99)
-            queue_waits = window.queue_waits_ms()
-            cold_waits = window.cold_waits_ms()
-            swap_waits = window.swap_waits_ms()
-            reports[function] = RunReport(
-                function=function,
-                duration=duration,
-                submitted=submitted[function],
-                completed=len(window),
-                throughput=window.throughput(duration),
-                p50_ms=p50,
-                p95_ms=p95,
-                p99_ms=p99,
-                slo_ms=spec.slo_ms,
-                slo_violation_ratio=violation_ratio(window, spec.slo_ms),
-                node_metrics=node_metrics,
-                log=window,
-                queue_wait_ms_mean=float(queue_waits.mean()) if queue_waits.size else 0.0,
-                cold_wait_ms_mean=float(cold_waits.mean()) if cold_waits.size else 0.0,
-                cold_hit_requests=window.cold_hits(),
-                swap_wait_ms_mean=float(swap_waits.mean()) if swap_waits.size else 0.0,
-                swap_hit_requests=window.swap_hits(),
-            )
-        return reports
 
     # -- conveniences -----------------------------------------------------------------
     def replicas(self, function: str) -> list[FunctionReplica]:

@@ -1,13 +1,15 @@
 """Scenario results: per-function reports plus cluster-level aggregates.
 
 A :class:`ScenarioReport` is what :meth:`repro.platform.FaSTGShare.run_scenario`
-returns: one :class:`~repro.platform.RunReport` per function (latency
-percentiles, SLO violations, queue-vs-cold wait attribution, the raw request
-log for post-processing), cluster aggregates (GPU-seconds, mean/peak GPUs,
-allocation fraction, a utilization timeseries), control-plane event counts,
-and a stable JSON serialization (``benchmark: "scenario"``): byte-identical
-across runs of the same spec and seed, so a committed pin is compared to a
-fresh run exactly.  A live report (``mode: "live"``) is the one exception;
+returns for one measured window (:class:`repro.scenario.runner.MeasuredWindow`):
+one :class:`RunReport` per function (latency percentiles, SLO violations,
+queue-vs-cold wait attribution, the raw request log for post-processing),
+cluster aggregates (GPU-seconds, mean/peak GPUs, allocation fraction, a
+utilization timeseries), the control-plane event counts since the window
+opened (at warm-up end, else at serve start, in either mode), and a stable
+JSON serialization (``benchmark: "scenario"``): byte-identical across runs
+of the same spec and seed, so a committed pin is compared to a fresh run
+exactly.  A live report (``mode: "live"``) is the one exception;
 ``benchmarks/check_regression.py`` bounds its robust counters instead.
 """
 
@@ -20,10 +22,62 @@ import typing as _t
 from repro.scenario.spec import Scenario
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.platform import RunReport
+    from repro.faas.requests import RequestLog
 
 #: Format tag written into serialized scenario reports.
 REPORT_FORMAT = "fast-gshare-scenario-report/1"
+
+#: The memory tier's and the migrator's window counts (of
+#: :func:`repro.scenario.runner.control_counts`).  Reports show them only
+#: where that subsystem acted, so reports of runs without it stay
+#: byte-identical to older baselines; every other count always shows.
+MEMTIER_EVENTS = ("swap_promotions", "demotions", "host_evictions")
+MIGRATION_EVENTS = ("migrations", "migration_aborts")
+
+#: How :meth:`ScenarioReport.summary` labels each count (aborted migrations
+#: print as a parenthesis after the migrations).
+_SUMMARY_LABELS = {
+    "scale_ups": "up",
+    "scale_downs": "down",
+    "nofit": "nofit",
+    "prewarms": "prewarm",
+    "promotions": "promote",
+    "retirements": "retire",
+    "swap_promotions": "swap-in",
+    "demotions": "demote",
+    "host_evictions": "evict-host",
+    "migrations": "migrate",
+}
+
+
+@dataclasses.dataclass(slots=True)
+class RunReport:
+    """Aggregated results of one function over a measured window."""
+
+    function: str
+    duration: float
+    submitted: int
+    completed: int
+    throughput: float
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
+    slo_ms: float
+    slo_violation_ratio: float
+    node_metrics: list[tuple[str, float, float]]
+    log: "RequestLog"
+    #: mean wait behind other requests on an accepting replica (ms).
+    queue_wait_ms_mean: float = 0.0
+    #: mean pending-queue wait while *no* replica was accepting — the
+    #: cold-start-attributable share of latency (ms).
+    cold_wait_ms_mean: float = 0.0
+    #: requests that spent any time waiting on a cold start.
+    cold_hit_requests: int = 0
+    #: mean pending-queue wait attributable to a host→GPU swap-in (ms) —
+    #: split out from ``cold_wait_ms_mean`` by the gateway's attribution.
+    swap_wait_ms_mean: float = 0.0
+    #: requests that spent any time waiting on a swap-in.
+    swap_hit_requests: int = 0
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -33,7 +87,7 @@ class FunctionOutcome:
     name: str
     model: str
     shape: str | None
-    run: "RunReport"
+    run: RunReport
 
     @property
     def slo_violation_ratio(self) -> float:
@@ -95,22 +149,11 @@ class ScenarioReport:
     mean_alloc_fraction: float
     utilization: tuple[UtilizationSample, ...]
     node_utilization: dict[str, float]
-    #: control-plane event counts over the window.
-    scale_ups: int
-    scale_downs: int
-    nofit_events: int
-    prewarms: int
-    promotions: int
-    retirements: int
+    #: control-plane counts since the window opened, keyed as
+    #: :func:`repro.scenario.runner.control_counts` names them.
+    events: dict[str, int]
     #: scheduler replica-count series [(t, {function: count}), ...] for plots.
     replica_series: tuple[tuple[float, dict[str, int]], ...] = ()
-    #: memory-tier event counts (zero when the host tier is disabled).
-    swap_promotions: int = 0
-    demotions: int = 0
-    host_evictions: int = 0
-    #: live-migration counts (zero unless ``cluster.defrag`` is configured).
-    migrations: int = 0
-    migration_aborts: int = 0
     #: optional observability block (events/spans/metrics snapshots from
     #: :mod:`repro.obs`); ``None`` — and absent from the serialization —
     #: unless the run recorded telemetry, so telemetry-off reports stay
@@ -166,7 +209,11 @@ class ScenarioReport:
                     ],
                 },
             },
-            "events": self._events_dict(),
+            "events": {
+                name: count
+                for name, count in self.events.items()
+                if count or name not in MEMTIER_EVENTS + MIGRATION_EVENTS
+            },
         }
         if self.telemetry is not None:
             payload["telemetry"] = self.telemetry
@@ -174,29 +221,16 @@ class ScenarioReport:
             payload["mode"] = self.mode
         return payload
 
-    def _events_dict(self) -> dict:
-        events = {
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "nofit": self.nofit_events,
-            "prewarms": self.prewarms,
-            "promotions": self.promotions,
-            "retirements": self.retirements,
+    def shown_events(self) -> dict[str, int]:
+        """The counts a summary shows: all but the memory tier's and the
+        migrator's groups in which nothing happened."""
+        hidden = {
+            name
+            for group in (MEMTIER_EVENTS, MIGRATION_EVENTS)
+            if not any(self.events[member] for member in group)
+            for name in group
         }
-        # Memory-tier counts only appear when the tier acted: memtier-off
-        # reports serialize byte-identically to pre-tier baselines.
-        if self.swap_promotions:
-            events["swap_promotions"] = self.swap_promotions
-        if self.demotions:
-            events["demotions"] = self.demotions
-        if self.host_evictions:
-            events["host_evictions"] = self.host_evictions
-        # Migration counts likewise: defrag-off reports stay byte-identical.
-        if self.migrations:
-            events["migrations"] = self.migrations
-        if self.migration_aborts:
-            events["migration_aborts"] = self.migration_aborts
-        return events
+        return {name: count for name, count in self.events.items() if name not in hidden}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -211,6 +245,7 @@ class ScenarioReport:
     # -- human-readable summary -------------------------------------------------
     def summary(self) -> str:
         scenario = self.scenario
+        aborted = self.events["migration_aborts"]
         nodes = scenario.cluster.nodes
         node_desc = (
             f"{nodes} x {scenario.cluster.gpu}"
@@ -227,21 +262,13 @@ class ScenarioReport:
             f"violations {100 * self.overall_violation_ratio:.2f}%",
             f"  GPUs: mean {self.mean_gpus:.2f}  peak {self.peak_gpus}  "
             f"{self.gpu_seconds:.0f} GPU-s  alloc {100 * self.mean_alloc_fraction:.1f}%",
-            f"  events: {self.scale_ups} up / {self.scale_downs} down / "
-            f"{self.nofit_events} nofit / {self.prewarms} prewarm / "
-            f"{self.promotions} promote / {self.retirements} retire"
-            + (
-                f" / {self.swap_promotions} swap-in / {self.demotions} demote / "
-                f"{self.host_evictions} evict-host"
-                if (self.swap_promotions or self.demotions or self.host_evictions)
-                else ""
+            "  events: "
+            + " / ".join(
+                f"{count} {_SUMMARY_LABELS[name]}"
+                for name, count in self.shown_events().items()
+                if name in _SUMMARY_LABELS
             )
-            + (
-                f" / {self.migrations} migrate"
-                + (f" ({self.migration_aborts} aborted)" if self.migration_aborts else "")
-                if (self.migrations or self.migration_aborts)
-                else ""
-            ),
+            + (f" ({aborted} aborted)" if aborted else ""),
             "  function            model       SLO(ms)  done/sub    p95(ms)  viol%  cold-hits",
         ]
         for outcome in self.functions:

@@ -5,23 +5,31 @@ This is the one code path that measures a served window (figs. 1, 10-12,
 platform from the cluster spec, register the fleet, resolve each function's
 workload into an arrival process (or ``closed``-loop virtual users), start
 the autoscaler (or a static deployment), pre-place the initial pods, replay
-all workloads concurrently, sample placement utilization, and aggregate a
-:class:`~repro.scenario.report.ScenarioReport`.
+all workloads concurrently, and measure them through a
+:class:`MeasuredWindow`, which samples placement utilization and reduces
+the window to a :class:`~repro.scenario.report.ScenarioReport`.  The live
+server (:mod:`repro.serve.server`) measures through the same window.  In
+both modes every count, control-plane events included, starts when the
+window opens: at the warm-up end, else when serving starts.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import math
 import typing as _t
 
 from repro.faas.loadgen import ClosedLoopClient, OpenLoopGenerator
+from repro.faas.requests import RequestLog
+from repro.faas.slo import violation_ratio
 from repro.faas.traces import FunctionTrace, load_trace_file, synthesize_trace
 from repro.faas.workload import StepTrace, Workload
 from repro.k8s.objects import set_transition_observer
 from repro.models import MODEL_ZOO
 from repro.obs import TELEMETRY_FORMAT, assemble_spans, build_registry
 from repro.profiler.database import ProfileDatabase
-from repro.scenario.report import FunctionOutcome, ScenarioReport, UtilizationSample
+from repro.scenario.report import FunctionOutcome, RunReport, ScenarioReport, UtilizationSample
 from repro.scenario.spec import Scenario, ScenarioError, ScenarioFunction
 from repro.scheduler.mra import NoFitError
 
@@ -194,10 +202,10 @@ def run_scenario(scenario: Scenario, quick: bool = False) -> ScenarioReport:
 class ControlPlane:
     """A deployed scenario: everything up to "ready to serve".
 
-    Both measurement modes — the discrete-event window in :func:`_execute`
-    and the wall-clock window in :mod:`repro.serve.server` — run the
-    *identical* control plane this object captures; only the pacing of the
-    window in between differs.
+    Both measurement modes — the discrete-event run in :func:`_execute` and
+    the wall-clock server in :mod:`repro.serve.server` — run the
+    *identical* control plane this object captures and measure it through
+    the same :class:`MeasuredWindow`; only the pacing of the window differs.
     """
 
     scenario: Scenario
@@ -210,13 +218,6 @@ class ControlPlane:
     @property
     def horizon(self) -> float:
         return max(w.duration for w in self.workloads.values())
-
-    def anchor_oracles(self, t_start: float) -> None:
-        if self.oracle_forecasters:
-            for forecaster in self.oracle_forecasters.values():
-                forecaster.origin = t_start  # trace offset 0 == replay start
-            # Every oracle forecast moved: nothing may sleep through that.
-            self.scheduler.predictive.wake_all()
 
 
 def prepare_control_plane(scenario: Scenario, platform: "FaSTGShare") -> ControlPlane:
@@ -279,220 +280,242 @@ def placement_state(platform: "FaSTGShare") -> tuple[int, dict[str, float]]:
     return len(quota), {node: min(1.0, area) for node, area in quota.items()}
 
 
-@dataclasses.dataclass
-class WindowCounters:
-    """Monotonic control-plane counters at the measured window's open.
+def control_counts(platform: "FaSTGShare", scheduler: _t.Any | None) -> dict[str, int]:
+    """Every monotonic control-plane counter a window reports, keyed as the
+    report's ``events`` block names it; a window's counts are their growth
+    from its open to its close."""
+    actions = collections.Counter()
+    prewarms = retirements = 0
+    if scheduler is not None:
+        actions.update(event.action for event in scheduler.events)
+        prewarms, retirements = scheduler.predictive.prewarms, scheduler.predictive.retirements
+    lifecycle, migrator = platform.lifecycle, platform.migrator
+    return {
+        "scale_ups": actions["up"],
+        "scale_downs": actions["down"],
+        "nofit": actions["nofit"],
+        "prewarms": prewarms,
+        "promotions": platform.gateway.promotions,
+        "retirements": retirements,
+        "swap_promotions": lifecycle.promotions if lifecycle is not None else 0,
+        "demotions": lifecycle.demotions if lifecycle is not None else 0,
+        "host_evictions": lifecycle.evictions if lifecycle is not None else 0,
+        "migrations": migrator.completed if migrator is not None else 0,
+        "migration_aborts": migrator.aborted if migrator is not None else 0,
+    }
 
-    The report subtracts these so warm-up (sim) or deployment (live)
-    activity stays out of the measured window.
+
+class MeasuredWindow:
+    """The measured window of one deployed scenario, in either mode.
+
+    Opening it anchors the oracle forecasters to the replay start, resets
+    node metrics, snapshots each function's arrivals and the
+    :func:`control_counts`, and samples placement every
+    ``measurement.sample_dt`` until ``sample_until`` or :meth:`close`.
+    :meth:`restart` opens it anew at the warm-up end, so nothing before the
+    open is reported; :meth:`report` reduces ``[t0, now]`` to a
+    :class:`~repro.scenario.report.ScenarioReport`.
     """
 
-    submitted: dict[str, int] = dataclasses.field(default_factory=dict)
-    events: int = 0
-    prewarms: int = 0
-    retirements: int = 0
-    promotions: int = 0
-    swaps: int = 0
-    demotions: int = 0
-    evictions: int = 0
-    migrations: int = 0
-    migration_aborts: int = 0
+    def __init__(self, plane: ControlPlane, sample_until: float = math.inf):
+        self.plane = plane
+        self.samples: list[tuple[float, int, dict[str, float]]] = []
+        self._sample_until = sample_until
+        engine = plane.platform.engine
+        if plane.oracle_forecasters:
+            for forecaster in plane.oracle_forecasters.values():
+                forecaster.origin = engine.now  # trace offset 0 == replay start
+            # Every oracle forecast moved: nothing may sleep through that.
+            plane.scheduler.predictive.wake_all()
+        self.restart()
+        self._next_sample = engine.schedule(plane.scenario.measurement.sample_dt, self._sample)
 
-    @classmethod
-    def capture(cls, platform: "FaSTGShare", scheduler: _t.Any | None) -> "WindowCounters":
-        counters = cls(submitted=dict(platform.gateway.submitted))
-        counters.promotions = platform.gateway.promotions
-        if platform.lifecycle is not None:
-            counters.swaps = platform.lifecycle.promotions
-            counters.demotions = platform.lifecycle.demotions
-            counters.evictions = platform.lifecycle.evictions
-        if platform.migrator is not None:
-            counters.migrations = platform.migrator.completed
-            counters.migration_aborts = platform.migrator.aborted
+    def restart(self) -> None:
+        """Open the window at the engine's current time."""
+        platform = self.plane.platform
+        platform.cluster.reset_metrics()
+        self.t0 = platform.engine.now
+        self.samples.clear()
+        self._opening_submitted = dict(platform.gateway.submitted)
+        self._opening_counts = control_counts(platform, self.plane.scheduler)
+
+    def submitted(self, function: str) -> int:
+        """``function``'s arrivals since the window opened."""
+        arrivals = self.plane.platform.gateway.submitted[function]
+        return arrivals - self._opening_submitted.get(function, 0)
+
+    def _sample(self) -> None:
+        platform = self.plane.platform
+        engine = platform.engine
+        self.samples.append((engine.now, *placement_state(platform)))
+        self._next_sample = None
+        if engine.now < self._sample_until:
+            dt = self.plane.scenario.measurement.sample_dt
+            self._next_sample = engine.schedule(dt, self._sample)
+
+    def close(self) -> None:
+        """Stop sampling and the control loop (the report may still wait
+        for work in flight)."""
+        if self._next_sample is not None:
+            self._next_sample.cancel()
+            self._next_sample = None
+        if self.plane.scheduler is not None:
+            self.plane.scheduler.stop()
+
+    def report(self, *, quick: bool, mode: str = "sim") -> ScenarioReport:
+        """Reduce the window ``[t0, now]`` to a ScenarioReport."""
+        plane = self.plane
+        scenario = plane.scenario
+        platform = plane.platform
+        scheduler = plane.scheduler
+        t0, end = self.t0, platform.engine.now
+
+        node_metrics = platform.cluster.node_metrics()
+        submitted = {fn.name: self.submitted(fn.name) for fn in scenario.functions}
+        runs = _run_reports(platform, submitted, t0, end, node_metrics)
+        outcomes: list[FunctionOutcome] = []
+        violated_total = 0
+        for fn in scenario.functions:
+            run = runs[fn.name]
+            latencies = run.log.latencies_ms()
+            violated_total += int((latencies > run.slo_ms).sum()) if latencies.size else 0
+            trace = plane.traces[fn.name]
+            outcomes.append(
+                FunctionOutcome(
+                    name=fn.name,
+                    model=fn.model,
+                    shape=trace.shape if trace is not None else None,
+                    run=run,
+                )
+            )
+        completed_total = sum(run.completed for run in runs.values())
+
+        gpu_counts = [count for _, count, _ in self.samples]
+        alloc_fractions = [
+            sum(alloc.values()) / max(1, len([a for a in alloc.values() if a > 0]))
+            for _, _, alloc in self.samples
+            if any(a > 0 for a in alloc.values())
+        ]
+        replica_series = ()
         if scheduler is not None:
-            counters.events = len(scheduler.events)
-            counters.prewarms = scheduler.predictive.prewarms
-            counters.retirements = scheduler.predictive.retirements
-        return counters
+            replica_series = tuple(
+                # The series covers only the window, on its own time base.
+                (t - t0, dict(counts))
+                for t, counts in scheduler.replica_series
+                if t >= t0
+            )
+        closing_counts = control_counts(platform, scheduler)
+        telemetry = None
+        if scenario.measurement.telemetry:
+            telemetry = _telemetry_block(platform.engine.hub, t0, end)
+
+        return ScenarioReport(
+            scenario=scenario,
+            quick=quick,
+            t0=t0,
+            duration=end - t0,
+            horizon=plane.horizon,
+            functions=tuple(outcomes),
+            overall_p95_ms=platform.gateway.log.in_window(t0, end).latency_percentile_ms(95),
+            overall_violation_ratio=(violated_total / completed_total if completed_total else 0.0),
+            submitted=sum(submitted.values()),
+            completed=completed_total,
+            gpu_seconds=sum(gpu_counts) * scenario.measurement.sample_dt,
+            mean_gpus=sum(gpu_counts) / len(gpu_counts) if gpu_counts else 0.0,
+            peak_gpus=max(gpu_counts) if gpu_counts else 0,
+            mean_alloc_fraction=(
+                sum(alloc_fractions) / len(alloc_fractions) if alloc_fractions else 0.0
+            ),
+            utilization=tuple(
+                UtilizationSample(time=t - t0, gpus_in_use=count, alloc_by_node=dict(alloc))
+                for t, count, alloc in self.samples
+            ),
+            node_utilization={name: util for name, util, _ in node_metrics},
+            events={
+                name: count - self._opening_counts[name] for name, count in closing_counts.items()
+            },
+            replica_series=replica_series,
+            telemetry=telemetry,
+            mode=mode,
+        )
+
+
+def _run_reports(
+    platform: "FaSTGShare",
+    submitted: _t.Mapping[str, int],
+    t0: float,
+    t1: float,
+    node_metrics: list[tuple[str, float, float]],
+) -> dict[str, RunReport]:
+    """A :class:`RunReport` per function of ``submitted`` (its arrivals in
+    the window) over the requests that arrived and completed in ``[t0, t1)``
+    (:meth:`~repro.faas.requests.Request.in_window`): one pass groups the
+    log by function; ``node_metrics`` is read once and shared."""
+    windows = {function: RequestLog() for function in submitted}
+    for request in platform.gateway.log.completed:
+        if request.in_window(t0, t1):
+            window = windows.get(request.function)
+            if window is not None:
+                window.completed.append(request)
+    duration = t1 - t0
+    reports = {}
+    for function, window in windows.items():
+        spec = platform.registry.get(function)
+        p50, p95, p99 = window.latency_percentiles_ms(50, 95, 99)
+        queue_waits = window.queue_waits_ms()
+        cold_waits = window.cold_waits_ms()
+        swap_waits = window.swap_waits_ms()
+        reports[function] = RunReport(
+            function=function,
+            duration=duration,
+            submitted=submitted[function],
+            completed=len(window),
+            throughput=window.throughput(duration),
+            p50_ms=p50,
+            p95_ms=p95,
+            p99_ms=p99,
+            slo_ms=spec.slo_ms,
+            slo_violation_ratio=violation_ratio(window, spec.slo_ms),
+            node_metrics=node_metrics,
+            log=window,
+            queue_wait_ms_mean=float(queue_waits.mean()) if queue_waits.size else 0.0,
+            cold_wait_ms_mean=float(cold_waits.mean()) if cold_waits.size else 0.0,
+            cold_hit_requests=window.cold_hits(),
+            swap_wait_ms_mean=float(swap_waits.mean()) if swap_waits.size else 0.0,
+            swap_hit_requests=window.swap_hits(),
+        )
+    return reports
+
+
+def _telemetry_block(hub, t0: float, end: float) -> dict:
+    spans = assemble_spans(hub.events)
+    registry = build_registry(hub.events, spans, dropped=hub.dropped)
+    return {
+        "format": TELEMETRY_FORMAT,
+        "t0": t0,
+        "end": end,
+        "dropped": hub.dropped,
+        "events": [event.to_dict() for event in hub.events],
+        "spans": [span.to_dict() for span in spans],
+        "metrics": registry.to_dict(),
+    }
 
 
 def _execute(scenario: Scenario, quick: bool, platform: "FaSTGShare") -> ScenarioReport:
     engine = platform.engine
     plane = prepare_control_plane(scenario, platform)
-    scheduler = plane.scheduler
-    workloads = plane.workloads
-
     t_start = engine.now
-    plane.anchor_oracles(t_start)
-    platform.cluster.reset_metrics()
     for fn in scenario.functions:
         load = fn.workload
         if load.kind == "closed":
             ClosedLoopClient(engine, platform.gateway, fn.name, load.concurrency, load.duration)
         else:
-            OpenLoopGenerator(engine, platform.gateway, fn.name, workloads[fn.name])
-
-    horizon = plane.horizon
+            OpenLoopGenerator(engine, platform.gateway, fn.name, plane.workloads[fn.name])
     measurement = scenario.measurement
-    samples: list[tuple[float, int, dict[str, float]]] = []
-
-    def sample() -> None:
-        gpus, alloc = placement_state(platform)
-        samples.append((engine.now, gpus, alloc))
-        if engine.now < t_start + horizon:
-            engine.schedule(measurement.sample_dt, sample)
-
-    engine.schedule(measurement.sample_dt, sample)
-
-    t0 = t_start
-    before = WindowCounters()
+    window = MeasuredWindow(plane, sample_until=t_start + plane.horizon)
     if measurement.warmup_s > 0:
         engine.run(until=t_start + measurement.warmup_s)
-        # Everything measured — latency windows, node metrics, utilization
-        # samples, and control-plane event counts — restarts at t0 so the
-        # report covers only the post-warm-up window.
-        platform.cluster.reset_metrics()
-        t0 = engine.now
-        samples.clear()
-        before = WindowCounters.capture(platform, scheduler)
-    engine.run(until=t_start + horizon + measurement.drain_s)
-    if scheduler is not None:
-        scheduler.stop()
-    end = engine.now
-    return aggregate_report(plane, quick=quick, t0=t0, end=end, samples=samples, before=before)
-
-
-def aggregate_report(
-    plane: ControlPlane,
-    *,
-    quick: bool,
-    t0: float,
-    end: float,
-    samples: list[tuple[float, int, dict[str, float]]],
-    before: WindowCounters,
-    mode: str = "sim",
-) -> ScenarioReport:
-    """Aggregate one measured window ``[t0, end]`` into a ScenarioReport."""
-    scenario = plane.scenario
-    platform = plane.platform
-    scheduler = plane.scheduler
-    traces = plane.traces
-    engine = platform.engine
-    measurement = scenario.measurement
-    horizon = plane.horizon
-
-    outcomes: list[FunctionOutcome] = []
-    violated_total = 0
-    completed_total = 0
-    submitted_total = 0
-    submitted = {
-        fn.name: platform.gateway.submitted[fn.name] - before.submitted.get(fn.name, 0)
-        for fn in scenario.functions
-    }
-    node_metrics = platform.cluster.node_metrics()
-    runs = platform._reports(submitted, t0, end, node_metrics)
-    for fn in scenario.functions:
-        run = runs[fn.name]
-        latencies = run.log.latencies_ms()
-        violated_total += int((latencies > run.slo_ms).sum()) if latencies.size else 0
-        completed_total += run.completed
-        submitted_total += run.submitted
-        outcomes.append(
-            FunctionOutcome(
-                name=fn.name,
-                model=fn.model,
-                shape=traces[fn.name].shape if traces[fn.name] is not None else None,
-                run=run,
-            )
-        )
-
-    window = platform.gateway.log.in_window(t0, end)
-    gpu_counts = [count for _, count, _ in samples]
-    alloc_fractions = [
-        sum(alloc.values()) / max(1, len([a for a in alloc.values() if a > 0]))
-        for _, _, alloc in samples
-        if any(a > 0 for a in alloc.values())
-    ]
-    if scheduler is not None:
-        window_events = scheduler.events[before.events:]
-        scale_ups = sum(1 for e in window_events if e.action == "up")
-        scale_downs = sum(1 for e in window_events if e.action == "down")
-        nofit_events = sum(1 for e in window_events if e.action == "nofit")
-        prewarms = scheduler.predictive.prewarms - before.prewarms
-        retirements = scheduler.predictive.retirements - before.retirements
-        replica_series = tuple(
-            # Warm-up ticks stay out: the series covers only the measured
-            # window, on the window's own time base (like every other metric).
-            (t - t0, dict(counts))
-            for t, counts in scheduler.replica_series
-            if t >= t0
-        )
-    else:
-        scale_ups = scale_downs = nofit_events = prewarms = retirements = 0
-        replica_series = ()
-
-    if platform.lifecycle is not None:
-        swap_promotions = platform.lifecycle.promotions - before.swaps
-        demotions = platform.lifecycle.demotions - before.demotions
-        host_evictions = platform.lifecycle.evictions - before.evictions
-    else:
-        swap_promotions = demotions = host_evictions = 0
-
-    if platform.migrator is not None:
-        migrations = platform.migrator.completed - before.migrations
-        migration_aborts = platform.migrator.aborted - before.migration_aborts
-    else:
-        migrations = migration_aborts = 0
-
-    telemetry_block = None
-    if scenario.measurement.telemetry:
-        hub = engine.hub
-        spans = assemble_spans(hub.events)
-        registry = build_registry(hub.events, spans, dropped=hub.dropped)
-        telemetry_block = {
-            "format": TELEMETRY_FORMAT,
-            "t0": t0,
-            "end": end,
-            "dropped": hub.dropped,
-            "events": [event.to_dict() for event in hub.events],
-            "spans": [span.to_dict() for span in spans],
-            "metrics": registry.to_dict(),
-        }
-
-    return ScenarioReport(
-        scenario=scenario,
-        quick=quick,
-        t0=t0,
-        duration=end - t0,
-        horizon=horizon,
-        functions=tuple(outcomes),
-        overall_p95_ms=window.latency_percentile_ms(95),
-        overall_violation_ratio=(violated_total / completed_total if completed_total else 0.0),
-        submitted=submitted_total,
-        completed=completed_total,
-        gpu_seconds=sum(gpu_counts) * measurement.sample_dt,
-        mean_gpus=sum(gpu_counts) / len(gpu_counts) if gpu_counts else 0.0,
-        peak_gpus=max(gpu_counts) if gpu_counts else 0,
-        mean_alloc_fraction=(
-            sum(alloc_fractions) / len(alloc_fractions) if alloc_fractions else 0.0
-        ),
-        utilization=tuple(
-            UtilizationSample(time=t - t0, gpus_in_use=count, alloc_by_node=dict(alloc))
-            for t, count, alloc in samples
-        ),
-        node_utilization={name: util for name, util, _ in node_metrics},
-        scale_ups=scale_ups,
-        scale_downs=scale_downs,
-        nofit_events=nofit_events,
-        prewarms=prewarms,
-        promotions=platform.gateway.promotions - before.promotions,
-        retirements=retirements,
-        replica_series=replica_series,
-        swap_promotions=swap_promotions,
-        demotions=demotions,
-        host_evictions=host_evictions,
-        migrations=migrations,
-        migration_aborts=migration_aborts,
-        telemetry=telemetry_block,
-        mode=mode,
-    )
+        window.restart()
+    engine.run(until=t_start + plane.horizon + measurement.drain_s)
+    window.close()
+    return window.report(quick=quick)

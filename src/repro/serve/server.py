@@ -21,9 +21,12 @@ traffic:
 * ``GET /report`` — the drained report (``409`` until drained).
 
 Connections beyond ``max_connections`` are refused with ``503``.  The
-measured window opens at serve start (``measurement.warmup_s`` is a
-simulation-only knob and is ignored live; ``drain_s`` still pads the
-window close so in-flight simulated work lands in the report).
+measured window is the simulator's own
+:class:`~repro.scenario.runner.MeasuredWindow`: it opens at serve start,
+and every count in the report, control-plane events included, starts
+there (``measurement.warmup_s`` is a simulation-only knob and is ignored
+live; ``drain_s`` still pads the window close so in-flight simulated work
+lands in the report).
 """
 
 from __future__ import annotations
@@ -36,11 +39,8 @@ import typing as _t
 from repro.k8s.objects import set_transition_observer
 from repro.scenario.report import ScenarioReport
 from repro.scenario.runner import (
-    ControlPlane,
-    WindowCounters,
-    aggregate_report,
+    MeasuredWindow,
     build_platform,
-    placement_state,
     prepare_control_plane,
     require_open_loop,
     transition_observer,
@@ -89,15 +89,11 @@ class LiveServer:
         self.quick = quick
         self.report: ScenarioReport | None = None
         self._report_payload: dict | None = None
-        self._plane: ControlPlane | None = None
+        self._window: MeasuredWindow | None = None
         self._driver: EngineDriver | None = None
         self._server: asyncio.Server | None = None
         self._observing = False
         self._functions: frozenset[str] = frozenset(f.name for f in scenario.functions)
-        self._t0 = 0.0
-        self._samples: list[tuple[float, int, dict[str, float]]] = []
-        self._sample_handle = None
-        self._before = WindowCounters()
         self._connections = 0
         self._in_flight = 0
         self._draining = False
@@ -116,7 +112,7 @@ class LiveServer:
 
     async def start(self) -> None:
         """Deploy (virtual time), anchor the wall clock, bind the socket."""
-        if self._plane is not None:
+        if self._window is not None:
             raise ServeError("server already started")
         platform = build_platform(self.scenario)
         engine = platform.engine
@@ -125,27 +121,9 @@ class LiveServer:
             engine.hub.enabled = True
             engine.hub.tap = self._fanout
             set_transition_observer(transition_observer(engine))
-        plane = prepare_control_plane(self.scenario, platform)
-        self._plane = plane
-
-        t_start = engine.now
-        plane.anchor_oracles(t_start)
-        platform.cluster.reset_metrics()
-        self._t0 = t_start
-        self._before = WindowCounters.capture(platform, plane.scheduler)
-
-        dt = self.scenario.measurement.sample_dt
-
-        def sample() -> None:
-            gpus, alloc = placement_state(platform)
-            self._samples.append((engine.now, gpus, alloc))
-            if not self._draining:
-                self._sample_handle = engine.schedule(dt, sample)
-
-        self._sample_handle = engine.schedule(dt, sample)
-
+        self._window = MeasuredWindow(prepare_control_plane(self.scenario, platform))
         clock = WallClock()
-        clock.start(origin=t_start)
+        clock.start(origin=self._window.t0)
         self._driver = EngineDriver(engine, clock, tick_s=self.config.tick_s)
         self._driver.start()
         try:
@@ -173,13 +151,13 @@ class LiveServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.report is None and self._plane is not None:
+        if self.report is None and self._window is not None:
             await self._finalize()
         elif self._driver is not None and self._driver.running:
             await self._driver.stop()
-        if self._observing and self._plane is not None:
+        if self._observing and self._window is not None:
             set_transition_observer(None)
-            self._plane.platform.engine.hub.tap = None
+            self._window.plane.platform.engine.hub.tap = None
         self._broadcast(None)
 
     # -- request handling ---------------------------------------------------
@@ -252,21 +230,20 @@ class LiveServer:
         return 404, {"error": f"no route {method} {path}"}, False
 
     def _stats(self) -> dict:
-        assert self._plane is not None and self._driver is not None
-        platform = self._plane.platform
-        engine = platform.engine
+        assert self._window is not None and self._driver is not None
+        window = self._window
+        platform = window.plane.platform
         self._driver.advance()
         functions = {}
         for name in sorted(self._functions):
             functions[name] = {
-                "submitted": int(platform.gateway.submitted[name])
-                - self._before.submitted.get(name, 0),
+                "submitted": window.submitted(name),
                 "pending": platform.gateway.pending_count(name),
             }
         stats = {
             "clock": "wall",
-            "time_s": engine.now - self._t0,
-            "horizon_s": self._plane.horizon,
+            "time_s": platform.engine.now - window.t0,
+            "horizon_s": window.plane.horizon,
             "draining": self._draining,
             "connections": self._connections,
             "in_flight": self._in_flight,
@@ -275,7 +252,7 @@ class LiveServer:
         # Live fragmentation gauges (and migration counts when the
         # defragmenter is running), computed from the placement state the
         # moment /stats is answered.
-        scheduler = self._plane.scheduler
+        scheduler = window.plane.scheduler
         if scheduler is not None:
             stats["fragmentation"] = {
                 "cluster": scheduler.placement.cluster_fragmentation(),
@@ -297,9 +274,9 @@ class LiveServer:
         if name not in self._functions:
             error = {"error": f"unknown function {name!r}", "known": sorted(self._functions)}
             return 404, error, False
-        assert self._plane is not None and self._driver is not None
-        engine = self._plane.platform.engine
-        gateway = self._plane.platform.gateway
+        assert self._window is not None and self._driver is not None
+        engine = self._window.plane.platform.engine
+        gateway = self._window.plane.platform.gateway
         future: asyncio.Future = asyncio.get_running_loop().create_future()
 
         def _submit():
@@ -364,34 +341,18 @@ class LiveServer:
 
     async def _finalize(self) -> None:
         """Close the measured window and aggregate the live ScenarioReport."""
-        assert self._plane is not None and self._driver is not None
+        assert self._window is not None and self._driver is not None
         self._draining = True
-        plane = self._plane
-        engine = plane.platform.engine
-
-        def _cut() -> None:
-            if self._sample_handle is not None:
-                self._sample_handle.cancel()
-            if plane.scheduler is not None:
-                plane.scheduler.stop()
-
-        self._driver.call(_cut)
+        window = self._window
+        engine = window.plane.platform.engine
+        self._driver.call(window.close)
         # Pad the close like the DES path does, so simulated work already on
         # the devices lands inside the window instead of being truncated.
         drain_s = self.scenario.measurement.drain_s
         if drain_s > 0:
             engine.run(until=engine.now + drain_s)
         await self._driver.stop()
-        end = engine.now
-        self.report = aggregate_report(
-            plane,
-            quick=self.quick,
-            t0=self._t0,
-            end=end,
-            samples=self._samples,
-            before=self._before,
-            mode="live",
-        )
+        self.report = window.report(quick=self.quick, mode="live")
         self._report_payload = self.report.to_dict()
         self._broadcast(None)
 

@@ -22,7 +22,7 @@ import sys
 import time
 import typing as _t
 
-from repro.scenario.report import ScenarioReport
+from repro.scenario.report import MEMTIER_EVENTS, ScenarioReport
 from repro.scenario.runner import run_scenario
 from repro.sweep.report import CellResult, SweepReport
 from repro.sweep.spec import Sweep, SweepCell
@@ -57,31 +57,19 @@ def cell_metrics(report: ScenarioReport) -> dict[str, _t.Any]:
         "cold_hit_requests": sum(o.run.cold_hit_requests for o in report.functions),
         "cold_wait_ms_mean": sum(all_cold) / len(all_cold) if all_cold else 0.0,
         "queue_wait_ms_mean": sum(all_queue) / len(all_queue) if all_queue else 0.0,
-        "scale_ups": report.scale_ups,
-        "scale_downs": report.scale_downs,
-        "nofit_events": report.nofit_events,
-        "prewarms": report.prewarms,
-        "promotions": report.promotions,
-        "retirements": report.retirements,
         "initial_pods": sum(f.initial_count for f in report.scenario.functions),
         "per_function_violations": report.per_function_violations,
         "node_utilization": dict(report.node_utilization),
     }
-    # Memory-tier metrics only appear when the tier acted, keeping
-    # memtier-off sweep reports byte-identical to pre-tier baselines.
-    if report.swap_promotions or report.demotions or report.host_evictions:
+    # The memory tier's and the migrator's counts appear only where that
+    # subsystem acted, keeping cells without it byte-identical to older
+    # baselines (:meth:`~repro.scenario.report.ScenarioReport.shown_events`).
+    for name, count in report.shown_events().items():
+        metrics["nofit_events" if name == "nofit" else name] = count
+    if any(report.events[name] for name in MEMTIER_EVENTS):
         all_swap = [w for o in report.functions for w in o.run.log.swap_waits_ms()]
-        metrics["swap_promotions"] = report.swap_promotions
-        metrics["demotions"] = report.demotions
-        metrics["host_evictions"] = report.host_evictions
-        metrics["swap_hit_requests"] = sum(
-            o.run.swap_hit_requests for o in report.functions
-        )
+        metrics["swap_hit_requests"] = sum(o.run.swap_hit_requests for o in report.functions)
         metrics["swap_wait_ms_mean"] = sum(all_swap) / len(all_swap) if all_swap else 0.0
-    # Migration counts likewise: defrag-off cells stay byte-identical.
-    if report.migrations or report.migration_aborts:
-        metrics["migrations"] = report.migrations
-        metrics["migration_aborts"] = report.migration_aborts
     return metrics
 
 

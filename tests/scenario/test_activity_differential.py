@@ -132,7 +132,7 @@ def test_deadline_wake_reports_identically(monkeypatch):
     scenario = load_scenario(str(EXAMPLES / "scenarios" / "longtail_swap.json"))
     assert scenario.autoscaler.policy == "memtier"
     fast = run_scenario(scenario, quick=True)
-    assert fast.host_evictions > 0
+    assert fast.events["host_evictions"] > 0
     force_awake_and_dirty(monkeypatch)
     assert run_scenario(scenario, quick=True).to_json() == fast.to_json()
 

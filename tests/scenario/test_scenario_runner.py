@@ -167,7 +167,7 @@ def test_initial_replicas_zero_starts_cold():
     outcome = report.function("res")
     # Nothing was deployed up front, so serving requires reactive scale-ups
     # and the first served requests pay attributable cold waits.
-    assert report.scale_ups >= 1
+    assert report.events["scale_ups"] >= 1
     assert outcome.run.cold_hit_requests > 0
 
 
@@ -188,7 +188,7 @@ def test_static_mode_serves_without_autoscaler():
         autoscaler=AutoscalerSpec(enabled=False),
     )
     report = run_scenario(scenario)
-    assert report.scale_ups == 0 and report.prewarms == 0
+    assert report.events["scale_ups"] == 0 and report.events["prewarms"] == 0
     assert report.function("res").run.completed > 0
     assert report.replica_series == ()  # no control loop, no series
 

@@ -197,7 +197,7 @@ def test_autoscaler_end_to_end_meets_demand():
     counts = [sum(c.values()) for _, c in report.replica_series]
     assert max(counts) >= 2  # scaled up under the 80 rps step
     assert counts[-1] < max(counts)  # scaled back down after the peak
-    assert report.scale_ups and report.scale_downs
+    assert report.events["scale_ups"] and report.events["scale_downs"]
 
 
 def test_same_seed_same_results():
