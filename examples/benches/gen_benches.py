@@ -12,9 +12,10 @@ seeds, scenario names and arrivals match the benches' earlier reports:
   autoscaling; asserts predictive violates its SLO no more than reactive
   (:func:`repro.experiments.fig15_prewarm.bench_sweep`);
 * ``swap``    — scale-to-zero vs WARM_IDLE-only vs the memory tier on a
-  long-tail fleet; asserts memtier spends fewer GPU-seconds than both at an
-  equal-or-better effective violation rate.  The full spec's base is the
-  committed ``examples/scenarios/longtail_swap.json``;
+  long-tail fleet (``swap_bench.py``, beside this script); asserts memtier
+  spends fewer GPU-seconds than both at an equal-or-better effective
+  violation rate.  The full spec's base is the committed
+  ``examples/scenarios/longtail_swap.json``;
 * ``migrate`` — background defragmentation off vs on over a fragmented
   spread fleet; asserts defrag-on uses fewer mean GPUs at an
   equal-or-better effective violation rate;
@@ -46,10 +47,11 @@ from repro.experiments import (
     fig14_cluster,
     fig15_prewarm,
     migrate_bench,
-    swap_bench,
 )
 from repro.scenario import load_scenario
 from repro.sweep import Sweep, SweepAssertion
+
+import swap_bench  # beside this script, whose directory leads sys.path
 
 HERE = pathlib.Path(__file__).resolve().parent
 SEED = 42

@@ -37,7 +37,7 @@ The acceptance bar is strict domination: ``memtier`` must spend *fewer
 GPU-seconds than both* baselines at an *equal-or-better effective
 SLO-violation rate*.  The committed bench specs
 ``examples/benches/swap{,_quick}.json`` (written from this module by
-``examples/benches/gen_benches.py``) state it as their ``assert`` block;
+``gen_benches.py`` beside it) state it as their ``assert`` block;
 ``python -m repro sweep examples/benches/swap_quick.json`` runs the
 comparison.  The full shape's base is the committed long-tail scenario
 ``examples/scenarios/longtail_swap.json``.

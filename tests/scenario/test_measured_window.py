@@ -70,9 +70,8 @@ def test_window_without_warmup_counts_from_its_open(monkeypatch):
     early = [e for e in plane.scheduler.events if e.action == "down" and e.time <= report.t0]
     assert early
     assert report.events["scale_downs"] == 4
-    assert {name: report.events[name] for name in ("scale_ups", "scale_downs", "nofit")} == (
-        scheduler_actions(plane, report.t0)
-    )
+    counted = {name: report.events[name] for name in ("scale_ups", "scale_downs", "nofit")}
+    assert counted == scheduler_actions(plane, report.t0)
 
 
 def _longtail_swap():
@@ -127,7 +126,7 @@ def test_warmup_window_counts_from_warmup_end(monkeypatch, make, warmup_s, tier)
         assert report.events[name] == count
 
 
-def test_live_window_counts_from_serve_start(monkeypatch, tiny_scenario):  # noqa: F811
+def test_live_window_counts_from_serve_start(monkeypatch, tiny_scenario):
     planes = record_planes(monkeypatch, server_module)
 
     async def serve_and_drain():
@@ -163,9 +162,8 @@ def test_optional_counts_show_only_where_their_subsystem_acted():
     assert line.endswith(" / 0 swap-in / 3 demote / 0 evict-host / 5 migrate (2 aborted)")
     metrics = cell_metrics(variant(busy))
     assert metrics["nofit_events"] == report.events["nofit"] and "nofit" not in metrics
-    assert {name: metrics[name] for name in COUNTS[6:]} == {
-        name: busy[name] for name in COUNTS[6:]
-    }
+    optional = COUNTS[6:]
+    assert {name: metrics[name] for name in optional} == {name: busy[name] for name in optional}
     assert {"swap_hit_requests", "swap_wait_ms_mean"} <= set(metrics)
     quiet_metrics = cell_metrics(variant(quiet))
-    assert not set(quiet_metrics) & {*COUNTS[6:], "swap_hit_requests", "swap_wait_ms_mean"}
+    assert not set(quiet_metrics) & {*optional, "swap_hit_requests", "swap_wait_ms_mean"}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
+import importlib
 import json
 import pathlib
 
@@ -181,11 +181,11 @@ def test_effective_violation_ratio_counts_never_served_requests():
 
 
 # -- committed bench specs ---------------------------------------------------------
-def _generator():
-    spec = importlib.util.spec_from_file_location("gen_benches", BENCHES / "gen_benches.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture
+def generator(monkeypatch):
+    """``gen_benches.py``, importable with the ``swap_bench`` module beside it."""
+    monkeypatch.syspath_prepend(str(BENCHES))
+    return importlib.import_module("gen_benches")
 
 
 def _cells_without_description(sweep: Sweep) -> list[dict]:
@@ -202,8 +202,8 @@ BENCH_STEMS = [
 
 
 @pytest.mark.parametrize("stem", BENCH_STEMS)
-def test_committed_bench_spec_matches_its_generator(stem):
-    generated = _generator().bench_sweeps()[stem]
+def test_committed_bench_spec_matches_its_generator(generator, stem):
+    generated = generator.bench_sweeps()[stem]
     committed = load_sweep(str(BENCHES / f"{stem}.json"))
     assert committed.name == generated.name
     assert committed.asserts == generated.asserts

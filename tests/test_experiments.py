@@ -21,7 +21,7 @@ from repro.experiments import (
     fig14_cluster,
     fig15_prewarm,
 )
-from tests.pins import QUICK_PINS, quick_pin_report, reproduce
+from tests.pins import QUICK_PINS, ROOT, quick_pin_report, reproduce
 
 
 def test_fig01_quick():
@@ -150,9 +150,11 @@ def test_swap_bench_jobs_matches_serial():
     assert serial == pooled
 
 
-def test_swap_bench_longtail_fleet_shape():
-    from repro.experiments import swap_bench
+def test_swap_bench_longtail_fleet_shape(monkeypatch):
     from repro.models import MODEL_ZOO
+
+    monkeypatch.syspath_prepend(str(ROOT / "examples" / "benches"))
+    import swap_bench
 
     fleet = swap_bench.longtail_fleet(periodic=10, rare=200, heads=2)
     assert len(fleet) == 212
