@@ -65,7 +65,7 @@ class RunReport:
     slo_ms: float
     slo_violation_ratio: float
     node_metrics: list[tuple[str, float, float]]
-    log: "RequestLog"
+    log: RequestLog
     #: mean wait behind other requests on an accepting replica (ms).
     queue_wait_ms_mean: float = 0.0
     #: mean pending-queue wait while *no* replica was accepting — the

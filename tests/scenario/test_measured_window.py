@@ -121,7 +121,6 @@ def test_warmup_window_counts_from_warmup_end(monkeypatch, make, warmup_s, tier)
     for name in tier:
         assert warm[name] > opened[name]
         assert report.events[name] > 0
-    assert report.t0 == pytest.approx(planes[0].platform.engine.now - report.duration)
     for name, count in scheduler_actions(planes[0], report.t0).items():
         assert report.events[name] == count
 
